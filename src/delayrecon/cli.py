@@ -113,6 +113,12 @@ def _pairs(config: dict, sys_: systems.System, samples: np.ndarray,
                                                             default_gap)))
 
 
+def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:
+    """Requested and realised pair counts, for the reports that use pairs."""
+    return {"pairs_requested": int(config["pairs"]["count"]),
+            "pairs_realised": len(K), "pairs_complete": K.complete}
+
+
 # --- subcommands ----------------------------------------------------------
 
 def cmd_simulate(config, out: Path, seed, quiet, import_path=None) -> int:
@@ -153,7 +159,7 @@ def cmd_margin(config, out: Path, seed, quiet) -> int:
     K = _pairs(config, sys_, traj.states, seed)
     K.write_csv(out / "pairs.csv")
     report = genericity.compatibility_margin(h, sys_, K, m)
-    write_json(out / "margin.json", report.to_dict())
+    write_json(out / "margin.json", report.to_dict() | _pair_accounting(config, K))
     if not quiet:
         print(f"margin: {report.margin:.6g} over {len(K)} pairs (m={m})")
     return EXIT_OK
@@ -170,7 +176,8 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
     try:
         f = genericity.perturb_to_compatible(h, eps, K, sys_, d, seed=seed)
     except genericity.PerturbationError as exc:
-        write_json(out / "perturb_report.json", {"ok": False, "reason": str(exc)})
+        write_json(out / "perturb_report.json", {"ok": False, "reason": str(exc),
+                                                 **_pair_accounting(config, K)})
         if not quiet:
             print(f"perturb: failed: {exc}")
         return EXIT_HYPOTHESIS
@@ -180,7 +187,8 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
     write_json(out / "perturbed_observable.json", core.observable_to_dict(f))
     write_json(out / "perturb_report.json", {
         "ok": True, "margin": report.margin, "sup_distance": dist,
-        "epsilon": eps, "m": m,
+        "sup_distance_bound": f.bump.max_deviation(),
+        "epsilon": eps, "m": m, **_pair_accounting(config, K),
     })
     out_config = dict(config)
     out_config["observable"] = core.observable_to_dict(f)

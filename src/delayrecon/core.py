@@ -172,6 +172,13 @@ class PiecewiseAnchor(Observable):
 
     The denominator is always >= 1, so h is a convex combination of anchor
     values and the base, hence stays in [0, 1].
+
+    Evaluation uses the tents' compact support: KD-trees over the states and
+    the anchors find the (state, anchor) pairs closer than ``radius``, and
+    only those distances are computed, as exact differences.  Time is
+    O((n + a) log(n + a) + pairs) and memory O(n + a + pairs) for n states,
+    a anchors and the number of pairs inside the supports; both trees are
+    built on every call.
     """
 
     points: tuple[tuple[float, ...], ...]
@@ -200,30 +207,63 @@ class PiecewiseAnchor(Observable):
     def _values(self, pts):
         if not self.points:
             return np.full(pts.shape[0], self.base)
+        from scipy.spatial import cKDTree
+
         q = np.asarray(self.points)  # (a, k)
         if pts.shape[1] != q.shape[1]:
             raise ValueError(
                 f"anchor dimension {q.shape[1]} != state dimension {pts.shape[1]}"
             )
-        v = np.asarray(self.values)
-        # (n, a) pairwise distances; anchors counts are desk-scale so a dense
-        # matrix is fine.
-        d = np.sqrt(np.maximum(
-            ((pts ** 2).sum(1)[:, None] - 2.0 * pts @ q.T + (q ** 2).sum(1)[None, :]),
-            0.0,
-        ))
-        w = np.maximum(0.0, 1.0 - d / self.radius)
-        total = w.sum(1)
+        near = cKDTree(pts).sparse_distance_matrix(cKDTree(q), self.radius,
+                                                   output_type="ndarray")
+        w = 1.0 - near["v"] / self.radius
+        n = pts.shape[0]
+        total = np.bincount(near["i"], weights=w, minlength=n)
         bg = np.maximum(0.0, 1.0 - total)
-        num = w @ v + bg * self.base
+        num = np.bincount(near["i"], weights=w * np.asarray(self.values)[near["j"]],
+                          minlength=n) + bg * self.base
         den = total + bg
         return num / den
 
+    def max_deviation(self) -> float:
+        """max_i |v_i - base|, a bound on |h(x) - base| everywhere.
+
+        h - base = sum_i w_i (v_i - base) / max(W, 1) and W <= max(W, 1).
+        Added to another observable through `SumObservable` with
+        ``offset == base``, it therefore moves that observable by at most this
+        much at every point; clipping to [0, 1] only shortens the move.
+        """
+        if not self.values:
+            return 0.0
+        return float(np.max(np.abs(np.asarray(self.values) - self.base)))
+
     def lipschitz(self):
-        # Crude but safe: numerator and denominator are each at most
-        # 2*n/r-Lipschitz and the denominator is bounded below by 1.
-        n = len(self.points)
-        return 4.0 * n / self.radius if n else 0.0
+        """2 k D / r, or D / r when no tents overlap (k = 1).
+
+        D = max_i |v_i - base|, and k is 1 plus the largest number of other
+        anchors within 2r of one anchor.  Two tents overlap only if their
+        centres are closer than 2r, so at most k tents cover any point.
+
+        With u_i = v_i - base and S = sum_i w_i u_i, h - base = S / max(W, 1).
+        Each w_i is (1/r)-Lipschitz and at most k of them are nonzero near a
+        point, so |grad S| <= k D / r and |grad W| <= k / r.
+          * Where W <= 1, h - base = S, whose gradient is at most k D / r.
+            With k = 1 at most one tent is nonzero, W <= 1 everywhere, and
+            the bound D / r holds on the whole space.
+          * Where W >= 1, grad(S / W) = grad S / W - (S / W) grad W / W and
+            |S / W| <= D, so the gradient is at most 2 k D / r.
+        h is continuous and piecewise smooth, so the larger bound of the two
+        regimes is a Lipschitz constant.
+        """
+        if not self.points:
+            return 0.0
+        from scipy.spatial import cKDTree
+
+        q = np.asarray(self.points)
+        k = int(np.max(cKDTree(q).query_ball_point(q, 2.0 * self.radius,
+                                                    return_length=True)))
+        scale = 1.0 if k == 1 else 2.0 * k
+        return scale * self.max_deviation() / self.radius
 
 
 @dataclass(frozen=True)

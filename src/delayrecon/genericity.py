@@ -23,7 +23,7 @@ from .core import (
     TrigPolynomial,
     sup_distance,
 )
-from .delay import delay_vectors, periodic_extension
+from .delay import delay_vectors
 from .systems import System
 from .topology import mesh_cover, refine_order
 
@@ -135,15 +135,24 @@ class CompatibilityReport:
         }
 
 
-def detect_period(sys: System, x, n_max: int, tol: float) -> int | None:
-    """Minimal p <= n_max with T^p(x) within tol of x, by direct return."""
+def detect_period(sys: System, x, n_max: int,
+                  tol: float) -> int | None | list[int | None]:
+    """Minimal p <= n_max with T^p(x) within tol of x, by direct return.
+
+    A single state gives one period (or None); an (n, k) batch gives a list
+    with one entry per row, from one batched orbit.
+    """
     x = np.asarray(x, dtype=float)
-    cur = x[None, :]
+    start = np.atleast_2d(x)
+    periods: list[int | None] = [None] * start.shape[0]
+    cur = start
     for p in range(1, n_max + 1):
         cur = sys.step_many(cur, check=False)
-        if sys.distance(cur[0], x) <= tol:
-            return p
-    return None
+        dist = np.linalg.norm(sys.wrap_displacement(cur - start), axis=1)
+        for i in np.flatnonzero(dist <= tol):
+            if periods[i] is None:
+                periods[i] = p
+    return periods[0] if x.ndim == 1 else periods
 
 
 def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
@@ -179,7 +188,7 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
         return bool(dist <= period_tol)
 
     xs, ys, tags = [], [], []
-    used: list[int] = []
+    blocked = np.zeros(n, dtype=bool)  # within min_index_gap of a used index
     for _ in range(max_tries * count):
         if len(xs) >= count:
             break
@@ -191,10 +200,10 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
         if min_index_gap > 0:
             if abs(int(i) - int(j)) <= min_index_gap:
                 continue
-            if any(abs(int(i) - u) <= min_index_gap
-                   or abs(int(j) - u) <= min_index_gap for u in used):
+            if blocked[i] or blocked[j]:
                 continue
-            used.extend((int(i), int(j)))
+            for u in (i, j):
+                blocked[max(0, u - min_index_gap):u + min_index_gap + 1] = True
         xs.append(pts[i])
         ys.append(pts[j])
         px, py = is_periodic(pts[i]), is_periodic(pts[j])
@@ -234,18 +243,28 @@ def openness_radius(report: CompatibilityReport) -> float:
 # --- perturbation construction -------------------------------------------
 
 def _dedup_members(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy dedup: returns (unique points, index of each input point)."""
-    reps: list[np.ndarray] = []
-    assign = np.empty(pts.shape[0], dtype=int)
-    for i, p in enumerate(pts):
-        for j, r in enumerate(reps):
-            if np.linalg.norm(p - r) <= tol:
-                assign[i] = j
+    """Greedy dedup: returns (unique points, index of each input point).
+
+    In input order, each point joins the earliest representative within
+    ``tol`` or becomes a new one.  A KD-tree supplies the candidates, at a
+    slightly larger radius so that the exact norm test decides ties.
+    """
+    n = pts.shape[0]
+    is_rep = np.zeros(n, dtype=bool)
+    assign = np.empty(n, dtype=int)
+    n_reps = 0
+    near = cKDTree(pts).query_ball_point(pts, tol * (1.0 + 1e-9),
+                                         return_sorted=True)
+    for i, cands in enumerate(near):
+        for c in cands:
+            if c < i and is_rep[c] and np.linalg.norm(pts[i] - pts[c]) <= tol:
+                assign[i] = assign[c]
                 break
         else:
-            assign[i] = len(reps)
-            reps.append(p)
-    return np.asarray(reps), assign
+            assign[i] = n_reps
+            n_reps += 1
+            is_rep[i] = True
+    return pts[is_rep], assign
 
 
 def _check_cover_bound(class_pts: np.ndarray, t: int, n_label: int,
@@ -280,7 +299,9 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     periodic side compared through its periodic extension.  The targets are
     realized exactly at the orbit points by a compactly supported
     partition-of-unity bump added to the base.  The result is re-verified
-    before being returned.
+    before being returned: its margin, its sup-distance from ``h_base`` at
+    the orbit points and pair members, and the certified bound
+    ``bump.max_deviation()`` on that sup-distance over the whole space.
 
     ``class_samples`` optionally maps a period (0 for the aperiodic class)
     to a sampled neighborhood of that class, on which the cover-order
@@ -297,11 +318,9 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     n_pairs = len(K)
 
     # Orbit segment length per anchor: one cycle for periodic members.
-    periods = []
-    for q in reps:
-        p = detect_period(sys, q, 2 * d if d > 0 else 1, period_tol)
-        periods.append(p)
-    t_of = [min(p - 1, 2 * d) if p is not None else 2 * d for p in periods]
+    periods = detect_period(sys, reps, 2 * d if d > 0 else 1, period_tol)
+    t_of = np.array([min(p - 1, 2 * d) if p is not None else 2 * d
+                     for p in periods])
 
     # Cover-order smallness check per class.  The anchors themselves are
     # finitely many separated points and always admit a disjoint cover, so
@@ -319,17 +338,14 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
             _check_cover_bound(pts, t, label if label else 2 * d + 1,
                                scale=max(K.delta, 8.0 * _spacing_or(pts, K.delta)))
 
-    # Orbit points, with cross-anchor disjointness at the working tolerance.
-    orbit_pts = []
-    orbit_owner = []
-    for ai, (q, t) in enumerate(zip(reps, t_of)):
-        cur = q[None, :]
-        for k in range(t + 1):
-            orbit_pts.append(cur[0].copy())
-            orbit_owner.append((ai, k))
-            if k < t:
-                cur = sys.step_many(cur, check=False)
-    orbit_pts = np.asarray(orbit_pts)
+    # Orbit points of all anchors from one batched orbit, anchor-major, with
+    # cross-anchor disjointness at the working tolerance.
+    segment = [reps]
+    for _ in range(int(t_of.max())):
+        segment.append(sys.step_many(segment[-1], check=False))
+    in_segment = np.arange(len(segment))[None, :] <= t_of[:, None]
+    orbit_pts = np.stack(segment, axis=1)[in_segment]
+    orbit_owner = [tuple(o) for o in np.argwhere(in_segment).tolist()]
     tree = cKDTree(orbit_pts)
     close = tree.query_pairs(r=max(period_tol, 1e-12), output_type="ndarray")
     conflicts = [(orbit_owner[i], orbit_owner[j]) for i, j in close
@@ -350,48 +366,37 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     if radius <= 0.0:
         raise PerturbationError("degenerate bump radius; orbit points coincide")
 
-    base_along = [np.array([h_base(sys.step_n(q[None, :], k, check=False)[0])
-                            for k in range(t + 1)])
-                  for q, t in zip(reps, t_of)]
+    base_along = h_base.evaluate(orbit_pts)
+    # Row a holds the positions in base_along of anchor a's delay values,
+    # extended periodically to length m as in `periodic_extension`.
+    first = np.cumsum(t_of + 1) - (t_of + 1)
+    ext = first[:, None] + np.arange(m)[None, :] % (t_of[:, None] + 1)
 
     gp_margin = min(1e-3, 0.1 * eps)
     amp = 0.45 * eps
     rng = np.random.default_rng(seed)
     x_anchor = assign[:n_pairs]
     y_anchor = assign[n_pairs:]
-    for ai, bi in zip(x_anchor, y_anchor):
-        if ai == bi:
-            raise PerturbationError(
-                "a pair's members coincide at the working tolerance")
+    if np.any(x_anchor == y_anchor):
+        raise PerturbationError(
+            "a pair's members coincide at the working tolerance")
+    probe = np.concatenate([orbit_pts, members])
 
     for _ in range(max_rounds):
-        targets = [np.clip(b + rng.uniform(-amp, amp, size=b.size), 0.0, 1.0)
-                   for b in base_along]
-        ok = all(
-            np.max(np.abs(periodic_extension(targets[ai], m)
-                          - periodic_extension(targets[bi], m))) >= gp_margin
-            for ai, bi in zip(x_anchor, y_anchor)
-        )
-        if not ok:
+        targets = np.clip(base_along + rng.uniform(-amp, amp, size=base_along.size),
+                          0.0, 1.0)
+        gaps = np.abs(targets[ext[x_anchor]] - targets[ext[y_anchor]]).max(axis=1)
+        if not np.all(gaps >= gp_margin):
             continue
-        bump_pts = []
-        bump_vals = []
-        for ai, (q, t) in enumerate(zip(reps, t_of)):
-            cur = q[None, :]
-            for k in range(t + 1):
-                bump_pts.append(tuple(cur[0]))
-                bump_vals.append(0.5 + targets[ai][k] - base_along[ai][k])
-                if k < t:
-                    cur = sys.step_many(cur, check=False)
-        bump = PiecewiseAnchor(points=tuple(bump_pts), values=tuple(bump_vals),
+        bump = PiecewiseAnchor(points=orbit_pts, values=0.5 + targets - base_along,
                                radius=radius, base=0.5)
         f = SumObservable(base=h_base, bump=bump, offset=0.5)
 
-        # Mandatory self-verification on the actual observable.
+        # Mandatory self-verification on the actual observable: the margin,
+        # the sampled sup-distance, and the certified bound on it.
         report = compatibility_margin(f, sys, K, m, tolerance=tol)
-        probe = np.concatenate([orbit_pts, np.concatenate([K.xs, K.ys], axis=0)])
         dist = sup_distance(f, h_base, probe)
-        if report.margin > tol and dist < eps:
+        if report.margin > tol and dist < eps and bump.max_deviation() < eps:
             return f
     raise PerturbationError(
         f"general-position retries exhausted after {max_rounds} rounds")

@@ -110,6 +110,36 @@ class TestPerturb:
         margin = json.loads((out2 / "margin.json").read_text())["margin"]
         assert margin == pytest.approx(report["margin"], rel=1e-9)
 
+    def test_report_certifies_closeness_and_counts_pairs(self, tmp_path,
+                                                          base_config):
+        base_config["observable"] = {"variant": "constant", "value": 0.5}
+        base_config["epsilon"] = 0.05
+        base_config["pairs"] = {"delta": 0.01, "count": 50}
+        cfg = write_config(tmp_path, base_config)
+        assert run("perturb", cfg, tmp_path) == 0
+        report = json.loads((tmp_path / "perturb_report.json").read_text())
+        assert report["sup_distance"] <= report["sup_distance_bound"] < 0.05
+        assert (report["pairs_requested"], report["pairs_realised"],
+                report["pairs_complete"]) == (50, 50, True)
+
+
+class TestPairShortfall:
+    @pytest.mark.parametrize("cmd,artifact", [("margin", "margin.json"),
+                                              ("perturb", "perturb_report.json")])
+    def test_unreachable_count_reported(self, tmp_path, base_config, cmd,
+                                        artifact):
+        # 20 states with index gap 3: each pair blocks 14 indices, so far
+        # fewer than 10 pairs exist.
+        base_config["trajectory"]["n"] = 20
+        base_config["epsilon"] = 0.05
+        base_config["pairs"] = {"delta": 0.01, "count": 10}
+        cfg = write_config(tmp_path, base_config)
+        assert run(cmd, cfg, tmp_path) == 0
+        report = json.loads((tmp_path / artifact).read_text())
+        assert report["pairs_requested"] == 10
+        assert 0 < report["pairs_realised"] < 10
+        assert report["pairs_complete"] is False
+
 
 class TestDimension:
     def test_estimates_written(self, tmp_path, base_config):

@@ -150,6 +150,39 @@ class TestPiecewiseAnchor:
         den = np.linalg.norm(a - b, axis=1)
         assert np.all(num <= L * den + 1e-12)
 
+    def test_exact_at_own_anchors_with_tiny_radius(self):
+        # |p|^2 - 2 p.q + |q|^2 loses ~1e-8 to cancellation, which moves the
+        # tent at its own anchor by ~1e-3 at this radius; exact differences
+        # do not.
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.5, 1.5, (200, 2))
+        vals = rng.uniform(0, 1, 200)
+        h = PiecewiseAnchor(points=tuple(map(tuple, pts)), values=tuple(vals),
+                            radius=5e-6, base=0.5)
+        assert np.max(np.abs(h.evaluate(pts) - vals)) <= 1e-12
+
+    def test_lipschitz_on_disjoint_supports(self):
+        h = PiecewiseAnchor(points=((0.0, 0.0), (1.0, 0.0)), values=(0.9, 0.2),
+                            radius=0.4, base=0.5)
+        assert h.lipschitz() == pytest.approx(0.4 / 0.4)
+        assert h.max_deviation() == pytest.approx(0.4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           radius=st.floats(0.1, 0.8), base=st.floats(0.0, 1.0))
+    def test_lipschitz_bound_with_overlapping_supports(self, seed, n, radius,
+                                                       base):
+        rng = np.random.default_rng(seed)
+        h = PiecewiseAnchor(points=tuple(map(tuple, rng.uniform(0, 1, (n, 2)))),
+                            values=tuple(rng.uniform(0, 1, n)), radius=radius,
+                            base=base)
+        L = h.lipschitz()
+        a = rng.uniform(-0.5, 1.5, (200, 2))
+        b = a + rng.normal(scale=1e-5, size=a.shape)
+        num = np.abs(h.evaluate(a) - h.evaluate(b))
+        den = np.linalg.norm(a - b, axis=1)
+        assert np.all(num <= L * den + 1e-12)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             PiecewiseAnchor(points=((0.0,),), values=(0.1, 0.2), radius=0.3)

@@ -3,6 +3,7 @@ perturbation construction."""
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import delayrecon as dr
 from delayrecon.genericity import (
@@ -10,6 +11,7 @@ from delayrecon.genericity import (
     CompatibilityReport,
     PairSet,
     PerturbationError,
+    _dedup_members,
     compatibility_margin,
     detect_period,
     genericity_monte_carlo,
@@ -17,6 +19,56 @@ from delayrecon.genericity import (
     perturb_to_compatible,
     sample_pairs,
 )
+
+
+def reference_dedup(pts, tol):
+    """The greedy quadratic loop `_dedup_members` replaces."""
+    reps = []
+    assign = np.empty(pts.shape[0], dtype=int)
+    for i, p in enumerate(pts):
+        for j, r in enumerate(reps):
+            if np.linalg.norm(p - r) <= tol:
+                assign[i] = j
+                break
+        else:
+            assign[i] = len(reps)
+            reps.append(p)
+    return np.asarray(reps), assign
+
+
+def reference_sample_pairs(samples, delta, count, periodic_points=None, seed=0,
+                           period_tol=1e-6, max_tries=200, min_index_gap=0):
+    """`sample_pairs` with the scan over used indices it replaces; returns
+    (xs, ys, tags, complete)."""
+    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    ptree = None
+    if periodic_points is not None and len(periodic_points):
+        ptree = cKDTree(np.atleast_2d([p for p, _ in periodic_points]))
+
+    def is_periodic(x):
+        return ptree is not None and bool(ptree.query(x)[0] <= period_tol)
+
+    xs, ys, tags, used = [], [], [], []
+    for _ in range(max_tries * count):
+        if len(xs) >= count:
+            break
+        i, j = rng.integers(0, n, size=2)
+        if i == j or np.linalg.norm(pts[i] - pts[j]) < delta:
+            continue
+        if min_index_gap > 0:
+            if abs(int(i) - int(j)) <= min_index_gap:
+                continue
+            if any(abs(int(i) - u) <= min_index_gap
+                   or abs(int(j) - u) <= min_index_gap for u in used):
+                continue
+            used.extend((int(i), int(j)))
+        xs.append(pts[i])
+        ys.append(pts[j])
+        px, py = is_periodic(pts[i]), is_periodic(pts[j])
+        tags.append("C2" if px and py else ("C1" if not px and not py else "C3"))
+    return np.asarray(xs), np.asarray(ys), tuple(tags), len(xs) >= count
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +141,30 @@ class TestSamplePairs:
         close = cKDTree(pts).query_pairs(r=1e-9)
         assert not close
 
+    @pytest.mark.parametrize("gap", [0, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 12])
+    def test_matches_used_index_scan(self, henon, henon_samples, gap, seed):
+        fp = henon.fixed_points()[0]
+        periodic = [(fp, 1)]
+        cloud = np.concatenate([henon_samples[:600], [fp] * 5, henon_samples[600:]])
+        K = sample_pairs(cloud, 1e-2, 120, sys=henon, periodic_points=periodic,
+                         seed=seed, min_index_gap=gap)
+        xs, ys, tags, complete = reference_sample_pairs(
+            cloud, 1e-2, 120, periodic_points=periodic, seed=seed,
+            min_index_gap=gap)
+        assert np.array_equal(K.xs, xs) and np.array_equal(K.ys, ys)
+        assert K.tags == tags and K.complete == complete
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_used_index_scan_when_incomplete(self, seed):
+        cloud = np.linspace(0.0, 1.0, 40)[:, None]
+        K = sample_pairs(cloud, 0.1, 50, seed=seed, min_index_gap=3)
+        xs, ys, tags, complete = reference_sample_pairs(
+            cloud, 0.1, 50, seed=seed, min_index_gap=3)
+        assert not K.complete and not complete
+        assert np.array_equal(K.xs, xs) and np.array_equal(K.ys, ys)
+        assert K.tags == tags
+
     def test_incomplete_flagged(self):
         # six samples with an index-gap constraint cannot yield 50 pairs
         cloud = np.linspace(0.0, 1.0, 6)[:, None]
@@ -132,6 +208,34 @@ class TestMargin:
             openness_radius(CompatibilityReport(0.0, 0, np.array([0.0]), 3))
 
 
+class TestDedupMembers:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("tol", [0.0, 0.05, 0.3])
+    def test_matches_greedy_loop(self, seed, tol):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 1, (150, 2))
+        pts = np.concatenate([pts, pts[:40] + rng.normal(scale=0.01, size=(40, 2)),
+                              pts[10:20]])[rng.permutation(200)]
+        reps, assign = _dedup_members(pts, tol)
+        ref_reps, ref_assign = reference_dedup(pts, tol)
+        assert np.array_equal(reps, ref_reps)
+        assert np.array_equal(assign, ref_assign)
+
+    def test_chain_is_greedy_not_connected_components(self):
+        # a~b and b~c, but a and c are farther apart than tol: greedy keeps
+        # c as its own representative, connected components would merge it.
+        pts = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]])
+        reps, assign = _dedup_members(pts, 1.0)
+        ref_reps, ref_assign = reference_dedup(pts, 1.0)
+        assert assign.tolist() == ref_assign.tolist() == [0, 0, 1]
+        assert np.array_equal(reps, ref_reps)
+
+    def test_tie_at_tol_joins(self):
+        pts = np.array([[0.0], [0.25], [0.5]])
+        _, assign = _dedup_members(pts, 0.25)
+        assert assign.tolist() == reference_dedup(pts, 0.25)[1].tolist()
+
+
 class TestDetectPeriod:
     def test_fixed_point(self, henon):
         fp = henon.fixed_points()[0]
@@ -143,6 +247,14 @@ class TestDetectPeriod:
 
     def test_aperiodic_returns_none(self, henon):
         assert detect_period(henon, np.array([0.1, 0.1]), 4, 1e-9) is None
+
+    def test_batch_matches_rows(self, henon):
+        from delayrecon.topology import grid_seeds
+        pts = np.concatenate([[p for p, _ in dr.find_periodic(
+            henon, 2, 1e-9, grid_seeds(henon, 100))], [[0.1, 0.1]]])
+        batch = detect_period(henon, pts, 4, 1e-9)
+        assert batch == [detect_period(henon, x, 4, 1e-9) for x in pts]
+        assert None in batch and 1 in batch and 2 in batch
 
 
 class TestPerturbation:
@@ -156,6 +268,16 @@ class TestPerturbation:
         h = dr.Constant(0.5)
         f = perturb_to_compatible(h, 0.05, henon_pairs, henon, d=1, seed=1)
         assert dr.sup_distance(f, h, henon_samples) < 0.05
+
+    def test_certified_bound_covers_sampled_distance(self, henon,
+                                                     henon_samples, henon_pairs):
+        h = dr.Constant(0.5)
+        f = perturb_to_compatible(h, 0.05, henon_pairs, henon, d=1, seed=1)
+        bound = f.bump.max_deviation()
+        assert dr.sup_distance(f, h, henon_samples) <= bound < 0.05
+        # the bound holds off the orbit too, e.g. right next to the anchors
+        near = np.asarray(f.bump.points) + 0.5 * f.bump.radius
+        assert dr.sup_distance(f, h, near) <= bound
 
     def test_periodic_members_handled(self):
         # rational rotation: every point has period 4, so with d=2 the
