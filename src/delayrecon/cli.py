@@ -30,6 +30,16 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _number(config: dict, key: str, kind, default=None):
+    """Top-level scalar ``key`` converted by ``kind`` (int or float); a
+    missing key takes ``default``, or is an error when there is none."""
+    value = _require(config, key) if default is None else config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -55,9 +65,10 @@ def _observable(config: dict) -> core.Observable:
 
 
 def _delay_count(config: dict) -> int:
-    d = int(_require(config, "d"))
-    m = config.get("m")
-    return int(m) if m is not None else delay.delay_count_for(d)
+    d = _number(config, "d", int)
+    if config.get("m") is None:
+        return delay.delay_count_for(d)
+    return _number(config, "m", int)
 
 
 def _seed(config: dict, override) -> int:
@@ -65,7 +76,7 @@ def _seed(config: dict, override) -> int:
         return int(override)
     if "seed" not in config:
         raise ConfigError("config field 'seed' is missing (all runs are seeded)")
-    return int(config["seed"])
+    return _number(config, "seed", int)
 
 
 def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
@@ -105,7 +116,7 @@ def _pairs(config: dict, sys_: systems.System, samples: np.ndarray,
             sys_, n_max=int(pc.get("period_max", 4)),
             tol=float(pc.get("period_tol", 1e-9)),
             seeds=topology.grid_seeds(sys_, int(pc.get("period_seeds", 100))))
-    default_gap = 2 * int(config["d"]) + 1 if "d" in config else 0
+    default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
     return genericity.sample_pairs(samples, delta, count, sys=sys_,
                                    periodic_points=periodic,
                                    seed=int(pc.get("seed", seed)),
@@ -168,8 +179,8 @@ def cmd_margin(config, out: Path, seed, quiet) -> int:
 def cmd_perturb(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     h = _observable(config)
-    d = int(_require(config, "d"))
-    eps = float(_require(config, "epsilon"))
+    d = _number(config, "d", int)
+    eps = _number(config, "epsilon", float)
     traj = _trajectory(config, sys_)
     K = _pairs(config, sys_, traj.states, seed)
     K.write_csv(out / "pairs.csv")
@@ -214,10 +225,10 @@ def cmd_dimension(config, out: Path, seed, quiet) -> int:
 
 def cmd_hypothesis(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
-    d = int(_require(config, "d"))
+    d = _number(config, "d", int)
     report = topology.hypothesis_check(
-        sys_, d, n_seeds=int(config.get("n_seeds", 400)),
-        tol=float(config.get("tol", 1e-9)))
+        sys_, d, n_seeds=_number(config, "n_seeds", int, 400),
+        tol=_number(config, "tol", float, 1e-9))
     write_json(out / "hypothesis.json", report.to_dict())
     if not quiet:
         for entry in report.per_n:
@@ -231,11 +242,11 @@ def cmd_yorke(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     if not isinstance(sys_, systems.SampledFlow):
         raise ConfigError("config field 'system' must be a sampled flow for yorke")
-    d = int(_require(config, "d"))
-    seeds = topology.grid_seeds(sys_, int(config.get("n_seeds", 1000)))
+    d = _number(config, "d", int)
+    seeds = topology.grid_seeds(sys_, _number(config, "n_seeds", int, 1000))
     cert = systems.yorke_certificate(sys_, d, equilibrium_seeds=seeds)
     hits = systems.periodic_return_scan(sys_, 2 * d,
-                                        float(config.get("tol", 1e-6)), seeds)
+                                        _number(config, "tol", float, 1e-6), seeds)
     cert["scan_hits"] = [[list(map(float, x)), int(p)] for x, p in hits]
     write_json(out / "yorke.json", cert)
     if not quiet:
@@ -250,8 +261,8 @@ def cmd_genericity(config, out: Path, seed, quiet) -> int:
     m = _delay_count(config)
     traj = _trajectory(config, sys_)
     K = _pairs(config, sys_, traj.states, seed)
-    trials = int(_require(config, "trials"))
-    bump_scale = float(_require(config, "bump_scale"))
+    trials = _number(config, "trials", int)
+    bump_scale = _number(config, "bump_scale", float)
     frac = genericity.genericity_monte_carlo(sys_, K, m, trials, bump_scale,
                                              seed=seed, base=h)
     write_json(out / "genericity.json", {

@@ -24,7 +24,7 @@ from .core import (
     sup_distance,
 )
 from .delay import delay_vectors
-from .systems import System
+from .systems import System, detect_period
 from .topology import mesh_cover, refine_order
 
 __all__ = [
@@ -133,26 +133,6 @@ class CompatibilityReport:
             "tolerance": self.tolerance,
             "compatible": self.compatible,
         }
-
-
-def detect_period(sys: System, x, n_max: int,
-                  tol: float) -> int | None | list[int | None]:
-    """Minimal p <= n_max with T^p(x) within tol of x, by direct return.
-
-    A single state gives one period (or None); an (n, k) batch gives a list
-    with one entry per row, from one batched orbit.
-    """
-    x = np.asarray(x, dtype=float)
-    start = np.atleast_2d(x)
-    periods: list[int | None] = [None] * start.shape[0]
-    cur = start
-    for p in range(1, n_max + 1):
-        cur = sys.step_many(cur, check=False)
-        dist = np.linalg.norm(sys.wrap_displacement(cur - start), axis=1)
-        for i in np.flatnonzero(dist <= tol):
-            if periods[i] is None:
-                periods[i] = p
-    return periods[0] if x.ndim == 1 else periods
 
 
 def sample_pairs(samples, delta: float, count: int, sys: System | None = None,

@@ -21,6 +21,7 @@ __all__ = [
     "SampledFlow",
     "Trajectory",
     "iterate",
+    "detect_period",
     "find_periodic",
     "periodic_return_scan",
     "yorke_threshold",
@@ -219,13 +220,13 @@ class Odometer(System):
         return np.rint(pts * (self.base - 1)).astype(int)
 
     def _step_batch(self, pts):
+        # Add one with carry: raise the first digit below base-1, zero those before it.
         digits = self.decode(pts)
-        for i in range(digits.shape[0]):
-            for j in range(self.digits):
-                digits[i, j] += 1
-                if digits[i, j] < self.base:
-                    break
-                digits[i, j] = 0
+        below = digits < self.base - 1
+        first = np.where(below.any(axis=1), below.argmax(axis=1), self.digits)
+        digits[np.arange(self.digits)[None, :] < first[:, None]] = 0
+        rows = np.flatnonzero(first < self.digits)
+        digits[rows, first[rows]] += 1
         return self.encode(digits)
 
 
@@ -337,79 +338,125 @@ def iterate(sys: System, x0, n: int) -> Trajectory:
 
 # --- periodic points ------------------------------------------------------
 
-def _displacement(sys: System, pts: np.ndarray, p: int) -> np.ndarray:
-    return sys.wrap_displacement(sys.step_n(pts, p, check=False) - pts)
-
-
-def _newton_refine(sys: System, x0: np.ndarray, p: int, tol: float,
-                   maxiter: int = 40) -> np.ndarray | None:
-    """Newton on T^p(x) - x with a finite-difference Jacobian."""
-    k = sys.ambient_dim
-    x = x0.copy()
-    fd = max(1e-7, tol)
+def _newton(residual, x0: np.ndarray, fd: float, maxiter: int, step_cap: float,
+            stop_tol: float, accept_tol: float, project=None) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on residual(x) = 0 from every row of x0 at once, with a
+    forward-difference Jacobian (step ``fd``) from one residual call on the
+    (n*k, k) probe rows.  A row stops at residual norm <= ``stop_tol``; it
+    fails on a non-finite residual, a singular Jacobian, a step not finite
+    or longer than ``step_cap``, or when ``project``, which maps the updated
+    rows to (rows, kept), does not keep it.  Returns the rows and the mask of
+    rows that did not fail and end with residual norm <= ``accept_tol``."""
+    x = np.array(x0, dtype=float)
+    n, k = x.shape
+    ok = np.ones(n, dtype=bool)
+    stopped = np.zeros(n, dtype=bool)
+    probe_step = fd * np.eye(k)
     for _ in range(maxiter):
-        g = _displacement(sys, x[None, :], p)[0]
-        if not np.all(np.isfinite(g)):
-            return None
-        if np.linalg.norm(g) <= 0.1 * tol:
-            return x
-        # Jacobian of the displacement by forward differences.
-        probe = np.repeat(x[None, :], k, axis=0) + fd * np.eye(k)
-        gp = _displacement(sys, probe, p)
-        jac = (gp - g[None, :]).T / fd
+        idx = np.flatnonzero(ok & ~stopped)
+        g = residual(x[idx])
+        finite = np.all(np.isfinite(g), axis=1)
+        ok[idx[~finite]] = False
+        moving = finite & ~(np.linalg.norm(g, axis=1) <= stop_tol)
+        stopped[idx[finite & ~moving]] = True
+        idx, g = idx[moving], g[moving]
+        if idx.size == 0:
+            break
+        probe = (x[idx, None, :] + probe_step).reshape(-1, k)
+        jac = (residual(probe).reshape(-1, k, k) - g[:, None, :]).transpose(0, 2, 1) / fd
         try:
-            delta = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1.0:
-            return None
-        x = x + delta
-        if sys.torus:
-            x = x % 1.0
-        else:
-            box = sys.domain
-            if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
-                return None
-    g = _displacement(sys, x[None, :], p)[0]
-    return x if np.linalg.norm(g) <= tol else None
+            delta = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # solve row by row; singular rows fail alone
+            delta = np.full_like(g, np.nan)
+            for i in range(idx.size):
+                try:
+                    delta[i] = np.linalg.solve(jac[i], -g[i])
+                except np.linalg.LinAlgError:
+                    pass
+        good = (np.all(np.isfinite(delta), axis=1)
+                & (np.linalg.norm(delta, axis=1) <= step_cap))
+        x_new = x[idx[good]] + delta[good]
+        if project is not None:
+            x_new, kept = project(x_new)
+            good[good] = kept
+            x_new = x_new[kept]
+        x[idx[good]] = x_new
+        ok[idx[~good]] = False
+    ok[ok] = np.linalg.norm(residual(x[ok]), axis=1) <= accept_tol
+    return x, ok
 
 
-def _minimal_period(sys: System, x: np.ndarray, p: int, tol: float) -> int | None:
-    cur = x[None, :]
-    for q in range(1, p + 1):
-        cur = sys.step_n(cur, 1, check=False)
-        if sys.distance(cur[0], x) <= tol:
-            return q
-    return None
+def detect_period(sys: System, x, n_max: int,
+                  tol: float) -> int | None | list[int | None]:
+    """Minimal p <= n_max with T^p(x) within tol of x, by direct return.
+
+    A single state gives one period (or None); an (n, k) batch gives a list
+    with one entry per row, from one batched orbit.
+    """
+    x = np.asarray(x, dtype=float)
+    start = np.atleast_2d(x)
+    periods = np.zeros(start.shape[0], dtype=int)
+    cur = start
+    for p in range(1, n_max + 1):
+        cur = sys.step_many(cur, check=False)
+        dist = np.linalg.norm(sys.wrap_displacement(cur - start), axis=1)
+        periods[(periods == 0) & (dist <= tol)] = p
+    found = [int(q) if q else None for q in periods]
+    return found[0] if x.ndim == 1 else found
+
+
+def _first_found(sys: System, pts: np.ndarray, labels: np.ndarray,
+                 radius: float) -> np.ndarray:
+    """Rows kept by a greedy merge in row order: a row is dropped when an
+    earlier kept row with the same label lies within ``radius``."""
+    kept = np.zeros(pts.shape[0], dtype=bool)
+    for i, (x, label) in enumerate(zip(pts, labels)):
+        prior = pts[:i][kept[:i] & (labels[:i] == label)]
+        dist = np.linalg.norm(sys.wrap_displacement(x - prior), axis=1)
+        kept[i] = not np.any(dist <= radius)
+    return np.flatnonzero(kept)
 
 
 def find_periodic(sys: System, n_max: int, tol: float, seeds) -> list[tuple[np.ndarray, int]]:
     """Periodic points of minimal period <= n_max, refined from the seeds.
 
-    Returns deduplicated (point, period) tuples, sorted by coordinates so
-    the result is deterministic regardless of seed order.
+    Pass p = 1..n_max runs on all seeds at once: seeds with T^p(x) - x
+    within tol are kept, the rest go through one batched Newton run, and
+    `detect_period` gives each point its minimal period.  In pass-then-seed
+    order, a point within 10*tol of an earlier kept point of the same period
+    is merged into it.  Returns (point, period) tuples sorted by period and
+    coordinates, so the result is deterministic regardless of seed order.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     seeds = _as_batch(seeds)
-    found: list[tuple[np.ndarray, int]] = []
+    box = sys.domain
+
+    def project(x):
+        if sys.torus:
+            return x % 1.0, np.ones(x.shape[0], dtype=bool)
+        return x, np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=1)
+
+    points, periods = [], []
     for p in range(1, n_max + 1):
-        for seed in seeds:
-            # Cheap direct hit first; Newton refinement otherwise.
-            if np.linalg.norm(_displacement(sys, seed[None, :], p)[0]) <= tol:
-                x = seed.copy()
-            else:
-                x = _newton_refine(sys, seed, p, tol)
-                if x is None:
-                    continue
-            q = _minimal_period(sys, x, p, tol)
-            if q is None:
-                continue
-            if any(q == per and sys.distance(x, y) <= 10 * tol for y, per in found):
-                continue
-            found.append((x, q))
+        def residual(x, p=p):
+            return sys.wrap_displacement(sys.step_n(x, p, check=False) - x)
+
+        x = seeds.copy()
+        keep = np.linalg.norm(residual(seeds), axis=1) <= tol
+        miss = np.flatnonzero(~keep)
+        x[miss], keep[miss] = _newton(
+            residual, seeds[miss], fd=max(1e-7, tol), maxiter=40, step_cap=1.0,
+            stop_tol=0.1 * tol, accept_tol=tol, project=project)
+        x = x[keep]
+        q = np.array([r or 0 for r in detect_period(sys, x, p, tol)], dtype=int)
+        points.append(x[q > 0])
+        periods.append(q[q > 0])
+    points, periods = np.concatenate(points), np.concatenate(periods)
+    found = [(points[i], int(periods[i]))
+             for i in _first_found(sys, points, periods, 10 * tol)]
     found.sort(key=lambda item: (item[1],) + tuple(np.round(item[0], 12)))
     return found
 
@@ -456,38 +503,12 @@ def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None,
     if equilibrium_seeds is not None:
         f = VECTOR_FIELDS[sys.field_id]["field"]
         box = sys.domain
-        k = sys.ambient_dim
-        seeds = _as_batch(equilibrium_seeds)
-        zeros: list[np.ndarray] = []
-        for seed in seeds:
-            x = seed.copy()
-            # Newton on the vector field so equilibria between grid seeds
-            # are found, not just seeds that happen to land on one.
-            for _ in range(30):
-                g = f(x[None, :])[0]
-                if not np.all(np.isfinite(g)):
-                    x = None
-                    break
-                if np.linalg.norm(g) <= tol:
-                    break
-                probe = np.repeat(x[None, :], k, axis=0) + 1e-7 * np.eye(k)
-                jac = (f(probe) - g[None, :]).T / 1e-7
-                try:
-                    delta = np.linalg.solve(jac, -g)
-                except np.linalg.LinAlgError:
-                    x = None
-                    break
-                if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e3:
-                    x = None
-                    break
-                x = x + delta
-            if x is None or np.linalg.norm(f(x[None, :])[0]) > tol:
-                continue
-            if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
-                continue
-            if any(np.linalg.norm(x - z) <= 100 * tol for z in zeros):
-                continue
-            zeros.append(x)
+        # Newton on the vector field so equilibria between grid seeds
+        # are found, not just seeds that happen to land on one.
+        x, ok = _newton(f, _as_batch(equilibrium_seeds), fd=1e-7, maxiter=30,
+                        step_cap=1e3, stop_tol=tol, accept_tol=tol)
+        x = x[ok & np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=1)]
+        zeros = list(x[_first_found(sys, x, np.zeros(x.shape[0]), 100 * tol)])
         zeros.sort(key=lambda z: tuple(np.round(z, 9)))
         equilibria = [[float(c) for c in z] for z in zeros]
     return {

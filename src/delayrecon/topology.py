@@ -508,25 +508,24 @@ def hypothesis_check(sys: System, d: int, n_seeds: int = 400,
                      tol: float = 1e-9, seeds=None) -> HypothesisReport:
     """Check the periodic-set smallness condition for a 2d+1 delay count:
     the detected set of points with minimal period <= n must have dimension
-    below n/2 for every n up to 2d."""
+    below n/2 for every n up to 2d.  One `find_periodic` pass up to 2d,
+    filtered by minimal period, gives the detected set for every n."""
     if d < 0:
         raise ValueError("d must be nonnegative")
     if seeds is None:
         seeds = grid_seeds(sys, n_seeds)
     seeds = np.asarray(seeds, dtype=float)
+    found = find_periodic(sys, n_max=2 * d, tol=tol, seeds=seeds) if d else []
     per_n = []
     ok = True
     for n in range(1, 2 * d + 1):
-        hits = find_periodic(sys, n_max=n, tol=tol, seeds=seeds)
-        if hits:
-            points = np.array([x for x, _ in hits], dtype=float)
-        else:
-            points = np.zeros((0, sys.ambient_dim))
+        points = np.array([x for x, q in found if q <= n],
+                          dtype=float).reshape(-1, sys.ambient_dim)
         dim = _detected_set_dimension(points, seeds.shape[0])
         passed = dim < n / 2.0
         per_n.append({
             "n": n,
-            "detected_count": len(hits),
+            "detected_count": len(points),
             "detected_dim": dim,
             "bound": n / 2.0,
             "ok": bool(passed),

@@ -238,6 +238,28 @@ class TestErrors:
         assert run("simulate", cfg, tmp_path) == 1
         assert "trajectory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd,field,value", [
+        ("hypothesis", "d", None),
+        ("hypothesis", "n_seeds", None),
+        ("hypothesis", "tol", "tiny"),
+        ("embed", "m", "five"),
+        ("perturb", "epsilon", None),
+        ("genericity", "trials", [20]),
+        ("genericity", "bump_scale", None),
+        ("yorke", "n_seeds", {}),
+        ("simulate", "seed", None),
+    ])
+    def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
+                                                capsys, cmd, field, value):
+        base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
+                           pairs={"delta": 0.01, "count": 10})
+        if cmd == "yorke":
+            base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
+        base_config[field] = value
+        cfg = write_config(tmp_path, base_config)
+        assert run(cmd, cfg, tmp_path) == 1
+        assert f"config field {field!r}" in capsys.readouterr().err
+
     def test_unknown_observable_variant(self, tmp_path, base_config, capsys):
         base_config["observable"] = {"variant": "wavelet"}
         cfg = write_config(tmp_path, base_config)

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 import delayrecon as dr
+from delayrecon import topology
 from delayrecon.systems import (
     VECTOR_FIELDS,
     DomainError,
+    System,
     periodic_return_scan,
     system_from_dict,
     system_to_dict,
     yorke_certificate,
     yorke_threshold,
 )
-from delayrecon.topology import grid_seeds
+from delayrecon.topology import _detected_set_dimension, grid_seeds
 
 # Fixed points of the plane quadratic map with a=1.4, b=0.3: the roots of
 # a x^2 + (1-b) x - 1 = 0, x* = ((b-1) +/- sqrt((1-b)^2 + 4a)) / (2a),
@@ -28,6 +30,145 @@ HENON_FIXED_X = (0.6313544770895047, -1.1313544770895046)
 CAT_FIXED_COUNTS = (1, 5, 16, 45)
 # Points of minimal period <= n implied by the counts above.
 CAT_CUMULATIVE = (1, 5, 20, 60)
+
+
+# --- reference implementations: the per-seed loops the batched code replaced
+
+def reference_odometer_step(odo, pts):
+    digits = odo.decode(pts)
+    for i in range(digits.shape[0]):
+        for j in range(odo.digits):
+            digits[i, j] += 1
+            if digits[i, j] < odo.base:
+                break
+            digits[i, j] = 0
+    return odo.encode(digits)
+
+
+def _ref_displacement(sys_, pts, p):
+    return sys_.wrap_displacement(sys_.step_n(pts, p, check=False) - pts)
+
+
+def _ref_newton_refine(sys_, x0, p, tol, maxiter=40):
+    k = sys_.ambient_dim
+    x = x0.copy()
+    fd = max(1e-7, tol)
+    for _ in range(maxiter):
+        g = _ref_displacement(sys_, x[None, :], p)[0]
+        if not np.all(np.isfinite(g)):
+            return None
+        if np.linalg.norm(g) <= 0.1 * tol:
+            return x
+        probe = np.repeat(x[None, :], k, axis=0) + fd * np.eye(k)
+        gp = _ref_displacement(sys_, probe, p)
+        jac = (gp - g[None, :]).T / fd
+        try:
+            delta = np.linalg.solve(jac, -g)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1.0:
+            return None
+        x = x + delta
+        if sys_.torus:
+            x = x % 1.0
+        else:
+            box = sys_.domain
+            if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
+                return None
+    g = _ref_displacement(sys_, x[None, :], p)[0]
+    return x if np.linalg.norm(g) <= tol else None
+
+
+def _ref_minimal_period(sys_, x, p, tol):
+    cur = x[None, :]
+    for q in range(1, p + 1):
+        cur = sys_.step_n(cur, 1, check=False)
+        if sys_.distance(cur[0], x) <= tol:
+            return q
+    return None
+
+
+def reference_passes(sys_, n_max, tol, seeds):
+    """The per-seed find_periodic loop; yields its sorted result after each
+    pass p, which is what find_periodic(n_max=p) returned."""
+    found = []
+    for p in range(1, n_max + 1):
+        for seed in np.atleast_2d(seeds):
+            if np.linalg.norm(_ref_displacement(sys_, seed[None, :], p)[0]) <= tol:
+                x = seed.copy()
+            else:
+                x = _ref_newton_refine(sys_, seed, p, tol)
+                if x is None:
+                    continue
+            q = _ref_minimal_period(sys_, x, p, tol)
+            if q is None:
+                continue
+            if any(q == per and sys_.distance(x, y) <= 10 * tol for y, per in found):
+                continue
+            found.append((x, q))
+        yield sorted(found, key=lambda item: (item[1],) + tuple(np.round(item[0], 12)))
+
+
+def reference_find_periodic(sys_, n_max, tol, seeds):
+    return list(reference_passes(sys_, n_max, tol, seeds))[-1]
+
+
+def reference_equilibria(sys_, seeds, tol=1e-6):
+    f = VECTOR_FIELDS[sys_.field_id]["field"]
+    box = sys_.domain
+    k = sys_.ambient_dim
+    zeros = []
+    for seed in seeds:
+        x = seed.copy()
+        for _ in range(30):
+            g = f(x[None, :])[0]
+            if not np.all(np.isfinite(g)):
+                x = None
+                break
+            if np.linalg.norm(g) <= tol:
+                break
+            probe = np.repeat(x[None, :], k, axis=0) + 1e-7 * np.eye(k)
+            jac = (f(probe) - g[None, :]).T / 1e-7
+            try:
+                delta = np.linalg.solve(jac, -g)
+            except np.linalg.LinAlgError:
+                x = None
+                break
+            if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e3:
+                x = None
+                break
+            x = x + delta
+        if x is None or np.linalg.norm(f(x[None, :])[0]) > tol:
+            continue
+        if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
+            continue
+        if any(np.linalg.norm(x - z) <= 100 * tol for z in zeros):
+            continue
+        zeros.append(x)
+    zeros.sort(key=lambda z: tuple(np.round(z, 9)))
+    return [[float(c) for c in z] for z in zeros]
+
+
+def same_hits(a, b):
+    """Bitwise equality of two (point, period) lists."""
+    return (len(a) == len(b)
+            and all(np.array_equal(xa, xb) and qa == qb
+                    for (xa, qa), (xb, qb) in zip(a, b)))
+
+
+class HalfDrift(System):
+    """Unit square map that drifts by a constant on x < 0.5, where every
+    Jacobian of T^p - id is singular, and contracts to (0.75, 0.5) on
+    x >= 0.5, where Newton converges."""
+
+    ambient_dim = 2
+    domain = np.array([[0.0, 1.0], [0.0, 1.0]])
+    system_id = "half-drift"
+
+    def _step_batch(self, pts):
+        contract = np.stack([0.75 + 0.5 * (pts[:, 0] - 0.75),
+                             0.5 + 0.3 * (pts[:, 1] - 0.5)], axis=1)
+        return np.where(pts[:, :1] < 0.5, np.minimum(pts + 0.05, 1.0), contract)
 
 
 class TestStepFormulas:
@@ -55,6 +196,14 @@ class TestStepFormulas:
         x = odo.encode(np.array([[2, 2, 0, 0]]))[0]
         y = odo.decode(odo.step(x)[None, :])[0]
         assert list(y) == [0, 0, 1, 0]
+
+    @pytest.mark.parametrize("base,digits", [(3, 4), (2, 5)])
+    def test_odometer_matches_carry_loop_on_every_state(self, base, digits):
+        odo = dr.Odometer(base=base, digits=digits)
+        rows = np.array([[(v // base ** j) % base for j in range(digits)]
+                         for v in range(base ** digits)])
+        pts = odo.encode(rows)
+        assert np.array_equal(odo.step_many(pts), reference_odometer_step(odo, pts))
 
     def test_odometer_full_cycle_length(self):
         odo = dr.Odometer(base=3, digits=3)
@@ -174,6 +323,60 @@ class TestFindPeriodic:
             assert cat.distance(xa, xb) <= 1e-7
 
 
+class TestBatchedEngine:
+    """find_periodic against the per-seed loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("sys_,n_max,n_seeds", [
+        (dr.CatMap(), 4, 400),
+        (dr.Henon(), 4, 100),
+        (dr.Henon(), 6, 16),
+        (dr.CircleRotation(0.25), 6, 50),
+        (dr.CircleRotation(math.sqrt(2) - 1.0), 4, 50),
+    ], ids=["catmap", "henon", "henon-coarse", "rational-rotation",
+            "irrational-rotation"])
+    def test_bitwise_equal_to_reference(self, sys_, n_max, n_seeds):
+        seeds = grid_seeds(sys_, n_seeds)
+        got = dr.find_periodic(sys_, n_max, 1e-9, seeds)
+        assert same_hits(got, reference_find_periodic(sys_, n_max, 1e-9, seeds))
+
+    def test_singular_rows_fail_alone(self):
+        sys_ = HalfDrift()
+        seeds = np.random.default_rng(5).uniform(0.0, 1.0, (60, 2))
+        got = dr.find_periodic(sys_, 3, 1e-9, seeds)
+        assert same_hits(got, reference_find_periodic(sys_, 3, 1e-9, seeds))
+        # the contracting half converges, the drifting half yields nothing
+        assert len(got) == 1 and got[0][1] == 1
+        assert got[0][0] == pytest.approx([0.75, 0.5])
+
+    def test_hypothesis_check_uses_one_pass(self, monkeypatch):
+        cat = dr.CatMap()
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((kwargs["n_max"], dr.find_periodic(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(topology, "find_periodic", recording)
+        report = topology.hypothesis_check(cat, 3)
+        [(n_max, hits)] = calls
+        assert n_max == 6
+        counts = [entry["detected_count"] for entry in report.per_n]
+        assert counts == [1, 5, 20, 60, 180, 455]
+        refs = reference_passes(cat, 6, 1e-9, grid_seeds(cat, 400))
+        for n, (entry, ref) in enumerate(zip(report.per_n, refs), start=1):
+            assert same_hits([(x, q) for x, q in hits if q <= n], ref)
+            points = np.array([x for x, _ in ref])
+            assert entry["detected_dim"] == _detected_set_dimension(points, 400)
+
+    def test_hypothesis_check_d0_skips_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("find_periodic called for d = 0")
+
+        monkeypatch.setattr(topology, "find_periodic", forbidden)
+        report = topology.hypothesis_check(dr.CatMap(), 0)
+        assert report.ok and report.per_n == []
+
+
 class TestYorke:
     def test_threshold_formula(self):
         assert yorke_threshold(1.0, 1) == pytest.approx(math.pi)
@@ -201,6 +404,13 @@ class TestYorke:
                                  equilibrium_seeds=grid_seeds(flow, 64))
         assert len(cert["equilibria"]) == 1
         assert np.linalg.norm(cert["equilibria"][0]) < 1e-6
+
+    @pytest.mark.parametrize("field,n_seeds", [("lorenz", 200), ("harmonic", 64)])
+    def test_equilibria_match_per_seed_loop(self, field, n_seeds):
+        flow = dr.SampledFlow(field, dt=0.01)
+        seeds = grid_seeds(flow, n_seeds)
+        cert = yorke_certificate(flow, 1, equilibrium_seeds=seeds)
+        assert cert["equilibria"] == reference_equilibria(flow, seeds)
 
     def test_return_scan_quiet_when_certified(self):
         flow = dr.SampledFlow("harmonic", dt=3.0)
