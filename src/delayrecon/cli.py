@@ -30,14 +30,41 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _number(config: dict, key: str, kind, default=None):
-    """Top-level scalar ``key`` converted by ``kind`` (int or float); a
-    missing key takes ``default``, or is an error when there is none."""
-    value = _require(config, key) if default is None else config.get(key, default)
+def _field(config: dict, key: str, default=None):
+    """Value at the dotted path ``key`` (``"d"``, ``"trajectory.n"``); a
+    missing field takes ``default``, or is an error when there is none."""
+    *outer, leaf = key.split(".")
+    for depth, part in enumerate(outer):
+        config = _require(config, part)
+        if not isinstance(config, dict):
+            name = ".".join(outer[:depth + 1])
+            raise ConfigError(f"config field {name!r} must be an object, got {config!r}")
+    if leaf not in config and default is None:
+        raise ConfigError(f"config field {key!r} is missing")
+    return config.get(leaf, default)
+
+
+def _as_number(value, name: str, kind):
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+        raise ConfigError(f"config field {name!r} must be a number, got {value!r}")
+
+
+def _number(config: dict, key: str, kind, default=None):
+    """Scalar at the dotted path ``key`` converted by ``kind`` (int or
+    float); a missing field takes ``default``, or is an error when there is
+    none."""
+    return _as_number(_field(config, key, default), key, kind)
+
+
+def _numbers(config: dict, key: str, kind, default=None) -> list:
+    """List at the dotted path ``key``, each element converted by ``kind``
+    and named ``key.i`` in errors."""
+    values = _field(config, key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"config field {key!r} must be a list of numbers, got {values!r}")
+    return [_as_number(v, f"{key}.{i}", kind) for i, v in enumerate(values)]
 
 
 def load_config(path) -> dict:
@@ -80,10 +107,9 @@ def _seed(config: dict, override) -> int:
 
 
 def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
-    tr = _require(config, "trajectory")
-    x0 = np.asarray(_require(tr, "x0"), dtype=float)
-    n = int(_require(tr, "n"))
-    transient = int(tr.get("transient", 0))
+    x0 = np.asarray(_numbers(config, "trajectory.x0", float))
+    n = _number(config, "trajectory.n", int)
+    transient = _number(config, "trajectory.transient", int, 0)
     traj = systems.iterate(sys_, x0, n + transient)
     if transient:
         traj = systems.Trajectory(states=traj.states[transient:],
@@ -107,26 +133,26 @@ def write_json(path, payload: dict) -> None:
 
 def _pairs(config: dict, sys_: systems.System, samples: np.ndarray,
            seed: int) -> genericity.PairSet:
-    pc = _require(config, "pairs")
-    delta = float(_require(pc, "delta"))
-    count = int(_require(pc, "count"))
+    delta = _number(config, "pairs.delta", float)
+    count = _number(config, "pairs.count", int)
     periodic = None
-    if pc.get("detect_periodic", False):
+    if _field(config, "pairs.detect_periodic", False):
         periodic = systems.find_periodic(
-            sys_, n_max=int(pc.get("period_max", 4)),
-            tol=float(pc.get("period_tol", 1e-9)),
-            seeds=topology.grid_seeds(sys_, int(pc.get("period_seeds", 100))))
+            sys_, n_max=_number(config, "pairs.period_max", int, 4),
+            tol=_number(config, "pairs.period_tol", float, 1e-9),
+            seeds=topology.grid_seeds(
+                sys_, _number(config, "pairs.period_seeds", int, 100)))
     default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
-    return genericity.sample_pairs(samples, delta, count, sys=sys_,
-                                   periodic_points=periodic,
-                                   seed=int(pc.get("seed", seed)),
-                                   min_index_gap=int(pc.get("min_index_gap",
-                                                            default_gap)))
+    return genericity.sample_pairs(
+        samples, delta, count, sys=sys_, periodic_points=periodic,
+        seed=_number(config, "pairs.seed", int, seed),
+        min_index_gap=_number(config, "pairs.min_index_gap", int, default_gap))
 
 
 def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:
-    """Requested and realised pair counts, for the reports that use pairs."""
-    return {"pairs_requested": int(config["pairs"]["count"]),
+    """Requested and realised pair counts, for the reports that use pairs;
+    ``pairs.count`` was validated when the pairs were sampled."""
+    return {"pairs_requested": _number(config, "pairs.count", int),
             "pairs_realised": len(K), "pairs_complete": K.complete}
 
 
@@ -212,9 +238,9 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
 def cmd_dimension(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     traj = _trajectory(config, sys_)
-    scales = [float(s) for s in _require(config, "scales")]
+    scales = _numbers(config, "scales", float)
     box = topology.box_counting(traj.states, scales)
-    cov_scales = [float(s) for s in config.get("covering_scales", scales[:2])]
+    cov_scales = _numbers(config, "covering_scales", float, scales[:2])
     cov = topology.covering_dimension_estimate(traj.states, cov_scales)
     write_json(out / "dimension.json", {"box": box.to_dict(),
                                         "covering": cov.to_dict()})

@@ -7,6 +7,10 @@ handled by two constructive attempts (resolution-aware component
 splitting, and a Kuhn-triangulation star cover whose order equals the
 ambient grid dimension) and the best achieved order is reported with a
 ``heuristic`` flag.
+
+A refinement is a sparse sample-membership matrix: one row per sample, one
+column per cover element, entry 1 where the element contains the sample.
+The order of a cover is then a row sum.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from .systems import System, find_periodic
 __all__ = [
     "Ball",
     "AxisBox",
-    "Blob",
-    "KuhnStar",
     "Cover",
     "DimensionEstimate",
     "UncoveredSampleError",
@@ -50,6 +52,25 @@ def _pts(samples) -> np.ndarray:
     return pts
 
 
+def _grid_index(pts: np.ndarray, origin, scale: float) -> np.ndarray:
+    """Cell of each point on the grid of side ``scale`` anchored at
+    ``origin``.  The nudge guards against samples sitting exactly on cell
+    boundaries, where float rounding would split one occupied cell into
+    two."""
+    return np.floor((pts - np.asarray(origin)) / scale + 1e-9).astype(np.int64)
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids 0..k-1 of the k distinct rows of an int array, in lexicographic
+    row order.  Columns are folded in one at a time and re-ranked, so each
+    integer key stays below (number of rows) x (column range)."""
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        col = col - col.min()
+        _, ids = np.unique(ids * (col.max() + 1) + col, return_inverse=True)
+    return ids
+
+
 # --- cover elements -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -64,23 +85,19 @@ class Ball:
 
 @dataclass(frozen=True)
 class AxisBox:
-    """Axis-aligned box; half-open on request so mesh boxes partition."""
+    """Closed axis-aligned box."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    half_open: bool = False
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        upper = np.all(pts < hi, axis=1) if self.half_open else np.all(pts <= hi, axis=1)
-        return np.all(pts >= lo, axis=1) & upper
+        return np.all((pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)), axis=1)
 
 
 @dataclass(frozen=True)
 class MeshCell:
     """One half-open cell of a uniform grid; membership uses the same
-    nudged floor as the grid construction, so boundary samples are
+    grid index as the grid construction, so boundary samples are
     assigned consistently."""
 
     cell: tuple[int, ...]
@@ -88,68 +105,8 @@ class MeshCell:
     scale: float
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        idx = np.floor((pts - np.asarray(self.origin)) / self.scale + 1e-9)
+        idx = _grid_index(pts, self.origin, self.scale)
         return np.all(idx == np.asarray(self.cell), axis=1)
-
-
-@dataclass(frozen=True)
-class Blob:
-    """Union of small balls around a point set; one cover element."""
-
-    points: tuple[tuple[float, ...], ...]
-    pad: float
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        anchor = np.asarray(self.points)
-        tree = cKDTree(anchor)
-        dist, _ = tree.query(pts, k=1)
-        return dist <= self.pad
-
-
-def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> list[list[tuple]]:
-    """Vertices of the Kuhn simplex containing each point.
-
-    The unit-cube grid at ``scale`` is triangulated by sorting fractional
-    coordinates; each point gets exactly dim+1 lattice vertices.  Ties are
-    broken deterministically, so membership is a pure function of the
-    coordinates.
-    """
-    u = (pts - origin) / scale
-    base = np.floor(u).astype(int)
-    frac = u - base
-    keys: list[list[tuple]] = []
-    for i in range(pts.shape[0]):
-        order = np.argsort(-frac[i], kind="stable")
-        v = base[i].copy()
-        chain = [tuple(v)]
-        for ax in order:
-            v = v.copy()
-            v[ax] += 1
-            chain.append(tuple(v))
-        keys.append(chain)
-    return keys
-
-
-@dataclass(frozen=True)
-class KuhnStar:
-    """Open star of one lattice vertex of the Kuhn triangulation."""
-
-    vertex: tuple[int, ...]
-    scale: float
-    origin: tuple[float, ...]
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        keys = kuhn_vertex_keys(pts, self.scale, np.asarray(self.origin))
-        return np.array([self.vertex in chain for chain in keys])
-
-
-@dataclass(frozen=True)
-class Intersection:
-    a: object
-    b: object
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return self.a.contains(pts) & self.b.contains(pts)
 
 
 @dataclass(frozen=True)
@@ -175,13 +132,18 @@ class Cover:
             raise ValueError("some cover elements contain no sample")
 
 
-def cover_order(cover: Cover, samples) -> int:
-    """-1 + max over samples of the number of elements containing the sample."""
-    mask = cover.membership(samples)
-    counts = mask.sum(axis=1)
+def _order(membership) -> int:
+    """-1 + the most elements containing one sample, from a dense or sparse
+    membership matrix with one row per sample."""
+    counts = np.asarray(membership.sum(axis=1)).ravel()
     if np.any(counts == 0):
         raise UncoveredSampleError("some samples are uncovered")
     return int(counts.max()) - 1
+
+
+def cover_order(cover: Cover, samples) -> int:
+    """-1 + max over samples of the number of elements containing the sample."""
+    return _order(cover.membership(samples))
 
 
 # --- sampling-resolution helpers -----------------------------------------
@@ -219,8 +181,8 @@ def mesh_cover(samples, scale: float, anchor=None) -> Cover:
     """
     pts = _pts(samples)
     origin = pts.min(axis=0) if anchor is None else np.asarray(anchor, dtype=float)
-    idx = np.floor((pts - origin) / scale + 1e-9).astype(int)
-    cells = np.unique(idx, axis=0)
+    idx = _grid_index(pts, origin, scale)
+    cells = idx[np.unique(_row_ids(idx), return_index=True)[1]]
     elements = tuple(
         MeshCell(cell=tuple(int(c) for c in cell), origin=tuple(origin),
                  scale=scale)
@@ -231,117 +193,107 @@ def mesh_cover(samples, scale: float, anchor=None) -> Cover:
 
 # --- order-minimizing refinement -----------------------------------------
 
-def _split_attempt(cover: Cover, pts: np.ndarray, threshold: float):
-    """Component-splitting refinement: resolution components become blobs.
+def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> np.ndarray:
+    """Vertices of the Kuhn simplex containing each point, as an
+    ``(n, dim+1, dim)`` int array.
 
-    Returns (Cover, order) or None when some component spans several parent
-    elements (the split would not be a refinement at this scale).
+    The unit-cube grid at ``scale`` is triangulated by sorting fractional
+    coordinates: vertex k is the cell corner plus one unit step along each
+    of the k axes with the largest fractional parts.  Ties keep axis order
+    (a stable sort), so membership is a pure function of the coordinates.
     """
-    labels = linkage_components(pts, threshold)
-    parent_mask = cover.membership(pts)
-    if not np.all(parent_mask.any(axis=1)):
-        raise UncoveredSampleError("cover does not cover the samples")
-    pad = threshold / 2.0
-    elements = []
-    for lab in np.unique(labels):
-        idx = np.nonzero(labels == lab)[0]
-        inside = parent_mask[idx].all(axis=0)
-        if not inside.any():
-            return None
-        elements.append(Blob(points=tuple(map(tuple, pts[idx])), pad=pad))
-    # Components are separated by more than the linkage threshold, so blob
-    # membership at pad = threshold/2 is exclusive; verify all the same.
-    tree = cKDTree(pts)
-    cross = tree.query_pairs(r=pad, output_type="ndarray")
-    order = 0
-    if len(cross) and np.any(labels[cross[:, 0]] != labels[cross[:, 1]]):
-        out = Cover(elements=tuple(elements), scale=cover.scale)
-        return out, cover_order(out, pts)
-    return Cover(elements=tuple(elements), scale=cover.scale), order
+    u = (pts - origin) / scale
+    base = np.floor(u).astype(int)
+    axes = np.argsort(-(u - base), axis=1, kind="stable")
+    n, dim = base.shape
+    steps = np.zeros((n, dim + 1, dim), dtype=int)
+    steps[np.arange(n)[:, None], np.arange(1, dim + 1), axes] = 1
+    return base[:, None, :] + np.cumsum(steps, axis=1)
 
 
-def _prune_members(members: dict[tuple, list[int]]) -> dict[tuple, list[int]]:
-    """Drop star elements whose sample membership is contained in another
-    element's (coverage is preserved, multiplicity can only drop)."""
-    sets = {v: frozenset(idx) for v, idx in members.items()}
-    keep: dict[tuple, list[int]] = {}
-    seen: set[frozenset] = set()
-    items = sorted(sets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    for v, s in items:
-        if s in seen or any(s < other for other in seen):
-            continue
-        seen.add(s)
-        keep[v] = members[v]
-    return keep
+def _membership(rows: np.ndarray, cols: np.ndarray, shape=None) -> sparse.csc_matrix:
+    return sparse.csc_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                             shape=shape)
 
 
-def _kuhn_attempt(cover: Cover, pts: np.ndarray, star_scale: float):
+def _inside(members: sparse.csc_matrix, parents: sparse.csr_matrix) -> np.ndarray:
+    """Whether all samples of each column of ``members`` lie in one parent
+    element: some entry of membersᵀ·parents equals the column's size."""
+    sizes = np.asarray(members.sum(axis=0)).ravel()
+    most = (members.T @ parents).max(axis=1).toarray().ravel()
+    return most == sizes
+
+
+def _kuhn_attempt(mask: np.ndarray, parents: sparse.csr_matrix, pts: np.ndarray,
+                  star_scale: float):
     """Kuhn-star refinement: lattice-triangulation vertex stars meet at most
-    dim+1 at a point; stars straddling parent elements are intersected with
-    them."""
-    origin = pts.min(axis=0)
-    keys = kuhn_vertex_keys(pts, star_scale, origin)
-    members: dict[tuple, list[int]] = {}
-    for i, chain in enumerate(keys):
-        for v in chain:
-            members.setdefault(v, []).append(i)
-    members = _prune_members(members)
-    parent_mask = cover.membership(pts)
-    if not np.all(parent_mask.any(axis=1)):
-        raise UncoveredSampleError("cover does not cover the samples")
-    counts = np.zeros(pts.shape[0], dtype=int)
-    elements = []
-    for v, idx in members.items():
-        idx = np.asarray(idx)
-        whole = parent_mask[idx].all(axis=0)
-        star = KuhnStar(vertex=v, scale=star_scale, origin=tuple(origin))
-        if whole.any():
-            counts[idx] += 1
-            elements.append(star)
-        else:
-            for j in range(parent_mask.shape[1]):
-                sub = idx[parent_mask[idx, j]]
-                if sub.size:
-                    counts[sub] += 1
-                    elements.append(Intersection(star, cover.elements[j]))
-    order = int(counts.max()) - 1
-    return Cover(elements=tuple(elements), scale=cover.scale), order
+    dim+1 at a point; stars straddling parent elements are cut by them.
+    ``mask`` is the parent membership ``parents`` as a dense bool array."""
+    n, dim = pts.shape
+    keys = kuhn_vertex_keys(pts, star_scale, pts.min(axis=0))
+    stars = _membership(np.repeat(np.arange(n), dim + 1),
+                        _row_ids(keys.reshape(-1, dim)))
+    # Drop stars whose samples lie in another star's (coverage is kept,
+    # multiplicity can only drop); of equal stars the lowest column stays.
+    sizes = np.asarray(stars.sum(axis=0)).ravel()
+    gram = (stars.T @ stars).tocoo()
+    a, b = gram.row, gram.col
+    inner = (a != b) & (gram.data == sizes[a]) & ((sizes[b] > sizes[a]) | (b < a))
+    keep = np.ones(len(sizes), dtype=bool)
+    keep[a[inner]] = False
+    stars = stars[:, keep]
+    whole = _inside(stars, parents)
+    straddle = stars[:, ~whole]
+    cut = (straddle.T @ parents).tocoo()
+    # Piece c is star cut.row[c] cut by parent cut.col[c]: keep the entries
+    # of the star's column whose sample lies in that parent.
+    sub = straddle[:, cut.row].tocoo()
+    inside = mask[sub.row, cut.col[sub.col]]
+    pieces = _membership(sub.row[inside], sub.col[inside], shape=(n, cut.nnz))
+    return sparse.hstack([stars[:, whole], pieces], format="csr")
 
 
 def refine_order(cover: Cover, samples, budget: int = 4,
-                 resolution_factor: float = 4.0) -> tuple[Cover, int]:
+                 resolution_factor: float = 4.0) -> tuple[sparse.csr_matrix, int]:
     """Search for a low-order refinement of ``cover`` on the samples.
 
     Components of the sample set that are disconnected at several times the
-    nearest-neighbor spacing are isolated into disjoint blobs (order 0)
-    whenever each fits inside a parent element; otherwise connected regions
-    are covered by Kuhn-triangulation stars, which meet at most dim+1 at a
-    point.  Splitting below the sampling resolution is never attempted:
+    nearest-neighbor spacing, padded by half that distance, are isolated
+    into disjoint elements (order 0) whenever each fits inside a parent
+    element; otherwise connected regions are covered by Kuhn-triangulation
+    stars, which meet at most dim+1 at a point.  Splitting below the sampling resolution is never attempted:
     gaps that small are indistinguishable from finite-sample artifacts.
-    The best cover found within ``budget`` attempts is returned with its
-    order.
+    Returns ``(membership, order)`` for the best refinement found within
+    ``budget`` attempts: a sparse (n_samples, n_elements) 0/1 matrix and
+    its order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     pts = _pts(samples)
+    mask = cover.membership(pts)
+    if not np.all(mask.any(axis=1)):
+        raise UncoveredSampleError("cover does not cover the samples")
+    parents = sparse.csr_matrix(mask, dtype=np.int64)
     spacing = nn_spacing(pts)
     g0 = max(resolution_factor * spacing, 1e-12)
-    best: tuple[Cover, int] | None = None
 
-    res = _split_attempt(cover, pts, g0)
-    if res is not None:
-        best = res
-        if best[1] == 0:
-            return best
+    labels = linkage_components(pts, g0)
+    comps = _membership(np.arange(len(labels)), labels,
+                        shape=(len(labels), labels.max(initial=-1) + 1))
+    if _inside(comps, parents).all():
+        # Components are more than g0 apart and padded by g0/2: order 0.
+        return comps.tocsr(), 0
 
     dim = pts.shape[1]
+    best = None
     for attempt in range(max(1, budget - 1)):
         star_scale = cover.scale / (4.0 * math.sqrt(dim) * (1 + attempt))
         if star_scale < g0 / 2.0 and attempt > 0:
             break
-        res = _kuhn_attempt(cover, pts, star_scale)
-        if best is None or res[1] < best[1]:
-            best = res
+        membership = _kuhn_attempt(mask, parents, pts, star_scale)
+        order = _order(membership)
+        if best is None or order < best[1]:
+            best = (membership, order)
         if best[1] <= dim:
             break
     return best
@@ -409,13 +361,10 @@ def _box_counts(pts: np.ndarray, scales, anchor: np.ndarray) -> list[int]:
     extent = pts.max(axis=0) - anchor
     counts = []
     for s in scales:
-        # Nudge guards against samples sitting exactly on cell boundaries,
-        # where float rounding would split one occupied cell into two;
-        # points on the outer bounding-box face fold into the last cell.
+        # Points on the outer bounding-box face fold into the last cell.
         ncells = np.maximum(1, np.ceil(extent / s - 1e-9)).astype(np.int64)
-        idx = np.floor((pts - anchor) / s + 1e-9).astype(np.int64)
-        idx = np.clip(idx, 0, ncells - 1)
-        counts.append(int(np.unique(idx, axis=0).shape[0]))
+        idx = np.clip(_grid_index(pts, anchor, s), 0, ncells - 1)
+        counts.append(int(_row_ids(idx).max()) + 1)
     return counts
 
 

@@ -248,14 +248,38 @@ class TestErrors:
         ("genericity", "bump_scale", None),
         ("yorke", "n_seeds", {}),
         ("simulate", "seed", None),
+        ("simulate", "trajectory.n", None),
+        ("simulate", "trajectory.transient", "many"),
+        ("simulate", "trajectory.x0.1", None),
+        ("embed", "trajectory.x0", 0.1),
+        ("margin", "pairs", 5),
+        ("margin", "pairs.delta", None),
+        ("margin", "pairs.count", "x"),
+        ("margin", "pairs.period_max", None),
+        ("margin", "pairs.period_tol", "tiny"),
+        ("margin", "pairs.period_seeds", [100]),
+        ("margin", "pairs.seed", "abc"),
+        ("margin", "pairs.min_index_gap", None),
+        ("perturb", "pairs.count", None),
+        ("dimension", "scales", 5),
+        ("dimension", "scales.1", None),
+        ("dimension", "covering_scales.0", "big"),
     ])
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):
         base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
-                           pairs={"delta": 0.01, "count": 10})
+                           pairs={"delta": 0.01, "count": 10,
+                                  "detect_periodic": True},
+                           scales=[0.4, 0.2, 0.1, 0.05, 0.025, 0.0125],
+                           covering_scales=[0.4, 0.2])
         if cmd == "yorke":
             base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
-        base_config[field] = value
+        # A dotted field names a nested value; a numeric part indexes a list.
+        *outer, leaf = field.split(".")
+        target = base_config
+        for part in outer:
+            target = target[int(part)] if isinstance(target, list) else target[part]
+        target[int(leaf) if isinstance(target, list) else leaf] = value
         cfg = write_config(tmp_path, base_config)
         assert run(cmd, cfg, tmp_path) == 1
         assert f"config field {field!r}" in capsys.readouterr().err

@@ -2,9 +2,13 @@
 check."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import delayrecon as dr
 from delayrecon.topology import (
@@ -17,6 +21,7 @@ from delayrecon.topology import (
     covering_dimension_estimate,
     grid_seeds,
     hypothesis_check,
+    kuhn_vertex_keys,
     linkage_components,
     mesh_cover,
     nn_spacing,
@@ -26,6 +31,169 @@ from delayrecon.topology import (
 from conftest import cantor_cube, cantor_left_endpoints
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)  # 0.6309...
+
+
+# --- reference implementation: the element-class refinement that the
+# --- sample-membership matrices replaced
+
+def reference_kuhn_vertex_keys(pts, scale, origin):
+    u = (pts - origin) / scale
+    base = np.floor(u).astype(int)
+    frac = u - base
+    keys = []
+    for i in range(pts.shape[0]):
+        order = np.argsort(-frac[i], kind="stable")
+        v = base[i].copy()
+        chain = [tuple(v)]
+        for ax in order:
+            v = v.copy()
+            v[ax] += 1
+            chain.append(tuple(v))
+        keys.append(chain)
+    return keys
+
+
+@dataclass(frozen=True)
+class RefBlob:
+    points: tuple
+    pad: float
+
+    def contains(self, pts):
+        dist, _ = cKDTree(np.asarray(self.points)).query(pts, k=1)
+        return dist <= self.pad
+
+
+@dataclass(frozen=True)
+class RefKuhnStar:
+    vertex: tuple
+    scale: float
+    origin: tuple
+
+
+@dataclass(frozen=True)
+class RefIntersection:
+    a: object
+    b: object
+
+
+def _ref_split_attempt(cover, pts, threshold):
+    labels = linkage_components(pts, threshold)
+    parent_mask = cover.membership(pts)
+    if not np.all(parent_mask.any(axis=1)):
+        raise UncoveredSampleError("cover does not cover the samples")
+    pad = threshold / 2.0
+    elements = []
+    for lab in np.unique(labels):
+        idx = np.nonzero(labels == lab)[0]
+        if not parent_mask[idx].all(axis=0).any():
+            return None
+        elements.append(RefBlob(points=tuple(map(tuple, pts[idx])), pad=pad))
+    cross = cKDTree(pts).query_pairs(r=pad, output_type="ndarray")
+    out = Cover(elements=tuple(elements), scale=cover.scale)
+    if len(cross) and np.any(labels[cross[:, 0]] != labels[cross[:, 1]]):
+        return out, cover_order(out, pts)
+    return out, 0
+
+
+def _ref_prune_members(members):
+    sets = {v: frozenset(idx) for v, idx in members.items()}
+    keep, seen = {}, set()
+    for v, s in sorted(sets.items(), key=lambda kv: (-len(kv[1]), kv[0])):
+        if s in seen or any(s < other for other in seen):
+            continue
+        seen.add(s)
+        keep[v] = members[v]
+    return keep
+
+
+def _ref_kuhn_attempt(cover, pts, star_scale):
+    origin = pts.min(axis=0)
+    members = {}
+    for i, chain in enumerate(reference_kuhn_vertex_keys(pts, star_scale, origin)):
+        for v in chain:
+            members.setdefault(v, []).append(i)
+    members = _ref_prune_members(members)
+    parent_mask = cover.membership(pts)
+    counts = np.zeros(pts.shape[0], dtype=int)
+    elements = []
+    for v, idx in members.items():
+        idx = np.asarray(idx)
+        star = RefKuhnStar(vertex=v, scale=star_scale, origin=tuple(origin))
+        if parent_mask[idx].all(axis=0).any():
+            counts[idx] += 1
+            elements.append(star)
+        else:
+            for j in range(parent_mask.shape[1]):
+                sub = idx[parent_mask[idx, j]]
+                if sub.size:
+                    counts[sub] += 1
+                    elements.append(RefIntersection(star, cover.elements[j]))
+    return Cover(elements=tuple(elements), scale=cover.scale), int(counts.max()) - 1
+
+
+def reference_refine_order(cover, samples, budget=4, resolution_factor=4.0):
+    pts = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+    g0 = max(resolution_factor * nn_spacing(pts), 1e-12)
+    best = _ref_split_attempt(cover, pts, g0)
+    if best is not None and best[1] == 0:
+        return best
+    dim = pts.shape[1]
+    for attempt in range(max(1, budget - 1)):
+        star_scale = cover.scale / (4.0 * math.sqrt(dim) * (1 + attempt))
+        if star_scale < g0 / 2.0 and attempt > 0:
+            break
+        res = _ref_kuhn_attempt(cover, pts, star_scale)
+        if best is None or res[1] < best[1]:
+            best = res
+        if best[1] <= dim:
+            break
+    return best
+
+
+def reference_sample_sets(cover, pts):
+    """The sample-index set of each reference element.  A star holds the
+    samples whose Kuhn chain contains its vertex, read from one vertex table
+    per star grid; an intersection holds the samples of both its parts."""
+    tables = {}
+
+    def members(el):
+        if isinstance(el, RefIntersection):
+            return members(el.a) & members(el.b)
+        if not isinstance(el, RefKuhnStar):
+            return frozenset(np.nonzero(el.contains(pts))[0].tolist())
+        grid = (el.scale, el.origin)
+        if grid not in tables:
+            tables[grid] = {}
+            keys = reference_kuhn_vertex_keys(pts, el.scale, np.asarray(el.origin))
+            for i, chain in enumerate(keys):
+                for v in chain:
+                    tables[grid].setdefault(v, set()).add(i)
+        return frozenset(tables[grid][el.vertex])
+
+    return {members(el) for el in cover.elements}
+
+
+def column_sets(membership):
+    csc = membership.tocsc()
+    return {frozenset(csc.indices[csc.indptr[j]:csc.indptr[j + 1]].tolist())
+            for j in range(csc.shape[1])}
+
+
+def overlapping_parents(pts, rng, n_balls=60):
+    """Balls around random samples, with a radius that covers every sample,
+    plus two random sub-boxes: a cover whose elements overlap.  Its scale,
+    which sets the star size, exceeds the radius, so stars straddle
+    several parent elements."""
+    centers = pts[rng.choice(len(pts), size=min(n_balls, len(pts)), replace=False)]
+    reach, _ = cKDTree(centers).query(pts)
+    radius = float(reach.max()) * rng.uniform(1.0, 1.5) + 1e-9
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    boxes = []
+    for _ in range(2):
+        a, b = np.sort(rng.uniform(lo, hi, (2, pts.shape[1])), axis=0)
+        boxes.append(AxisBox(lo=tuple(a), hi=tuple(b)))
+    balls = [Ball(center=tuple(c), radius=radius) for c in centers]
+    return Cover(elements=tuple(balls + boxes), scale=radius * rng.uniform(4.0, 10.0))
 
 
 class TestCoverBasics:
@@ -94,15 +262,105 @@ class TestRefineOrder:
     def test_interval_refines_to_order_one(self):
         pts = np.linspace(0, 1, 400)[:, None]
         parent = mesh_cover(pts, 0.5)
-        cover, order = refine_order(parent, pts)
+        membership, order = refine_order(parent, pts)
         assert order == 1
-        cover.validate(pts)
+        assert np.all(membership.getnnz(axis=1) > 0)
+        assert np.all(membership.getnnz(axis=0) > 0)
 
     def test_square_refines_to_order_two(self):
         g = np.linspace(0, 1, 40)
         pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         _, order = refine_order(mesh_cover(pts, 0.5), pts)
         assert order == 2
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+           dim=st.integers(1, 3), n_balls=st.integers(1, 6))
+    def test_refinement_properties(self, seed, n, dim, n_balls):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 1, (n, dim))
+        centers = pts[rng.choice(n, size=min(n_balls, n), replace=False)]
+        reach, _ = cKDTree(centers).query(pts)
+        radius = float(reach.max()) * rng.uniform(1.0, 2.0) + 1e-9
+        parent = Cover(elements=tuple(Ball(tuple(c), radius) for c in centers),
+                       scale=radius * rng.uniform(0.5, 6.0))
+        membership, order = refine_order(parent, pts)
+        rows = membership.toarray() > 0
+        assert rows.any(axis=1).all()  # every sample is covered
+        assert rows.any(axis=0).all()  # no element is empty
+        inside = parent.membership(pts)
+        for col in rows.T:  # every element lies inside some parent element
+            assert inside[col].all(axis=0).any()
+        assert order == rows.sum(axis=1).max() - 1
+
+
+class TestReferenceRefinement:
+    """The sample-membership refinement against the element-class one:
+    equal orders, and equal element sample sets."""
+
+    @staticmethod
+    def same_refinement(parent, pts, budget=4):
+        membership, order = refine_order(parent, pts, budget=budget)
+        ref_cover, ref_order = reference_refine_order(parent, pts, budget=budget)
+        assert order == ref_order
+        assert column_sets(membership) == reference_sample_sets(ref_cover, pts)
+        return order
+
+    @staticmethod
+    def point_sets():
+        rng = np.random.default_rng(11)
+        g = np.linspace(0, 1, 30)
+        cube = cantor_cube(4)
+        return {
+            "interval": (np.linspace(0, 1, 400)[:, None], [0.5, 0.25]),
+            "square": (np.stack(np.meshgrid(g, g), -1).reshape(-1, 2), [0.5, 0.25]),
+            "cube": (rng.uniform(0, 1, (600, 3)), [0.5, 0.25]),
+            "disk": (rng.normal(0, 1, (600, 2)), [1.0, 0.5]),
+            "clusters": (np.concatenate([rng.normal(0, 0.01, (50, 2)),
+                                         rng.normal(3, 0.01, (50, 2))]), [1.0, 0.5]),
+            "cantor": (cube[rng.choice(len(cube), 800, replace=False)],
+                       [1.0 / 3.0, 1.0 / 9.0]),
+        }
+
+    @pytest.mark.parametrize("name", ["interval", "square", "cube", "disk",
+                                      "clusters", "cantor"])
+    def test_mesh_parents(self, name):
+        pts, scales = self.point_sets()[name]
+        for s in scales:
+            self.same_refinement(mesh_cover(pts, s), pts)
+
+    def test_attractor_states(self):
+        flow = dr.SampledFlow("lorenz", dt=0.02, substep=0.01)
+        pts = dr.iterate(flow, np.array([1.0, 1.0, 20.0]), 1500).states[500:]
+        assert [self.same_refinement(mesh_cover(pts, s), pts)
+                for s in (16.0, 8.0)] == [3, 3]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overlapping_ball_and_box_parents(self, seed):
+        # At budget 1 the one star attempt uses the largest stars, most of
+        # which straddle several overlapping parents.
+        rng = np.random.default_rng(seed)
+        pts = (rng.uniform(0, 1, (300, 2)) if seed % 2 else
+               rng.normal(0, 1, (300, 3)))
+        parent = overlapping_parents(pts, rng)
+        for budget in (1, 4):
+            self.same_refinement(parent, pts, budget)
+
+
+class TestKuhnVertexKeys:
+    @pytest.mark.parametrize("pts", [
+        np.random.default_rng(2).uniform(-3, 3, (300, 3)),
+        np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 0.5], [1.5, 2.5], [0.25, 1.25]]),
+        np.array([[0.3, 0.3, 0.3], [0.3, 0.7, 0.3], [2.0, 0.5, 0.5], [0.0, 0.0, 0.0]]),
+        np.linspace(0, 2, 9)[:, None],
+    ], ids=["random", "faces-and-ties-2d", "ties-3d", "interval"])
+    def test_equal_to_row_loop(self, pts):
+        for scale, origin in ((0.5, np.zeros(pts.shape[1])), (1.0, pts.min(axis=0))):
+            got = kuhn_vertex_keys(pts, scale, origin)
+            ref = np.array(reference_kuhn_vertex_keys(pts, scale, origin))
+            assert got.shape == (len(pts), pts.shape[1] + 1, pts.shape[1])
+            assert np.array_equal(got, ref)
 
 
 class TestCoveringEstimate:
