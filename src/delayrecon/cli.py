@@ -77,18 +77,24 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _system(config: dict) -> systems.System:
+def _sub_object(config: dict, key: str, from_dict):
+    """The ``key`` object built by ``from_dict``; a parameter that is not a
+    number is named by its dotted path."""
     try:
-        return systems.system_from_dict(_require(config, "system"))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config field 'system' invalid: {exc}")
+        return from_dict(_require(config, key))
+    except systems.ParamError as exc:
+        field, value = exc.args
+        raise ConfigError(f"config field '{key}.{field}' must be a number, got {value!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"config field {key!r} invalid: {exc}")
+
+
+def _system(config: dict) -> systems.System:
+    return _sub_object(config, "system", systems.system_from_dict)
 
 
 def _observable(config: dict) -> core.Observable:
-    try:
-        return core.observable_from_dict(_require(config, "observable"))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config field 'observable' invalid: {exc}")
+    return _sub_object(config, "observable", core.observable_from_dict)
 
 
 def _delay_count(config: dict) -> int:
@@ -118,11 +124,7 @@ def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
 
 
 def write_states_csv(path, states: np.ndarray) -> None:
-    header = ",".join(f"s{j}" for j in range(states.shape[1]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in states:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    delay.write_csv(path, [f"s{j}" for j in range(states.shape[1])], states)
 
 
 def write_json(path, payload: dict) -> None:

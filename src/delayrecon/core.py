@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .systems import ParamError, _param
+
 __all__ = [
     "Observable",
     "Constant",
@@ -357,29 +359,31 @@ def observable_from_dict(payload: dict) -> Observable:
     except (KeyError, TypeError):
         raise ValueError("observable payload must be an object with a 'variant' key")
     if variant == "constant":
-        return Constant(value=float(payload["value"]))
+        return Constant(value=_param(payload, "value", float))
     if variant == "coordinate":
         return Coordinate(
-            index=int(payload["index"]),
-            lo=float(payload.get("lo", 0.0)),
-            hi=float(payload.get("hi", 1.0)),
+            index=_param(payload, "index", int),
+            lo=_param(payload, "lo", float, 0.0),
+            hi=_param(payload, "hi", float, 1.0),
         )
     if variant == "trig":
         return TrigPolynomial(
             terms=tuple(tuple(t) for t in payload["terms"]),
-            amplitude=float(payload.get("amplitude", 0.5)),
+            amplitude=_param(payload, "amplitude", float, 0.5),
         )
     if variant == "anchors":
         return PiecewiseAnchor(
             points=tuple(tuple(p) for p in payload["points"]),
             values=tuple(payload["values"]),
-            radius=float(payload["radius"]),
-            base=float(payload.get("base", 0.5)),
+            radius=_param(payload, "radius", float),
+            base=_param(payload, "base", float, 0.5),
         )
     if variant == "sum":
-        return SumObservable(
-            base=observable_from_dict(payload["base"]),
-            bump=observable_from_dict(payload["bump"]),
-            offset=float(payload.get("offset", 0.0)),
-        )
+        parts = {}
+        for key in ("base", "bump"):
+            try:
+                parts[key] = observable_from_dict(payload[key])
+            except ParamError as exc:  # name the parameter by its nested path
+                raise ParamError(f"{key}.{exc.args[0]}", exc.args[1]) from None
+        return SumObservable(**parts, offset=_param(payload, "offset", float, 0.0))
     raise ValueError(f"unknown observable variant {variant!r}")

@@ -84,16 +84,25 @@ def periodic_extension(base, m: int) -> np.ndarray:
     return base[np.arange(m) % base.size]
 
 
+def write_csv(path, header, rows, tags=None) -> None:
+    """CSV with one line per row of ``rows``, each value written as ``.17g``
+    (enough digits to round-trip), LF endings; ``tags``, when given, is a
+    last text column."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, row in enumerate(rows):
+            cells = [format(v, ".17g") for v in row]
+            if tags is not None:
+                cells.append(tags[i])
+            fh.write(",".join(cells) + "\n")
+
+
 def write_delay_csv(path, mat: np.ndarray) -> None:
     """CSV export: header k0..k{m-1}, one delay vector per row, LF endings."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ValueError("delay matrix must be 2-D")
-    header = ",".join(f"k{j}" for j in range(mat.shape[1]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in mat:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, [f"k{j}" for j in range(mat.shape[1])], mat)
 
 
 def read_delay_csv(path) -> np.ndarray:

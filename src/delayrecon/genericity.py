@@ -23,7 +23,7 @@ from .core import (
     TrigPolynomial,
     sup_distance,
 )
-from .delay import delay_vectors
+from .delay import delay_vectors, write_csv
 from .systems import System, detect_period
 from .topology import mesh_cover, refine_order
 
@@ -88,13 +88,8 @@ class PairSet:
 
     def write_csv(self, path) -> None:
         k = self.xs.shape[1]
-        header = ",".join([f"x{j}" for j in range(k)] + [f"y{j}" for j in range(k)]
-                          + ["tag"])
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for x, y, tag in zip(self.xs, self.ys, self.tags):
-                row = [format(v, ".17g") for v in x] + [format(v, ".17g") for v in y]
-                fh.write(",".join(row + [tag]) + "\n")
+        header = [f"x{j}" for j in range(k)] + [f"y{j}" for j in range(k)] + ["tag"]
+        write_csv(path, header, np.hstack([self.xs, self.ys]), self.tags)
 
     @classmethod
     def read_csv(cls, path, delta: float) -> "PairSet":

@@ -8,7 +8,7 @@ are located by seeded Newton refinement of the displacement T^p(x) - x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,23 @@ class DomainError(ValueError):
     """State outside the system's declared domain box."""
 
 
+class ParamError(ValueError):
+    """A system or observable parameter that is not a number; ``args`` are
+    its key in the payload and its value."""
+
+
+def _param(payload: dict, key: str, kind, default=None):
+    """``payload[key]`` converted by ``kind`` (float or int); an absent key
+    takes ``default`` when one is given."""
+    value = payload[key] if default is None else payload.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParamError(key, value) from None
+
+
 def _as_batch(x) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return pts
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 class System:
@@ -61,8 +73,15 @@ class System:
     def system_id(self) -> str:
         raise NotImplementedError
 
+    def _map(self, *coords) -> tuple:
+        """The map on one state given as coordinates.  Elementwise systems
+        override it with ``+ - * %`` on the arguments, so the same code runs
+        on Python floats and on NumPy columns; the default is the one-row
+        call through ``_step_batch``.  A subclass overrides one of the two."""
+        return tuple(self._step_batch(np.array([coords]))[0])
+
     def _step_batch(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return np.stack(self._map(*pts.T), axis=1)
 
     def check_domain(self, pts: np.ndarray, slack: float = 1e-9) -> None:
         box = self.domain
@@ -124,11 +143,8 @@ class Henon(System):
     def system_id(self):
         return f"henon(a={self.a},b={self.b})"
 
-    def _step_batch(self, pts):
-        out = np.empty_like(pts)
-        out[:, 0] = 1.0 - self.a * pts[:, 0] ** 2 + pts[:, 1]
-        out[:, 1] = self.b * pts[:, 0]
-        return out
+    def _map(self, x, y):
+        return 1.0 - self.a * (x * x) + y, self.b * x
 
     def fixed_points(self) -> np.ndarray:
         """The two solutions of the fixed-point quadratic, in closed form."""
@@ -153,11 +169,8 @@ class CatMap(System):
     def system_id(self):
         return "catmap"
 
-    def _step_batch(self, pts):
-        out = np.empty_like(pts)
-        out[:, 0] = (pts[:, 0] + pts[:, 1]) % 1.0
-        out[:, 1] = (pts[:, 0] + 2.0 * pts[:, 1]) % 1.0
-        return out
+    def _map(self, x, y):
+        return (x + y) % 1.0, (x + 2.0 * y) % 1.0
 
 
 @dataclass(frozen=True)
@@ -178,8 +191,8 @@ class CircleRotation(System):
     def system_id(self):
         return f"rotation(alpha={self.alpha})"
 
-    def _step_batch(self, pts):
-        return (pts + self.alpha) % 1.0
+    def _map(self, x):
+        return ((x + self.alpha) % 1.0,)
 
 
 @dataclass(frozen=True)
@@ -230,28 +243,28 @@ class Odometer(System):
         return self.encode(digits)
 
 
-def _harmonic(pts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pts)
-    out[:, 0] = pts[:, 1]
-    out[:, 1] = -pts[:, 0]
-    return out
+# Vector fields in component form, like ``System._map``; "field" is the
+# batch form on (n, k) arrays.
+def _harmonic(x, y):
+    return y, -x
 
 
-def _lorenz(pts: np.ndarray) -> np.ndarray:
+def _lorenz(x, y, z):
     sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.stack([sigma * (y - x), x * (rho - z) - y, x * y - beta * z], axis=1)
+    return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
 
 
 VECTOR_FIELDS: dict[str, dict] = {
     "harmonic": {
-        "field": _harmonic,
+        "components": _harmonic,
+        "field": lambda pts: np.stack(_harmonic(*pts.T), axis=1),
         "dim": 2,
         "domain": [[-2.0, 2.0], [-2.0, 2.0]],
         "lipschitz_L": 1.0,
     },
     "lorenz": {
-        "field": _lorenz,
+        "components": _lorenz,
+        "field": lambda pts: np.stack(_lorenz(*pts.T), axis=1),
         "dim": 3,
         "domain": [[-30.0, 30.0], [-40.0, 40.0], [-10.0, 80.0]],
         # Rough bound for the Jacobian norm on the trapping box.
@@ -290,18 +303,18 @@ class SampledFlow(System):
     def system_id(self):
         return f"flow({self.field_id},dt={self.dt})"
 
-    def _step_batch(self, pts):
-        f = VECTOR_FIELDS[self.field_id]["field"]
+    def _map(self, *s):
+        f = VECTOR_FIELDS[self.field_id]["components"]
         n_sub = max(1, math.ceil(self.dt / self.substep))
         h = self.dt / n_sub
-        out = pts.copy()
         for _ in range(n_sub):
-            k1 = f(out)
-            k2 = f(out + 0.5 * h * k1)
-            k3 = f(out + 0.5 * h * k2)
-            k4 = f(out + h * k3)
-            out = out + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return out
+            k1 = f(*s)
+            k2 = f(*(a + 0.5 * h * b for a, b in zip(s, k1)))
+            k3 = f(*(a + 0.5 * h * b for a, b in zip(s, k2)))
+            k4 = f(*(a + h * b for a, b in zip(s, k3)))
+            s = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
+        return s
 
 
 @dataclass(frozen=True)
@@ -322,17 +335,23 @@ class Trajectory:
 
 
 def iterate(sys: System, x0, n: int) -> Trajectory:
-    """Forward orbit of length n starting at x0 (n >= 1, includes x0)."""
+    """Forward orbit of length n starting at x0 (n >= 1, includes x0).
+
+    The orbit runs through ``sys._map`` on Python floats.  Every stepped
+    state (all but the last) must lie in the domain box; they are checked
+    together once the loop ends, which raises the same error as a check
+    before each step.
+    """
     if n < 1:
         raise ValueError("orbit length must be >= 1")
     x0 = np.asarray(x0, dtype=float)
+    sys.check_domain(x0[None, :])
     states = np.empty((n, sys.ambient_dim))
     states[0] = x0
-    cur = x0[None, :]
-    sys.check_domain(cur)
+    cur = x0.tolist()
     for i in range(1, n):
-        cur = sys.step_many(cur)
-        states[i] = cur[0]
+        states[i] = cur = sys._map(*cur)
+    sys.check_domain(states[:-1])
     return Trajectory(states=states, system_id=sys.system_id)
 
 
@@ -543,14 +562,15 @@ def system_from_dict(payload: dict) -> System:
     except (KeyError, TypeError):
         raise ValueError("system payload must be an object with a 'kind' key")
     if kind == "henon":
-        return Henon(a=float(payload.get("a", 1.4)), b=float(payload.get("b", 0.3)))
+        return Henon(a=_param(payload, "a", float, 1.4), b=_param(payload, "b", float, 0.3))
     if kind == "catmap":
         return CatMap()
     if kind == "rotation":
-        return CircleRotation(alpha=float(payload["alpha"]))
+        return CircleRotation(alpha=_param(payload, "alpha", float))
     if kind == "odometer":
-        return Odometer(base=int(payload.get("base", 3)), digits=int(payload.get("digits", 6)))
+        return Odometer(base=_param(payload, "base", int, 3),
+                        digits=_param(payload, "digits", int, 6))
     if kind == "flow":
-        return SampledFlow(field_id=payload["field"], dt=float(payload["dt"]),
-                           substep=float(payload.get("substep", 0.01)))
+        return SampledFlow(field_id=payload["field"], dt=_param(payload, "dt", float),
+                           substep=_param(payload, "substep", float, 0.01))
     raise ValueError(f"unknown system kind {kind!r}")

@@ -30,8 +30,8 @@ def run(cmd, config_path, out, extra=()):
 def base_config():
     return {
         "seed": 7,
-        "system": HENON,
-        "observable": COORD,
+        "system": dict(HENON),
+        "observable": dict(COORD),
         "d": 1,
         "trajectory": {"x0": [0.1, 0.1], "n": 800, "transient": 100},
     }
@@ -264,6 +264,9 @@ class TestErrors:
         ("dimension", "scales", 5),
         ("dimension", "scales.1", None),
         ("dimension", "covering_scales.0", "big"),
+        ("simulate", "system.a", None),
+        ("embed", "observable.index", None),
+        ("yorke", "system.dt", None),
     ])
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):

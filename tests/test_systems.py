@@ -1,10 +1,14 @@
 """System maps, trajectories, periodic-point search, and the sampling-time
 bound for flows."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delayrecon as dr
 from delayrecon import topology
@@ -43,6 +47,65 @@ def reference_odometer_step(odo, pts):
                 break
             digits[i, j] = 0
     return odo.encode(digits)
+
+
+def reference_harmonic(pts):
+    out = np.empty_like(pts)
+    out[:, 0] = pts[:, 1]
+    out[:, 1] = -pts[:, 0]
+    return out
+
+
+def reference_lorenz(pts):
+    sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    return np.stack([sigma * (y - x), x * (rho - z) - y, x * y - beta * z], axis=1)
+
+
+REFERENCE_FIELDS = {"harmonic": reference_harmonic, "lorenz": reference_lorenz}
+
+
+def reference_step(sys_, pts):
+    """The array-form steps that the component maps replaced."""
+    if isinstance(sys_, dr.Henon):
+        out = np.empty_like(pts)
+        out[:, 0] = 1.0 - sys_.a * pts[:, 0] ** 2 + pts[:, 1]
+        out[:, 1] = sys_.b * pts[:, 0]
+        return out
+    if isinstance(sys_, dr.CatMap):
+        out = np.empty_like(pts)
+        out[:, 0] = (pts[:, 0] + pts[:, 1]) % 1.0
+        out[:, 1] = (pts[:, 0] + 2.0 * pts[:, 1]) % 1.0
+        return out
+    if isinstance(sys_, dr.CircleRotation):
+        return (pts + sys_.alpha) % 1.0
+    if isinstance(sys_, dr.Odometer):
+        return reference_odometer_step(sys_, pts)
+    f = REFERENCE_FIELDS[sys_.field_id]
+    n_sub = max(1, math.ceil(sys_.dt / sys_.substep))
+    h = sys_.dt / n_sub
+    out = pts.copy()
+    for _ in range(n_sub):
+        k1 = f(out)
+        k2 = f(out + 0.5 * h * k1)
+        k3 = f(out + 0.5 * h * k2)
+        k4 = f(out + h * k3)
+        out = out + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def reference_iterate(sys_, x0, n):
+    """The orbit loop iterate replaced: one checked array step per state."""
+    x0 = np.asarray(x0, dtype=float)
+    states = np.empty((n, sys_.ambient_dim))
+    states[0] = x0
+    cur = x0[None, :]
+    sys_.check_domain(cur)
+    for i in range(1, n):
+        sys_.check_domain(cur)  # as step_many did
+        cur = reference_step(sys_, cur)
+        states[i] = cur[0]
+    return states
 
 
 def _ref_displacement(sys_, pts, p):
@@ -243,6 +306,132 @@ class TestTrajectory:
     def test_zero_length_rejected(self, henon):
         with pytest.raises(ValueError):
             dr.iterate(henon, np.array([0.0, 0.0]), 0)
+
+
+def orbit_outcome(fn, *args):
+    """An orbit's states, or the type and message of the error it raised;
+    any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+ELEMENTWISE = [
+    dr.Henon(),
+    dr.Henon(a=1.2, b=-0.4),
+    dr.CatMap(),
+    dr.CircleRotation(math.sqrt(2) - 1.0),
+    dr.CircleRotation(0.75),
+    dr.SampledFlow("lorenz", dt=0.02),
+    dr.SampledFlow("harmonic", dt=0.25, substep=0.07),
+]
+
+
+class TestOrbitLoop:
+    """iterate on Python floats through _map, against the per-step
+    step_many loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("sys_,x0,n", [
+        (dr.SampledFlow("lorenz", dt=0.02), [1.0, 1.0, 20.0], 3000),
+        (dr.SampledFlow("harmonic", dt=0.3), [0.5, 0.0], 500),
+        (dr.Henon(), [0.1, 0.1], 3000),
+        (dr.CatMap(), [0.1, 0.7], 1000),
+        (dr.CircleRotation(math.sqrt(2) - 1.0), [0.0], 1000),
+        (dr.Odometer(base=3, digits=3), [0.0, 0.5, 1.0], 60),
+    ], ids=["lorenz", "harmonic", "henon", "catmap", "rotation", "odometer"])
+    def test_bitwise_equal_to_reference(self, sys_, x0, n):
+        got = dr.iterate(sys_, x0, n).states
+        assert got.tobytes() == reference_iterate(sys_, x0, n).tobytes()
+
+    @pytest.mark.parametrize("sys_", ELEMENTWISE, ids=lambda s: s.system_id)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_step_equals_map_on_floats(self, sys_, data):
+        coords = [st.floats(lo, hi) for lo, hi in sys_.domain]
+        rows = data.draw(st.lists(st.tuples(*coords), min_size=1, max_size=30))
+        pts = np.array(rows)
+        batch = sys_.step_many(pts)
+        singles = np.array([sys_._map(*row) for row in rows])
+        assert all(type(v) is float for v in sys_._map(*rows[0]))
+        assert batch.tobytes() == singles.tobytes()
+        assert batch.tobytes() == reference_step(sys_, pts).tobytes()
+        if isinstance(sys_, dr.SampledFlow):
+            field = VECTOR_FIELDS[sys_.field_id]["field"](pts)
+            assert field.tobytes() == REFERENCE_FIELDS[sys_.field_id](pts).tobytes()
+
+    @pytest.mark.parametrize("sys_,x0,n", [
+        (dr.Henon(), [10.0, 0.0], 5),
+        (dr.Henon(), [10.0, 0.0], 1),
+        (dr.Henon(), [3.0 + 2e-9, 0.0], 1),
+        (dr.Henon(), [3.0 + 5e-10, 0.0], 4),
+        (dr.Henon(), [1.2, 0.9], 6),
+        (dr.Henon(), [1.2, 0.9], 7),
+        (dr.Henon(), [1.2, 0.9], 400),
+        (dr.Henon(), [math.nan, 0.0], 5),
+        (dr.Henon(), [0.1], 5),
+        (dr.SampledFlow("lorenz", dt=0.02), [29.0, 39.0, 79.0], 2),
+        (dr.SampledFlow("lorenz", dt=0.02), [29.0, 39.0, 79.0], 3),
+        (dr.SampledFlow("lorenz", dt=0.02), [29.0, 39.0, 79.0], 300),
+        (dr.CatMap(), [1.5, 0.5], 3),
+    ], ids=["x0-outside", "x0-outside-n1", "beyond-slack-n1", "within-slack",
+            "escape-last-state", "escape-stepped", "escape-overflows", "nan",
+            "short-x0", "flow-escape-last", "flow-escape-stepped",
+            "flow-escape-overflows", "torus-outside"])
+    def test_domain_errors_match_reference(self, sys_, x0, n):
+        got = orbit_outcome(lambda: dr.iterate(sys_, x0, n).states)
+        want = orbit_outcome(reference_iterate, sys_, x0, n)
+        if isinstance(want, tuple):
+            assert want[0] is DomainError
+            assert got == want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_long_x0_is_a_domain_error(self):
+        # The per-step loop failed this one with NumPy's broadcast error.
+        with pytest.raises(DomainError, match="state dimension 3 != 2"):
+            dr.iterate(dr.Henon(), [0.1, 0.1, 0.1], 5)
+
+
+class TestLipschitz:
+    """The flows' hand-typed Lipschitz constants bound the Jacobian of their
+    vector fields over the declared box."""
+
+    @staticmethod
+    def jacobian(field, x, step=1e-3):
+        """Central differences; exact up to rounding on quadratic fields."""
+        k = len(x)
+        probe = x + step * np.eye(k)
+        back = x - step * np.eye(k)
+        return ((field(probe) - field(back)) / (2 * step)).T
+
+    def test_lorenz_constant_bounds_frobenius_norm(self):
+        spec = VECTOR_FIELDS["lorenz"]
+        sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
+
+        def jac(x, y, z):
+            return np.array([[-sigma, sigma, 0.0],
+                             [rho - z, -1.0, -x],
+                             [y, x, -beta]])
+
+        box = np.array(spec["domain"])
+        for x in np.random.default_rng(2).uniform(box[:, 0], box[:, 1], (20, 3)):
+            assert np.allclose(self.jacobian(spec["field"], x), jac(*x), atol=1e-8)
+        # Every squared entry is convex in one coordinate, so the Frobenius
+        # norm is largest at a corner of the box.
+        bound = max(np.linalg.norm(jac(*c)) for c in itertools.product(*spec["domain"]))
+        assert bound == pytest.approx(79.4488, abs=1e-4)
+        assert spec["lipschitz_L"] >= bound
+        assert dr.SampledFlow("lorenz", dt=0.01).lipschitz_L == spec["lipschitz_L"]
+
+    def test_harmonic_constant_is_exact_norm(self):
+        spec = VECTOR_FIELDS["harmonic"]
+        jac = spec["field"](np.eye(2)).T  # a linear field: columns are images
+        assert np.allclose(self.jacobian(spec["field"], np.array([0.3, -1.1])), jac)
+        assert np.array_equal(jac.T @ jac, np.eye(2))  # orthogonal: norm exactly 1
+        assert spec["lipschitz_L"] == 1.0
 
 
 class TestSampledFlow:
