@@ -13,11 +13,9 @@ from .core import (
     PiecewiseAnchor,
     SumObservable,
     TrigPolynomial,
-    evaluate,
     observable_from_dict,
     observable_to_dict,
     sup_distance,
-    sup_distance_report,
 )
 from .delay import (
     delay_count_for,

@@ -14,14 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import core, delay, genericity, systems, topology
+from .systems import ConfigError, convert
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_HYPOTHESIS = 2
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _require(config: dict, key: str):
@@ -44,57 +41,38 @@ def _field(config: dict, key: str, default=None):
     return config.get(leaf, default)
 
 
-def _as_number(value, name: str, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field {name!r} must be a number, got {value!r}")
-
-
 def _number(config: dict, key: str, kind, default=None):
-    """Scalar at the dotted path ``key`` converted by ``kind`` (int or
-    float); a missing field takes ``default``, or is an error when there is
+    """Value at the dotted path ``key`` converted to ``kind`` (int, float or
+    bool); a missing field takes ``default``, or is an error when there is
     none."""
-    return _as_number(_field(config, key, default), key, kind)
+    return convert(_field(config, key, default), kind, key)
 
 
 def _numbers(config: dict, key: str, kind, default=None) -> list:
-    """List at the dotted path ``key``, each element converted by ``kind``
+    """List at the dotted path ``key``, each element converted to ``kind``
     and named ``key.i`` in errors."""
-    values = _field(config, key, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"config field {key!r} must be a list of numbers, got {values!r}")
-    return [_as_number(v, f"{key}.{i}", kind) for i, v in enumerate(values)]
+    return list(convert(_field(config, key, default), tuple[kind, ...], key))
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-
-
-def _sub_object(config: dict, key: str, from_dict):
-    """The ``key`` object built by ``from_dict``; a parameter that is not a
-    number is named by its dotted path."""
-    try:
-        return from_dict(_require(config, key))
-    except systems.ParamError as exc:
-        field, value = exc.args
-        raise ConfigError(f"config field '{key}.{field}' must be a number, got {value!r}")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"config field {key!r} invalid: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {config!r}")
+    return config
 
 
 def _system(config: dict) -> systems.System:
-    return _sub_object(config, "system", systems.system_from_dict)
+    return convert(_field(config, "system"), systems.System, "system")
 
 
 def _observable(config: dict) -> core.Observable:
-    return _sub_object(config, "observable", core.observable_from_dict)
+    return convert(_field(config, "observable"), core.Observable, "observable")
 
 
 def _delay_count(config: dict) -> int:
@@ -138,7 +116,7 @@ def _pairs(config: dict, sys_: systems.System, samples: np.ndarray,
     delta = _number(config, "pairs.delta", float)
     count = _number(config, "pairs.count", int)
     periodic = None
-    if _field(config, "pairs.detect_periodic", False):
+    if _number(config, "pairs.detect_periodic", bool, False):
         periodic = systems.find_periodic(
             sys_, n_max=_number(config, "pairs.period_max", int, 4),
             tol=_number(config, "pairs.period_tol", float, 1e-9),
@@ -223,14 +201,14 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
     m = delay.delay_count_for(d)
     report = genericity.compatibility_margin(f, sys_, K, m)
     dist = core.sup_distance(f, h, traj.states)
-    write_json(out / "perturbed_observable.json", core.observable_to_dict(f))
+    write_json(out / "perturbed_observable.json", f.to_dict())
     write_json(out / "perturb_report.json", {
         "ok": True, "margin": report.margin, "sup_distance": dist,
         "sup_distance_bound": f.bump.max_deviation(),
         "epsilon": eps, "m": m, **_pair_accounting(config, K),
     })
     out_config = dict(config)
-    out_config["observable"] = core.observable_to_dict(f)
+    out_config["observable"] = f.to_dict()
     write_json(out / "config_out.json", out_config)
     if not quiet:
         print(f"perturb: margin {report.margin:.6g}, sup-distance {dist:.6g}")
@@ -340,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             kwargs["import_path"] = args.import_path
         return COMMANDS[args.command](config, out, seed, args.quiet, **kwargs)
-    except (ConfigError, ValueError, systems.DomainError) as exc:
+    except ValueError as exc:  # ConfigError and DomainError among them
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import ParamError, _param
+from .systems import Registered
 
 __all__ = [
     "Observable",
@@ -22,9 +22,7 @@ __all__ = [
     "TrigPolynomial",
     "PiecewiseAnchor",
     "SumObservable",
-    "evaluate",
     "sup_distance",
-    "sup_distance_report",
     "observable_to_dict",
     "observable_from_dict",
 ]
@@ -42,7 +40,7 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-class Observable:
+class Observable(Registered, tag_key="variant"):
     """Base class; subclasses implement `_values` on (n, k) batches."""
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
@@ -77,7 +75,7 @@ class Observable:
 
 
 @dataclass(frozen=True)
-class Constant(Observable):
+class Constant(Observable, name="constant"):
     """h(x) = value."""
 
     value: float
@@ -94,7 +92,7 @@ class Constant(Observable):
 
 
 @dataclass(frozen=True)
-class Coordinate(Observable):
+class Coordinate(Observable, name="coordinate"):
     """Affine rescale of one coordinate from [lo, hi] onto [0, 1]."""
 
     index: int
@@ -118,7 +116,7 @@ class Coordinate(Observable):
 
 
 @dataclass(frozen=True)
-class TrigPolynomial(Observable):
+class TrigPolynomial(Observable, name="trig"):
     """Trigonometric polynomial rescaled into [1/2 - A, 1/2 + A] with A <= 1/2.
 
     Each term is (coefficient, frequency, axis, phase) contributing
@@ -162,7 +160,7 @@ class TrigPolynomial(Observable):
 
 
 @dataclass(frozen=True)
-class PiecewiseAnchor(Observable):
+class PiecewiseAnchor(Observable, name="anchors"):
     """Partition-of-unity blend of anchor values over a constant background.
 
     Each anchor (q_i, v_i) contributes a tent bump w_i(x) = max(0, 1 - |x-q_i|/r).
@@ -269,7 +267,7 @@ class PiecewiseAnchor(Observable):
 
 
 @dataclass(frozen=True)
-class SumObservable(Observable):
+class SumObservable(Observable, name="sum"):
     """Clamped sum: h(x) = clip(base(x) + bump(x) - offset, 0, 1).
 
     With offset 0 this is a plain clamped additive bump; with offset 1/2 a
@@ -293,16 +291,12 @@ class SumObservable(Observable):
         return self.base.lipschitz() + self.bump.lipschitz()
 
 
-def evaluate(obs: Observable, x) -> float:
-    """Evaluate an observable at a single state vector."""
-    return obs(x)
-
-
 def sup_distance(a: Observable, b: Observable, samples) -> float:
     """Max of |a - b| over a nonempty finite sample of the space.
 
-    This is a lower bound on the true sup-norm distance; see
-    `sup_distance_report` for a Lipschitz-padded upper bound.
+    This is a lower bound on the true sup-norm distance; for a perturbation
+    built as a `SumObservable`, `PiecewiseAnchor.max_deviation` is a
+    certified upper bound.
     """
     pts = _as_points(samples)
     if pts.shape[0] == 0:
@@ -310,80 +304,7 @@ def sup_distance(a: Observable, b: Observable, samples) -> float:
     return float(np.max(np.abs(a._values(pts) - b._values(pts))))
 
 
-def sup_distance_report(a: Observable, b: Observable, samples, mesh: float) -> dict:
-    """Sampled sup-distance with a Lipschitz pad for the unsampled gaps.
-
-    ``mesh`` is the covering radius of the sample set in the region of
-    interest; any point is within ``mesh`` of a sample, so the true sup-norm
-    is at most lower + (L_a + L_b) * mesh.
-    """
-    lower = sup_distance(a, b, samples)
-    pad = (a.lipschitz() + b.lipschitz()) * mesh
-    return {"lower": lower, "pad": pad, "upper": lower + pad}
-
-
 # --- JSON round-tripping -------------------------------------------------
 
-def observable_to_dict(obs: Observable) -> dict:
-    if isinstance(obs, Constant):
-        return {"variant": "constant", "value": obs.value}
-    if isinstance(obs, Coordinate):
-        return {"variant": "coordinate", "index": obs.index, "lo": obs.lo, "hi": obs.hi}
-    if isinstance(obs, TrigPolynomial):
-        return {
-            "variant": "trig",
-            "terms": [list(t) for t in obs.terms],
-            "amplitude": obs.amplitude,
-        }
-    if isinstance(obs, PiecewiseAnchor):
-        return {
-            "variant": "anchors",
-            "points": [list(p) for p in obs.points],
-            "values": list(obs.values),
-            "radius": obs.radius,
-            "base": obs.base,
-        }
-    if isinstance(obs, SumObservable):
-        return {
-            "variant": "sum",
-            "base": observable_to_dict(obs.base),
-            "bump": observable_to_dict(obs.bump),
-            "offset": obs.offset,
-        }
-    raise TypeError(f"unknown observable type {type(obs).__name__}")
-
-
-def observable_from_dict(payload: dict) -> Observable:
-    try:
-        variant = payload["variant"]
-    except (KeyError, TypeError):
-        raise ValueError("observable payload must be an object with a 'variant' key")
-    if variant == "constant":
-        return Constant(value=_param(payload, "value", float))
-    if variant == "coordinate":
-        return Coordinate(
-            index=_param(payload, "index", int),
-            lo=_param(payload, "lo", float, 0.0),
-            hi=_param(payload, "hi", float, 1.0),
-        )
-    if variant == "trig":
-        return TrigPolynomial(
-            terms=tuple(tuple(t) for t in payload["terms"]),
-            amplitude=_param(payload, "amplitude", float, 0.5),
-        )
-    if variant == "anchors":
-        return PiecewiseAnchor(
-            points=tuple(tuple(p) for p in payload["points"]),
-            values=tuple(payload["values"]),
-            radius=_param(payload, "radius", float),
-            base=_param(payload, "base", float, 0.5),
-        )
-    if variant == "sum":
-        parts = {}
-        for key in ("base", "bump"):
-            try:
-                parts[key] = observable_from_dict(payload[key])
-            except ParamError as exc:  # name the parameter by its nested path
-                raise ParamError(f"{key}.{exc.args[0]}", exc.args[1]) from None
-        return SumObservable(**parts, offset=_param(payload, "offset", float, 0.0))
-    raise ValueError(f"unknown observable variant {variant!r}")
+observable_to_dict = Observable.to_dict
+observable_from_dict = Observable.from_dict

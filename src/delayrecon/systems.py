@@ -7,8 +7,11 @@ are located by seeded Newton refinement of the displacement T^p(x) - x.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,26 +39,120 @@ class DomainError(ValueError):
     """State outside the system's declared domain box."""
 
 
-class ParamError(ValueError):
-    """A system or observable parameter that is not a number; ``args`` are
-    its key in the payload and its value."""
+class ConfigError(ValueError):
+    """A config value that does not fit its field, named by dotted path."""
 
 
-def _param(payload: dict, key: str, kind, default=None):
-    """``payload[key]`` converted by ``kind`` (float or int); an absent key
-    takes ``default`` when one is given."""
-    value = payload[key] if default is None else payload.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParamError(key, value) from None
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def convert(value, tp, path: str):
+    """``value``, read from JSON, as type ``tp``: int, float, bool, str, a
+    fixed or ``...`` tuple of these, or a `Registered` base.  A value that
+    does not fit raises `ConfigError` naming it by its dotted ``path``; an
+    int accepts an integral float such as ``2.0``, and a bool is no number."""
+    if isinstance(tp, type) and issubclass(tp, Registered):
+        return tp.from_dict(value, path)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config field {path!r} must be a list, got {value!r}")
+        types = typing.get_args(tp)
+        if types[-1] is Ellipsis:
+            types = types[:1] * len(value)
+        elif len(types) != len(value):
+            raise ConfigError(f"config field {path!r} must have {len(types)} entries, "
+                              f"got {value!r}")
+        return tuple(convert(v, t, f"{path}.{i}")
+                     for i, (v, t) in enumerate(zip(value, types)))
+    if tp in (bool, str):
+        if isinstance(value, tp):
+            return value
+    elif not (isinstance(value, bool) or tp is int and isinstance(value, float)
+              and not value.is_integer()):
+        try:
+            return tp(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"config field {path!r} must be {_KINDS[tp]}, got {value!r}")
+
+
+class Registered:
+    """Base of the classes a config names by a tag: `System` (key "kind")
+    and `Observable` (key "variant").
+
+    A base declares its tag key, ``class System(Registered, tag_key="kind")``,
+    and each concrete dataclass below it registers its tag once,
+    ``class Henon(System, name="henon")``.  The dataclass fields, in
+    declaration order and with their annotated types, are the JSON keys;
+    ``field(metadata={"key": ...})`` renames one, and defaults come from the
+    dataclass.
+    """
+
+    tag_key: ClassVar[str]
+    name: ClassVar[str]
+    registry: ClassVar[dict[str, type]]
+
+    def __init_subclass__(cls, tag_key: str | None = None, name: str | None = None,
+                          **kwargs):
+        super().__init_subclass__(**kwargs)
+        if tag_key is not None:
+            cls.tag_key, cls.registry = tag_key, {}
+        if name is not None:
+            cls.name = name
+            cls.registry[name] = cls
+
+    def to_dict(self) -> dict:
+        return {self.tag_key: self.name} | {
+            key: _plain(getattr(self, attr)) for attr, key, _, _ in _schema(type(self))}
+
+    @classmethod
+    def from_dict(cls, payload, path: str | None = None):
+        """The registered class that ``payload``'s tag names, built from its
+        fields; errors name the field by its dotted path, which starts at
+        ``path`` (default: the base's name in lower case)."""
+        path = path or cls.__name__.lower()
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config field {path!r} must be an object, got {payload!r}")
+        tag = payload.get(cls.tag_key)
+        if not isinstance(tag, str) or tag not in cls.registry:
+            raise ConfigError(f"config field '{path}.{cls.tag_key}' must be one of "
+                              f"{sorted(cls.registry)}, got {tag!r}")
+        sub = cls.registry[tag]
+        kwargs = {}
+        for attr, key, tp, required in _schema(sub):
+            if key in payload:
+                kwargs[attr] = convert(payload[key], tp, f"{path}.{key}")
+            elif required:
+                raise ConfigError(f"config field '{path}.{key}' is missing")
+        try:
+            return sub(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"config field {path!r} invalid: {exc}") from None
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, str, object, bool], ...]:
+    """(attribute, JSON key, type, required) for each dataclass field."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("key", f.name), hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def _plain(value):
+    """A field value as JSON data: tuples become lists, objects dicts."""
+    if isinstance(value, Registered):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _as_batch(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-class System:
+class System(Registered, tag_key="kind"):
     """Base class for discrete-time systems on a box in R^k."""
 
     ambient_dim: int
@@ -122,7 +219,7 @@ class System:
 
 
 @dataclass(frozen=True)
-class Henon(System):
+class Henon(System, name="henon"):
     """Henon map (x, y) -> (1 - a x^2 + y, b x); injective for b != 0."""
 
     a: float = 1.4
@@ -154,7 +251,7 @@ class Henon(System):
 
 
 @dataclass(frozen=True)
-class CatMap(System):
+class CatMap(System, name="catmap"):
     """Arnold cat map on the 2-torus: (x, y) -> (x + y, x + 2y) mod 1."""
 
     ambient_dim = 2
@@ -174,7 +271,7 @@ class CatMap(System):
 
 
 @dataclass(frozen=True)
-class CircleRotation(System):
+class CircleRotation(System, name="rotation"):
     """Rotation of the circle [0, 1) by alpha."""
 
     alpha: float
@@ -196,7 +293,7 @@ class CircleRotation(System):
 
 
 @dataclass(frozen=True)
-class Odometer(System):
+class Odometer(System, name="odometer"):
     """Add-one-with-carry on a fixed number of digits in a given base.
 
     Digit vectors are scaled into [0, 1]^digits via digit / (base - 1).
@@ -274,10 +371,10 @@ VECTOR_FIELDS: dict[str, dict] = {
 
 
 @dataclass(frozen=True)
-class SampledFlow(System):
+class SampledFlow(System, name="flow"):
     """Time-t map of an ODE flow, advanced by classical RK4 with fixed substep."""
 
-    field_id: str
+    field_id: str = field(metadata={"key": "field"})
     dt: float
     substep: float = 0.01
 
@@ -541,36 +638,5 @@ def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None,
 
 # --- JSON round-tripping --------------------------------------------------
 
-def system_to_dict(sys: System) -> dict:
-    if isinstance(sys, Henon):
-        return {"kind": "henon", "a": sys.a, "b": sys.b}
-    if isinstance(sys, CatMap):
-        return {"kind": "catmap"}
-    if isinstance(sys, CircleRotation):
-        return {"kind": "rotation", "alpha": sys.alpha}
-    if isinstance(sys, Odometer):
-        return {"kind": "odometer", "base": sys.base, "digits": sys.digits}
-    if isinstance(sys, SampledFlow):
-        return {"kind": "flow", "field": sys.field_id, "dt": sys.dt,
-                "substep": sys.substep}
-    raise TypeError(f"unknown system type {type(sys).__name__}")
-
-
-def system_from_dict(payload: dict) -> System:
-    try:
-        kind = payload["kind"]
-    except (KeyError, TypeError):
-        raise ValueError("system payload must be an object with a 'kind' key")
-    if kind == "henon":
-        return Henon(a=_param(payload, "a", float, 1.4), b=_param(payload, "b", float, 0.3))
-    if kind == "catmap":
-        return CatMap()
-    if kind == "rotation":
-        return CircleRotation(alpha=_param(payload, "alpha", float))
-    if kind == "odometer":
-        return Odometer(base=_param(payload, "base", int, 3),
-                        digits=_param(payload, "digits", int, 6))
-    if kind == "flow":
-        return SampledFlow(field_id=payload["field"], dt=_param(payload, "dt", float),
-                           substep=_param(payload, "substep", float, 0.01))
-    raise ValueError(f"unknown system kind {kind!r}")
+system_to_dict = System.to_dict
+system_from_dict = System.from_dict

@@ -444,6 +444,8 @@ class HypothesisReport:
 
 def grid_seeds(sys: System, n_seeds: int) -> np.ndarray:
     """Deterministic grid of seed states spanning the domain box interior."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     box = sys.domain
     k = sys.ambient_dim
     per_axis = max(2, int(round(n_seeds ** (1.0 / k))))

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point: artifacts, exit codes,
 and byte-level determinism."""
 
+import copy
 import json
 
 import numpy as np
@@ -13,6 +14,16 @@ from delayrecon.genericity import MARGIN_TOL
 
 HENON = {"kind": "henon", "a": 1.4, "b": 0.3}
 COORD = {"variant": "coordinate", "index": 0, "lo": -1.5, "hi": 1.5}
+# A bad-field case under one of these prefixes starts from this object.
+OBJECTS = {
+    "system.digits": {"kind": "odometer"},
+    "system.field": {"kind": "flow", "field": "harmonic", "dt": 3.0},
+    "observable.terms": {"variant": "trig", "terms": [[1.0, 1.0, 0, 0.0]]},
+    "observable.points": {"variant": "anchors", "points": [[0.1, 0.1]],
+                          "values": [0.5], "radius": 0.1},
+    "observable.bump": {"variant": "sum", "base": COORD,
+                        "bump": {"variant": "constant", "value": 0.5}},
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -220,6 +231,11 @@ class TestErrors:
         bad.write_text("{not json")
         assert run("simulate", str(bad), tmp_path) == 1
 
+    def test_config_must_be_object(self, tmp_path, capsys):
+        assert run("simulate", write_config(tmp_path, [5]), tmp_path) == 1
+        assert "JSON object" in capsys.readouterr().err
+        assert run("simulate", write_config(tmp_path, 5), tmp_path) == 1
+
     def test_missing_seed(self, tmp_path, base_config, capsys):
         del base_config["seed"]
         cfg = write_config(tmp_path, base_config)
@@ -267,6 +283,14 @@ class TestErrors:
         ("simulate", "system.a", None),
         ("embed", "observable.index", None),
         ("yorke", "system.dt", None),
+        ("simulate", "seed", 1.5),
+        ("simulate", "system.digits", 2.7),
+        ("embed", "observable.terms.0.1", "a"),
+        ("embed", "observable.points.0.1", "x"),
+        ("simulate", "system.field", ["lorenz"]),
+        ("embed", "observable.bump", 3),
+        ("hypothesis", "d", True),
+        ("margin", "pairs.detect_periodic", "no"),
     ])
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):
@@ -277,6 +301,9 @@ class TestErrors:
                            covering_scales=[0.4, 0.2])
         if cmd == "yorke":
             base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
+        obj = OBJECTS.get(".".join(field.split(".")[:2]))
+        if obj is not None:
+            base_config[field.split(".")[0]] = copy.deepcopy(obj)
         # A dotted field names a nested value; a numeric part indexes a list.
         *outer, leaf = field.split(".")
         target = base_config
@@ -285,7 +312,27 @@ class TestErrors:
         target[int(leaf) if isinstance(target, list) else leaf] = value
         cfg = write_config(tmp_path, base_config)
         assert run(cmd, cfg, tmp_path) == 1
-        assert f"config field {field!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config field {field!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd,field,value", [
+        ("hypothesis", "n_seeds", -5),
+        ("hypothesis", "n_seeds", 0),
+        ("yorke", "n_seeds", -5),
+        ("margin", "pairs.period_seeds", 0),
+    ])
+    def test_nonpositive_seed_count_rejected(self, tmp_path, base_config, capsys,
+                                             cmd, field, value):
+        base_config["pairs"] = {"delta": 0.01, "count": 10, "detect_periodic": True}
+        if cmd == "yorke":
+            base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
+        outer, _, leaf = field.rpartition(".")
+        (base_config[outer] if outer else base_config)[leaf] = value
+        cfg = write_config(tmp_path, base_config)
+        assert run(cmd, cfg, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "n_seeds" in err and "Traceback" not in err
 
     def test_unknown_observable_variant(self, tmp_path, base_config, capsys):
         base_config["observable"] = {"variant": "wavelet"}

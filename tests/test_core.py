@@ -12,11 +12,9 @@ from delayrecon import (
     PiecewiseAnchor,
     SumObservable,
     TrigPolynomial,
-    evaluate,
     observable_from_dict,
     observable_to_dict,
     sup_distance,
-    sup_distance_report,
 )
 
 RNG = np.random.default_rng(42)
@@ -32,7 +30,6 @@ class TestConstant:
         pts = random_states(50, 3)
         assert np.all(h.evaluate(pts) == 0.25)
         assert h(pts[0]) == 0.25
-        assert evaluate(h, pts[0]) == 0.25
 
     def test_lipschitz_zero(self):
         assert Constant(0.7).lipschitz() == 0.0
@@ -211,13 +208,6 @@ class TestSupDistance:
     def test_known_gap(self):
         pts = random_states(100, 1)
         assert sup_distance(Constant(0.8), Constant(0.5), pts) == pytest.approx(0.3)
-
-    def test_report_adds_lipschitz_pad(self):
-        a = Coordinate(0, 0.0, 1.0)
-        b = Constant(0.5)
-        rep = sup_distance_report(a, b, random_states(50, 1, 0.0, 1.0), mesh=0.01)
-        assert rep["upper"] == pytest.approx(rep["lower"] + rep["pad"])
-        assert rep["pad"] == pytest.approx(a.lipschitz() * 0.01)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
