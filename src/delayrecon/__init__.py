@@ -51,7 +51,6 @@ from .systems import (
     yorke_threshold,
 )
 from .topology import (
-    Cover,
     DimensionEstimate,
     box_counting,
     cover_order,

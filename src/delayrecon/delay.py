@@ -27,17 +27,7 @@ def delay_count_for(d: int) -> int:
 
 def delay_vector(h: Observable, sys: System, x, m: int) -> np.ndarray:
     """(h(x), h(Tx), ..., h(T^{m-1}x)) as a length-m array in [0, 1]."""
-    if m < 1:
-        raise ValueError("delay count must be >= 1")
-    x = np.asarray(x, dtype=float)
-    cur = x[None, :]
-    sys.check_domain(cur)
-    vals = np.empty(m)
-    for k in range(m):
-        vals[k] = h.evaluate(cur)[0]
-        if k + 1 < m:
-            cur = sys.step_many(cur)
-    return vals
+    return delay_vectors(h, sys, x, m)[0]
 
 
 def delay_vectors(h: Observable, sys: System, points, m: int) -> np.ndarray:

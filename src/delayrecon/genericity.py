@@ -25,7 +25,7 @@ from .core import (
 )
 from .delay import delay_vectors, write_csv
 from .systems import System, detect_period
-from .topology import mesh_cover, refine_order
+from .topology import mesh_cover, nn_spacing, refine_order
 
 __all__ = [
     "PairSet",
@@ -243,14 +243,16 @@ def _dedup_members(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _check_cover_bound(class_pts: np.ndarray, t: int, n_label: int,
-                       scale: float) -> None:
+                       delta: float) -> None:
     """Desk-scale analogue of the cover-order requirement ord < (t+1)/2 for
     the period class: the class sample must admit a refinement of small
-    enough order at the working scale."""
+    enough order at the working scale, the larger of ``delta`` and eight
+    sample spacings (eight ``delta`` when the spacing is 0)."""
     if class_pts.shape[0] < 2:
         return
-    parent = mesh_cover(class_pts, scale)
-    _, order = refine_order(parent, class_pts)
+    spacing = nn_spacing(class_pts)
+    scale = max(delta, 8.0 * (spacing or delta))
+    _, order = refine_order(mesh_cover(class_pts, scale), scale, class_pts, spacing)
     if not order < (t + 1) / 2.0:
         raise PerturbationError(
             f"cover-order bound fails for period class n={n_label}: achieved "
@@ -310,8 +312,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
             if label in by_class:
                 pts = np.concatenate([np.asarray(by_class[label]), pts], axis=0)
             t = 2 * d if label == 0 else min(label - 1, 2 * d)
-            _check_cover_bound(pts, t, label if label else 2 * d + 1,
-                               scale=max(K.delta, 8.0 * _spacing_or(pts, K.delta)))
+            _check_cover_bound(pts, t, label if label else 2 * d + 1, K.delta)
 
     # Orbit points of all anchors from one batched orbit, anchor-major, with
     # cross-anchor disjointness at the working tolerance.
@@ -375,12 +376,6 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
             return f
     raise PerturbationError(
         f"general-position retries exhausted after {max_rounds} rounds")
-
-
-def _spacing_or(pts: np.ndarray, default: float) -> float:
-    from .topology import nn_spacing
-    s = nn_spacing(pts)
-    return s if s > 0.0 else default
 
 
 # --- empirical density ----------------------------------------------------

@@ -292,6 +292,13 @@ class CircleRotation(System, name="rotation"):
         return ((x + self.alpha) % 1.0,)
 
 
+# With base >= 2 the odometer's cycle has at least 2**64 states at this
+# many digits, far more than any orbit that can be iterated, so more digits
+# only widen every state row; the cap stops a typo from allocating a domain
+# of that width.
+MAX_ODOMETER_DIGITS = 64
+
+
 @dataclass(frozen=True)
 class Odometer(System, name="odometer"):
     """Add-one-with-carry on a fixed number of digits in a given base.
@@ -308,8 +315,9 @@ class Odometer(System, name="odometer"):
     known_dim = 0
 
     def __post_init__(self):
-        if self.base < 2 or self.digits < 1:
-            raise ValueError("odometer needs base >= 2 and digits >= 1")
+        if self.base < 2 or not 1 <= self.digits <= MAX_ODOMETER_DIGITS:
+            raise ValueError(f"odometer needs base >= 2 and 1 <= digits <= "
+                             f"{MAX_ODOMETER_DIGITS}")
 
     @property
     def ambient_dim(self):
@@ -370,6 +378,13 @@ VECTOR_FIELDS: dict[str, dict] = {
 }
 
 
+# RK4 substeps per step, ceil(dt / substep).  Each costs about 7 us per
+# state in plain floats (Lorenz, 2-vCPU x86 VM), so the cap is under a
+# second per state step; a larger ratio is a typo in dt or substep that
+# would hang the run.
+MAX_RK4_SUBSTEPS = 10**5
+
+
 @dataclass(frozen=True)
 class SampledFlow(System, name="flow"):
     """Time-t map of an ODE flow, advanced by classical RK4 with fixed substep."""
@@ -383,6 +398,8 @@ class SampledFlow(System, name="flow"):
             raise ValueError(f"unknown vector field {self.field_id!r}")
         if self.dt <= 0.0 or self.substep <= 0.0:
             raise ValueError("dt and substep must be positive")
+        if self.dt / self.substep > MAX_RK4_SUBSTEPS:
+            raise ValueError(f"dt / substep exceeds {MAX_RK4_SUBSTEPS} RK4 substeps per step")
 
     @property
     def ambient_dim(self):

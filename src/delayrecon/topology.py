@@ -8,9 +8,9 @@ splitting, and a Kuhn-triangulation star cover whose order equals the
 ambient grid dimension) and the best achieved order is reported with a
 ``heuristic`` flag.
 
-A refinement is a sparse sample-membership matrix: one row per sample, one
-column per cover element, entry 1 where the element contains the sample.
-The order of a cover is then a row sum.
+A cover, parent or refinement alike, is a sparse sample-membership
+matrix: one row per sample, one column per cover element, entry 1 where the
+element contains the sample.  The order of a cover is then a row sum.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from scipy.spatial import cKDTree
 from .systems import System, find_periodic
 
 __all__ = [
-    "Ball",
-    "AxisBox",
-    "Cover",
     "DimensionEstimate",
     "UncoveredSampleError",
     "cover_order",
@@ -71,79 +68,13 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     return ids
 
 
-# --- cover elements -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Ball:
-    center: tuple[float, ...]
-    radius: float
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        return np.linalg.norm(pts - c, axis=1) <= self.radius
-
-
-@dataclass(frozen=True)
-class AxisBox:
-    """Closed axis-aligned box."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return np.all((pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)), axis=1)
-
-
-@dataclass(frozen=True)
-class MeshCell:
-    """One half-open cell of a uniform grid; membership uses the same
-    grid index as the grid construction, so boundary samples are
-    assigned consistently."""
-
-    cell: tuple[int, ...]
-    origin: tuple[float, ...]
-    scale: float
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        idx = _grid_index(pts, self.origin, self.scale)
-        return np.all(idx == np.asarray(self.cell), axis=1)
-
-
-@dataclass(frozen=True)
-class Cover:
-    """A finite family of elements with a characteristic scale."""
-
-    elements: tuple
-    scale: float
-
-    def membership(self, samples) -> np.ndarray:
-        """(n_samples, n_elements) boolean membership matrix."""
-        pts = _pts(samples)
-        if not self.elements:
-            raise UncoveredSampleError("empty cover")
-        cols = [el.contains(pts) for el in self.elements]
-        return np.stack(cols, axis=1)
-
-    def validate(self, samples) -> None:
-        mask = self.membership(samples)
-        if not np.all(mask.any(axis=1)):
-            raise UncoveredSampleError("some samples are uncovered")
-        if not np.all(mask.any(axis=0)):
-            raise ValueError("some cover elements contain no sample")
-
-
-def _order(membership) -> int:
+def cover_order(membership) -> int:
     """-1 + the most elements containing one sample, from a dense or sparse
     membership matrix with one row per sample."""
     counts = np.asarray(membership.sum(axis=1)).ravel()
     if np.any(counts == 0):
         raise UncoveredSampleError("some samples are uncovered")
     return int(counts.max()) - 1
-
-
-def cover_order(cover: Cover, samples) -> int:
-    """-1 + max over samples of the number of elements containing the sample."""
-    return _order(cover.membership(samples))
 
 
 # --- sampling-resolution helpers -----------------------------------------
@@ -173,22 +104,17 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
     return labels
 
 
-def mesh_cover(samples, scale: float, anchor=None) -> Cover:
-    """Half-open mesh boxes of side ``scale`` occupied by at least one sample.
+def mesh_cover(samples, scale: float, anchor=None) -> sparse.csr_matrix:
+    """Half-open mesh boxes of side ``scale`` occupied by at least one sample,
+    as a one-hot membership matrix with columns in lexicographic cell order.
 
     The grid is anchored at the sample bounding-box corner (or an explicit
     anchor) for reproducibility.
     """
     pts = _pts(samples)
     origin = pts.min(axis=0) if anchor is None else np.asarray(anchor, dtype=float)
-    idx = _grid_index(pts, origin, scale)
-    cells = idx[np.unique(_row_ids(idx), return_index=True)[1]]
-    elements = tuple(
-        MeshCell(cell=tuple(int(c) for c in cell), origin=tuple(origin),
-                 scale=scale)
-        for cell in cells
-    )
-    return Cover(elements=elements, scale=scale)
+    cells = _row_ids(_grid_index(pts, origin, scale))
+    return _membership(np.arange(len(cells)), cells).tocsr()
 
 
 # --- order-minimizing refinement -----------------------------------------
@@ -224,11 +150,9 @@ def _inside(members: sparse.csc_matrix, parents: sparse.csr_matrix) -> np.ndarra
     return most == sizes
 
 
-def _kuhn_attempt(mask: np.ndarray, parents: sparse.csr_matrix, pts: np.ndarray,
-                  star_scale: float):
+def _kuhn_attempt(parents: sparse.csr_matrix, pts: np.ndarray, star_scale: float):
     """Kuhn-star refinement: lattice-triangulation vertex stars meet at most
-    dim+1 at a point; stars straddling parent elements are cut by them.
-    ``mask`` is the parent membership ``parents`` as a dense bool array."""
+    dim+1 at a point; stars straddling parent elements are cut by them."""
     n, dim = pts.shape
     keys = kuhn_vertex_keys(pts, star_scale, pts.min(axis=0))
     stars = _membership(np.repeat(np.arange(n), dim + 1),
@@ -248,34 +172,35 @@ def _kuhn_attempt(mask: np.ndarray, parents: sparse.csr_matrix, pts: np.ndarray,
     # Piece c is star cut.row[c] cut by parent cut.col[c]: keep the entries
     # of the star's column whose sample lies in that parent.
     sub = straddle[:, cut.row].tocoo()
-    inside = mask[sub.row, cut.col[sub.col]]
+    inside = parents.astype(bool).toarray()[sub.row, cut.col[sub.col]]
     pieces = _membership(sub.row[inside], sub.col[inside], shape=(n, cut.nnz))
     return sparse.hstack([stars[:, whole], pieces], format="csr")
 
 
-def refine_order(cover: Cover, samples, budget: int = 4,
-                 resolution_factor: float = 4.0) -> tuple[sparse.csr_matrix, int]:
-    """Search for a low-order refinement of ``cover`` on the samples.
+def refine_order(parents, scale: float, samples, spacing: float,
+                 budget: int = 4) -> tuple[sparse.csr_matrix, int]:
+    """Search for a low-order refinement of the parent cover on the samples.
 
-    Components of the sample set that are disconnected at several times the
-    nearest-neighbor spacing, padded by half that distance, are isolated
+    ``parents`` is the parent cover's (n_samples, n_elements) membership
+    matrix, ``scale`` its characteristic scale and ``spacing`` the samples'
+    `nn_spacing`.  Components of the sample set that are disconnected at
+    four times that spacing, padded by half that distance, are isolated
     into disjoint elements (order 0) whenever each fits inside a parent
     element; otherwise connected regions are covered by Kuhn-triangulation
-    stars, which meet at most dim+1 at a point.  Splitting below the sampling resolution is never attempted:
-    gaps that small are indistinguishable from finite-sample artifacts.
-    Returns ``(membership, order)`` for the best refinement found within
-    ``budget`` attempts: a sparse (n_samples, n_elements) 0/1 matrix and
-    its order.
+    stars, which meet at most dim+1 at a point.  Splitting below the
+    sampling resolution is never attempted: gaps that small are
+    indistinguishable from finite-sample artifacts.  Returns
+    ``(membership, order)`` for the best refinement found within ``budget``
+    attempts: a sparse (n_samples, n_elements) 0/1 matrix and its order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     pts = _pts(samples)
-    mask = cover.membership(pts)
-    if not np.all(mask.any(axis=1)):
-        raise UncoveredSampleError("cover does not cover the samples")
-    parents = sparse.csr_matrix(mask, dtype=np.int64)
-    spacing = nn_spacing(pts)
-    g0 = max(resolution_factor * spacing, 1e-12)
+    parents = sparse.csr_matrix(parents, dtype=np.int64)
+    if parents.shape[0] != pts.shape[0]:
+        raise ValueError("parent cover needs one row per sample")
+    cover_order(parents)  # raises if a sample lies in no parent element
+    g0 = max(4.0 * spacing, 1e-12)
 
     labels = linkage_components(pts, g0)
     comps = _membership(np.arange(len(labels)), labels,
@@ -287,11 +212,11 @@ def refine_order(cover: Cover, samples, budget: int = 4,
     dim = pts.shape[1]
     best = None
     for attempt in range(max(1, budget - 1)):
-        star_scale = cover.scale / (4.0 * math.sqrt(dim) * (1 + attempt))
+        star_scale = scale / (4.0 * math.sqrt(dim) * (1 + attempt))
         if star_scale < g0 / 2.0 and attempt > 0:
             break
-        membership = _kuhn_attempt(mask, parents, pts, star_scale)
-        order = _order(membership)
+        membership = _kuhn_attempt(parents, pts, star_scale)
+        order = cover_order(membership)
         if best is None or order < best[1]:
             best = (membership, order)
         if best[1] <= dim:
@@ -339,8 +264,7 @@ def covering_dimension_estimate(samples, scales, budget: int = 4) -> DimensionEs
         if s < 8.0 * spacing:
             notes.append(f"scale {s:g} below sampling resolution; dropped")
             continue
-        parent = mesh_cover(pts, s)
-        _, order = refine_order(parent, pts, budget=budget)
+        _, order = refine_order(mesh_cover(pts, s), s, pts, spacing, budget=budget)
         orders.append(order)
         used.append(s)
     if not orders:

@@ -11,6 +11,7 @@ import delayrecon as dr
 from delayrecon import cli
 from delayrecon.delay import read_delay_csv
 from delayrecon.genericity import MARGIN_TOL
+from delayrecon.systems import MAX_ODOMETER_DIGITS
 
 HENON = {"kind": "henon", "a": 1.4, "b": 0.3}
 COORD = {"variant": "coordinate", "index": 0, "lo": -1.5, "hi": 1.5}
@@ -314,6 +315,19 @@ class TestErrors:
         assert run(cmd, cfg, tmp_path) == 1
         err = capsys.readouterr().err
         assert f"config field {field!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("system", [
+        {"kind": "odometer", "digits": 1e300},
+        {"kind": "odometer", "digits": MAX_ODOMETER_DIGITS + 1},
+        {"kind": "flow", "field": "harmonic", "dt": 1e6, "substep": 1e-3},
+    ], ids=["digits-1e300", "digits-over-cap", "rk4-substeps"])
+    def test_oversized_system_rejected(self, tmp_path, base_config, capsys, system):
+        # Rejected when the system is built, before a domain or an orbit.
+        base_config["system"] = system
+        assert run("simulate", write_config(tmp_path, base_config), tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'system' invalid: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cmd,field,value", [

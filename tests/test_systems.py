@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import delayrecon as dr
 from delayrecon import topology
 from delayrecon.systems import (
+    MAX_ODOMETER_DIGITS,
+    MAX_RK4_SUBSTEPS,
     VECTOR_FIELDS,
     DomainError,
     System,
@@ -460,6 +462,15 @@ class TestSampledFlow:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             dr.SampledFlow("pendulum", dt=0.1)
+
+    def test_size_caps_admit_their_bound(self):
+        # Construction only: neither the domain nor an orbit is built.
+        dr.Odometer(digits=MAX_ODOMETER_DIGITS)
+        dr.SampledFlow("harmonic", dt=float(MAX_RK4_SUBSTEPS), substep=1.0)
+        with pytest.raises(ValueError, match="digits"):
+            dr.Odometer(digits=MAX_ODOMETER_DIGITS + 1)
+        with pytest.raises(ValueError, match="substeps"):
+            dr.SampledFlow("harmonic", dt=MAX_RK4_SUBSTEPS + 1.0, substep=1.0)
 
 
 class TestFindPeriodic:

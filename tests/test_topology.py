@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 import delayrecon as dr
 from delayrecon.topology import (
-    AxisBox,
-    Ball,
-    Cover,
     UncoveredSampleError,
+    _grid_index,
     box_counting,
     cover_order,
     covering_dimension_estimate,
@@ -34,7 +33,12 @@ LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)  # 0.6309...
 
 
 # --- reference implementation: the element-class refinement that the
-# --- sample-membership matrices replaced
+# --- sample-membership matrices replaced, over parent membership columns
+
+def dense(parents):
+    """A parent cover's membership matrix as a dense bool array."""
+    return parents.toarray() > 0 if sparse.issparse(parents) else np.asarray(parents, bool)
+
 
 def reference_kuhn_vertex_keys(pts, scale, origin):
     u = (pts - origin) / scale
@@ -72,13 +76,14 @@ class RefKuhnStar:
 
 @dataclass(frozen=True)
 class RefIntersection:
-    a: object
-    b: object
+    """The samples of ``star`` that lie in parent column ``column``."""
+
+    star: RefKuhnStar
+    column: int
 
 
-def _ref_split_attempt(cover, pts, threshold):
+def _ref_split_attempt(parent_mask, pts, threshold):
     labels = linkage_components(pts, threshold)
-    parent_mask = cover.membership(pts)
     if not np.all(parent_mask.any(axis=1)):
         raise UncoveredSampleError("cover does not cover the samples")
     pad = threshold / 2.0
@@ -89,10 +94,9 @@ def _ref_split_attempt(cover, pts, threshold):
             return None
         elements.append(RefBlob(points=tuple(map(tuple, pts[idx])), pad=pad))
     cross = cKDTree(pts).query_pairs(r=pad, output_type="ndarray")
-    out = Cover(elements=tuple(elements), scale=cover.scale)
     if len(cross) and np.any(labels[cross[:, 0]] != labels[cross[:, 1]]):
-        return out, cover_order(out, pts)
-    return out, 0
+        return elements, cover_order(np.stack([el.contains(pts) for el in elements], 1))
+    return elements, 0
 
 
 def _ref_prune_members(members):
@@ -106,14 +110,13 @@ def _ref_prune_members(members):
     return keep
 
 
-def _ref_kuhn_attempt(cover, pts, star_scale):
+def _ref_kuhn_attempt(parent_mask, pts, star_scale):
     origin = pts.min(axis=0)
     members = {}
     for i, chain in enumerate(reference_kuhn_vertex_keys(pts, star_scale, origin)):
         for v in chain:
             members.setdefault(v, []).append(i)
     members = _ref_prune_members(members)
-    parent_mask = cover.membership(pts)
     counts = np.zeros(pts.shape[0], dtype=int)
     elements = []
     for v, idx in members.items():
@@ -127,22 +130,23 @@ def _ref_kuhn_attempt(cover, pts, star_scale):
                 sub = idx[parent_mask[idx, j]]
                 if sub.size:
                     counts[sub] += 1
-                    elements.append(RefIntersection(star, cover.elements[j]))
-    return Cover(elements=tuple(elements), scale=cover.scale), int(counts.max()) - 1
+                    elements.append(RefIntersection(star, j))
+    return elements, int(counts.max()) - 1
 
 
-def reference_refine_order(cover, samples, budget=4, resolution_factor=4.0):
+def reference_refine_order(parents, scale, samples, budget=4):
     pts = np.asarray(samples, dtype=float).reshape(len(samples), -1)
-    g0 = max(resolution_factor * nn_spacing(pts), 1e-12)
-    best = _ref_split_attempt(cover, pts, g0)
+    parent_mask = dense(parents)
+    g0 = max(4.0 * nn_spacing(pts), 1e-12)
+    best = _ref_split_attempt(parent_mask, pts, g0)
     if best is not None and best[1] == 0:
         return best
     dim = pts.shape[1]
     for attempt in range(max(1, budget - 1)):
-        star_scale = cover.scale / (4.0 * math.sqrt(dim) * (1 + attempt))
+        star_scale = scale / (4.0 * math.sqrt(dim) * (1 + attempt))
         if star_scale < g0 / 2.0 and attempt > 0:
             break
-        res = _ref_kuhn_attempt(cover, pts, star_scale)
+        res = _ref_kuhn_attempt(parent_mask, pts, star_scale)
         if best is None or res[1] < best[1]:
             best = res
         if best[1] <= dim:
@@ -150,15 +154,18 @@ def reference_refine_order(cover, samples, budget=4, resolution_factor=4.0):
     return best
 
 
-def reference_sample_sets(cover, pts):
+def reference_sample_sets(elements, parents, pts):
     """The sample-index set of each reference element.  A star holds the
     samples whose Kuhn chain contains its vertex, read from one vertex table
-    per star grid; an intersection holds the samples of both its parts."""
+    per star grid; an intersection holds the star's samples that are in its
+    parent column."""
+    parent_mask = dense(parents)
     tables = {}
 
     def members(el):
         if isinstance(el, RefIntersection):
-            return members(el.a) & members(el.b)
+            column = np.nonzero(parent_mask[:, el.column])[0].tolist()
+            return members(el.star) & frozenset(column)
         if not isinstance(el, RefKuhnStar):
             return frozenset(np.nonzero(el.contains(pts))[0].tolist())
         grid = (el.scale, el.origin)
@@ -170,7 +177,7 @@ def reference_sample_sets(cover, pts):
                     tables[grid].setdefault(v, set()).add(i)
         return frozenset(tables[grid][el.vertex])
 
-    return {members(el) for el in cover.elements}
+    return {members(el) for el in elements}
 
 
 def column_sets(membership):
@@ -179,11 +186,22 @@ def column_sets(membership):
             for j in range(csc.shape[1])}
 
 
+def ball_membership(pts, centers, radius):
+    """Closed balls of one radius: column j holds the samples within
+    ``radius`` of ``centers[j]``."""
+    return np.stack([np.linalg.norm(pts - c, axis=1) <= radius for c in centers], axis=1)
+
+
+def box_membership(pts, lo, hi):
+    """One closed axis-aligned box as a membership column."""
+    return np.all((pts >= lo) & (pts <= hi), axis=1)[:, None]
+
+
 def overlapping_parents(pts, rng, n_balls=60):
     """Balls around random samples, with a radius that covers every sample,
-    plus two random sub-boxes: a cover whose elements overlap.  Its scale,
-    which sets the star size, exceeds the radius, so stars straddle
-    several parent elements."""
+    plus two random sub-boxes: a cover whose elements overlap, as
+    ``(membership, scale)``.  Its scale, which sets the star size, exceeds
+    the radius, so stars straddle several parent elements."""
     centers = pts[rng.choice(len(pts), size=min(n_balls, len(pts)), replace=False)]
     reach, _ = cKDTree(centers).query(pts)
     radius = float(reach.max()) * rng.uniform(1.0, 1.5) + 1e-9
@@ -191,36 +209,33 @@ def overlapping_parents(pts, rng, n_balls=60):
     boxes = []
     for _ in range(2):
         a, b = np.sort(rng.uniform(lo, hi, (2, pts.shape[1])), axis=0)
-        boxes.append(AxisBox(lo=tuple(a), hi=tuple(b)))
-    balls = [Ball(center=tuple(c), radius=radius) for c in centers]
-    return Cover(elements=tuple(balls + boxes), scale=radius * rng.uniform(4.0, 10.0))
+        boxes.append(box_membership(pts, a, b))
+    parents = np.hstack([ball_membership(pts, centers, radius), *boxes])
+    return parents, radius * rng.uniform(4.0, 10.0)
 
 
 class TestCoverBasics:
     def test_order_counts_overlaps(self):
-        cov = Cover(elements=(Ball((0.0,), 1.0), Ball((0.5,), 1.0),
-                              Ball((5.0,), 1.0)), scale=1.0)
-        pts = np.array([[0.2], [5.0]])
-        assert cover_order(cov, pts) == 1
+        # Intervals [-1, 1], [-0.5, 1.5] and [4, 6] on the samples 0.2 and 5.
+        membership = np.array([[1, 1, 0], [0, 0, 1]])
+        assert cover_order(membership) == 1
+        assert cover_order(sparse.csr_matrix(membership)) == 1
 
     def test_disjoint_cover_order_zero(self):
-        cov = Cover(elements=(Ball((0.0,), 0.4), Ball((2.0,), 0.4)), scale=1.0)
-        assert cover_order(cov, np.array([[0.1], [2.1]])) == 0
+        assert cover_order(np.array([[1, 0], [0, 1]])) == 0
 
     def test_uncovered_sample_raises(self):
-        cov = Cover(elements=(Ball((0.0,), 0.1),), scale=1.0)
         with pytest.raises(UncoveredSampleError):
-            cover_order(cov, np.array([[3.0]]))
+            cover_order(np.array([[1], [0]]))
 
-    def test_axis_box_membership(self):
-        box = AxisBox(lo=(0.0, 0.0), hi=(1.0, 1.0))
-        inside = box.contains(np.array([[0.5, 0.5], [1.0, 1.0], [1.1, 0.5]]))
-        assert list(inside) == [True, True, False]
 
-    def test_validate_flags_empty_elements(self):
-        cov = Cover(elements=(Ball((0.0,), 0.5), Ball((9.0,), 0.5)), scale=1.0)
-        with pytest.raises(ValueError):
-            cov.validate(np.array([[0.0]]))
+def reference_mesh_membership(pts, scale, origin):
+    """The element-class mesh cover's rule: one column per distinct grid
+    cell, in lexicographic order, holding the samples whose grid index
+    equals that cell."""
+    cells = sorted(set(map(tuple, _grid_index(pts, origin, scale).tolist())))
+    return np.stack([np.all(_grid_index(pts, origin, scale) == cell, axis=1)
+                     for cell in cells], axis=1)
 
 
 class TestMeshCover:
@@ -228,14 +243,33 @@ class TestMeshCover:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, (200, 2))
         cov = mesh_cover(pts, 0.25)
-        cov.validate(pts)
-        assert cover_order(cov, pts) == 0  # half-open cells partition
+        assert cov.shape[0] == len(pts)
+        assert np.all(cov.getnnz(axis=0) > 0)  # no empty cell
+        assert cover_order(cov) == 0  # half-open cells partition
 
     def test_boundary_points_single_cell(self):
         # samples exactly on a cell edge must not occupy two cells
         pts = np.array([[0.0], [0.25], [0.5]])
-        cov = mesh_cover(pts, 0.25)
-        assert len(cov.elements) == 3
+        assert mesh_cover(pts, 0.25).shape[1] == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           scale=st.sampled_from([0.25, 0.1, 1.0 / 3.0, 2.0]),
+           anchored=st.booleans())
+    def test_one_hot_and_equal_to_cell_rule(self, data, dim, scale, anchored):
+        # Some coordinates sit exactly on multiples of the scale, that is on
+        # cell boundaries of the grid anchored at 0.
+        coord = st.one_of(st.integers(-8, 8).map(lambda k: k * scale),
+                          st.floats(-2.0, 2.0))
+        pts = np.array(data.draw(st.lists(st.tuples(*[coord] * dim),
+                                          min_size=1, max_size=40)), dtype=float)
+        anchor = np.full(dim, -3.0) if anchored else None
+        cov = mesh_cover(pts, scale, anchor=anchor)
+        assert cov.format == "csr"
+        assert np.array_equal(cov.getnnz(axis=1), np.ones(len(pts)))
+        origin = pts.min(axis=0) if anchor is None else anchor
+        ref = reference_mesh_membership(pts, scale, origin)
+        assert np.array_equal(cov.toarray(), ref.astype(int))
 
 
 class TestResolutionHelpers:
@@ -255,14 +289,13 @@ class TestResolutionHelpers:
 class TestRefineOrder:
     def test_two_separated_points_get_disjoint_blobs(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        parent = mesh_cover(pts, 2.0)
-        _, order = refine_order(parent, pts)
+        _, order = refine_order(mesh_cover(pts, 2.0), 2.0, pts, nn_spacing(pts))
         assert order == 0
 
     def test_interval_refines_to_order_one(self):
         pts = np.linspace(0, 1, 400)[:, None]
-        parent = mesh_cover(pts, 0.5)
-        membership, order = refine_order(parent, pts)
+        membership, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts,
+                                         nn_spacing(pts))
         assert order == 1
         assert np.all(membership.getnnz(axis=1) > 0)
         assert np.all(membership.getnnz(axis=0) > 0)
@@ -270,9 +303,17 @@ class TestRefineOrder:
     def test_square_refines_to_order_two(self):
         g = np.linspace(0, 1, 40)
         pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        _, order = refine_order(mesh_cover(pts, 0.5), pts)
+        _, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts, nn_spacing(pts))
         assert order == 2
 
+    def test_parent_rows_must_match_and_cover_samples(self):
+        pts = np.linspace(0, 1, 10)[:, None]
+        with pytest.raises(ValueError, match="one row per sample"):
+            refine_order(mesh_cover(pts[:5], 0.5), 0.5, pts, nn_spacing(pts))
+        uncovered = np.ones((10, 1), dtype=bool)
+        uncovered[3] = False
+        with pytest.raises(UncoveredSampleError):
+            refine_order(uncovered, 0.5, pts, nn_spacing(pts))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
@@ -283,13 +324,12 @@ class TestRefineOrder:
         centers = pts[rng.choice(n, size=min(n_balls, n), replace=False)]
         reach, _ = cKDTree(centers).query(pts)
         radius = float(reach.max()) * rng.uniform(1.0, 2.0) + 1e-9
-        parent = Cover(elements=tuple(Ball(tuple(c), radius) for c in centers),
-                       scale=radius * rng.uniform(0.5, 6.0))
-        membership, order = refine_order(parent, pts)
+        inside = ball_membership(pts, centers, radius)
+        scale = radius * rng.uniform(0.5, 6.0)
+        membership, order = refine_order(inside, scale, pts, nn_spacing(pts))
         rows = membership.toarray() > 0
         assert rows.any(axis=1).all()  # every sample is covered
         assert rows.any(axis=0).all()  # no element is empty
-        inside = parent.membership(pts)
         for col in rows.T:  # every element lies inside some parent element
             assert inside[col].all(axis=0).any()
         assert order == rows.sum(axis=1).max() - 1
@@ -300,11 +340,12 @@ class TestReferenceRefinement:
     equal orders, and equal element sample sets."""
 
     @staticmethod
-    def same_refinement(parent, pts, budget=4):
-        membership, order = refine_order(parent, pts, budget=budget)
-        ref_cover, ref_order = reference_refine_order(parent, pts, budget=budget)
+    def same_refinement(parents, scale, pts, budget=4):
+        membership, order = refine_order(parents, scale, pts, nn_spacing(pts),
+                                         budget=budget)
+        elements, ref_order = reference_refine_order(parents, scale, pts, budget=budget)
         assert order == ref_order
-        assert column_sets(membership) == reference_sample_sets(ref_cover, pts)
+        assert column_sets(membership) == reference_sample_sets(elements, parents, pts)
         return order
 
     @staticmethod
@@ -328,12 +369,12 @@ class TestReferenceRefinement:
     def test_mesh_parents(self, name):
         pts, scales = self.point_sets()[name]
         for s in scales:
-            self.same_refinement(mesh_cover(pts, s), pts)
+            self.same_refinement(mesh_cover(pts, s), s, pts)
 
     def test_attractor_states(self):
         flow = dr.SampledFlow("lorenz", dt=0.02, substep=0.01)
         pts = dr.iterate(flow, np.array([1.0, 1.0, 20.0]), 1500).states[500:]
-        assert [self.same_refinement(mesh_cover(pts, s), pts)
+        assert [self.same_refinement(mesh_cover(pts, s), s, pts)
                 for s in (16.0, 8.0)] == [3, 3]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -343,9 +384,9 @@ class TestReferenceRefinement:
         rng = np.random.default_rng(seed)
         pts = (rng.uniform(0, 1, (300, 2)) if seed % 2 else
                rng.normal(0, 1, (300, 3)))
-        parent = overlapping_parents(pts, rng)
+        parents, scale = overlapping_parents(pts, rng)
         for budget in (1, 4):
-            self.same_refinement(parent, pts, budget)
+            self.same_refinement(parents, scale, pts, budget)
 
 
 class TestKuhnVertexKeys:
