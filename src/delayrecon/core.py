@@ -48,9 +48,7 @@ class Observable(Registered, tag_key="variant"):
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate on one state (1-D input) or a batch (2-D input)."""
-        pts = _as_points(x)
-        vals = self._values(pts)
-        return vals
+        return self._values(_as_points(x))
 
     def __call__(self, x) -> float:
         pts = _as_points(x)

@@ -10,6 +10,8 @@ from .systems import System, Trajectory
 
 __all__ = [
     "delay_count_for",
+    "orbits",
+    "observe",
     "delay_vector",
     "delay_matrix",
     "periodic_extension",
@@ -25,6 +27,28 @@ def delay_count_for(d: int) -> int:
     return 2 * d + 1
 
 
+def orbits(sys: System, points, m: int) -> np.ndarray:
+    """``(n, m, k)`` array whose entry ``[i, t]`` is T^t of point i.
+
+    Each state is checked against the domain box before it is stepped; the
+    last state, which is never stepped, is not checked (for m = 1 the input
+    points are).
+    """
+    if m < 1:
+        raise ValueError("delay count must be >= 1")
+    states = [np.atleast_2d(np.asarray(points, dtype=float))]
+    sys.check_domain(states[0])
+    for t in range(1, m):
+        states.append(sys.step_many(states[-1], check=t > 1))
+    return np.stack(states, axis=1)
+
+
+def observe(h: Observable, orbit: np.ndarray) -> np.ndarray:
+    """h at every state of an ``(n, m, k)`` orbit array, as ``(n, m)``, from
+    one evaluation on the flattened states."""
+    return h.evaluate(orbit.reshape(-1, orbit.shape[2])).reshape(orbit.shape[:2])
+
+
 def delay_vector(h: Observable, sys: System, x, m: int) -> np.ndarray:
     """(h(x), h(Tx), ..., h(T^{m-1}x)) as a length-m array in [0, 1]."""
     return delay_vectors(h, sys, x, m)[0]
@@ -32,18 +56,7 @@ def delay_vector(h: Observable, sys: System, x, m: int) -> np.ndarray:
 
 def delay_vectors(h: Observable, sys: System, points, m: int) -> np.ndarray:
     """Batch form of `delay_vector`: one row per input point."""
-    if m < 1:
-        raise ValueError("delay count must be >= 1")
-    cur = np.asarray(points, dtype=float)
-    if cur.ndim == 1:
-        cur = cur[None, :]
-    sys.check_domain(cur)
-    out = np.empty((cur.shape[0], m))
-    for k in range(m):
-        out[:, k] = h.evaluate(cur)
-        if k + 1 < m:
-            cur = sys.step_many(cur)
-    return out
+    return observe(h, orbits(sys, points, m))
 
 
 def delay_matrix(h: Observable, traj: Trajectory, m: int) -> np.ndarray:

@@ -519,6 +519,17 @@ def _newton(residual, x0: np.ndarray, fd: float, maxiter: int, step_cap: float,
     return x, ok
 
 
+def _returns(sys: System, start: np.ndarray, n_max: int, tol: float) -> np.ndarray:
+    """(n, n_max) mask, from one batched orbit: entry [i, p - 1] is whether
+    T^p of row i of ``start`` lies within ``tol`` of it."""
+    close = np.zeros((start.shape[0], n_max), dtype=bool)
+    cur = start
+    for p in range(n_max):
+        cur = sys.step_many(cur, check=False)
+        close[:, p] = np.linalg.norm(sys.wrap_displacement(cur - start), axis=1) <= tol
+    return close
+
+
 def detect_period(sys: System, x, n_max: int,
                   tol: float) -> int | None | list[int | None]:
     """Minimal p <= n_max with T^p(x) within tol of x, by direct return.
@@ -527,14 +538,8 @@ def detect_period(sys: System, x, n_max: int,
     with one entry per row, from one batched orbit.
     """
     x = np.asarray(x, dtype=float)
-    start = np.atleast_2d(x)
-    periods = np.zeros(start.shape[0], dtype=int)
-    cur = start
-    for p in range(1, n_max + 1):
-        cur = sys.step_many(cur, check=False)
-        dist = np.linalg.norm(sys.wrap_displacement(cur - start), axis=1)
-        periods[(periods == 0) & (dist <= tol)] = p
-    found = [int(q) if q else None for q in periods]
+    found = [int(row.argmax()) + 1 if row.any() else None
+             for row in _returns(sys, np.atleast_2d(x), n_max, tol)]
     return found[0] if x.ndim == 1 else found
 
 
@@ -595,17 +600,11 @@ def find_periodic(sys: System, n_max: int, tol: float, seeds) -> list[tuple[np.n
 
 
 def periodic_return_scan(sys: System, n_max: int, tol: float, seeds) -> list[tuple[np.ndarray, int]]:
-    """Brute-force scan: seeds whose orbit returns within tol in <= n_max steps."""
+    """Brute-force scan: seeds whose orbit returns within tol in <= n_max
+    steps, one (seed, p) per return, ordered by p and then by seed."""
     seeds = _as_batch(seeds)
-    hits = []
-    cur = seeds.copy()
-    for p in range(1, n_max + 1):
-        cur = sys.step_many(cur, check=False)
-        disp = sys.wrap_displacement(cur - seeds)
-        close = np.linalg.norm(disp, axis=1) <= tol
-        for i in np.nonzero(close)[0]:
-            hits.append((seeds[i].copy(), p))
-    return hits
+    p_idx, i_idx = np.nonzero(_returns(sys, seeds, n_max, tol).T)
+    return [(seeds[i].copy(), int(p) + 1) for p, i in zip(p_idx, i_idx)]
 
 
 # --- Yorke sampling bound -------------------------------------------------

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .systems import System, find_periodic
 
@@ -34,6 +32,7 @@ __all__ = [
     "hypothesis_check",
     "mesh_cover",
     "nn_spacing",
+    "sample_resolution",
     "linkage_components",
 ]
 
@@ -84,9 +83,16 @@ def nn_spacing(samples) -> float:
     pts = _pts(samples)
     if pts.shape[0] < 2:
         return 0.0
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     dist, _ = tree.query(pts, k=2)
     return float(np.median(dist[:, 1]))
+
+
+def _resolution_gap(spacing: float) -> float:
+    """Smallest gap `refine_order` splits at: four sample spacings."""
+    return max(4.0 * spacing, 1e-12)
 
 
 def linkage_components(samples, threshold: float) -> np.ndarray:
@@ -95,13 +101,21 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
     n = pts.shape[0]
     if n == 0:
         return np.empty(0, dtype=int)
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(r=threshold, output_type="ndarray")
-    graph = sparse.coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
+    from scipy import sparse
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(pts).query_pairs(r=threshold, output_type="ndarray")
+    graph = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                              shape=(n, n))
     _, labels = sparse.csgraph.connected_components(graph, directed=False)
     return labels
+
+
+def sample_resolution(samples) -> tuple[float, np.ndarray]:
+    """The scale-free inputs of `refine_order` for one sample set: its
+    `nn_spacing`, and its `linkage_components` at four times that spacing."""
+    spacing = nn_spacing(samples)
+    return spacing, linkage_components(samples, _resolution_gap(spacing))
 
 
 def mesh_cover(samples, scale: float, anchor=None) -> sparse.csr_matrix:
@@ -138,6 +152,8 @@ def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> np.nd
 
 
 def _membership(rows: np.ndarray, cols: np.ndarray, shape=None) -> sparse.csc_matrix:
+    from scipy import sparse
+
     return sparse.csc_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
                              shape=shape)
 
@@ -153,6 +169,8 @@ def _inside(members: sparse.csc_matrix, parents: sparse.csr_matrix) -> np.ndarra
 def _kuhn_attempt(parents: sparse.csr_matrix, pts: np.ndarray, star_scale: float):
     """Kuhn-star refinement: lattice-triangulation vertex stars meet at most
     dim+1 at a point; stars straddling parent elements are cut by them."""
+    from scipy import sparse
+
     n, dim = pts.shape
     keys = kuhn_vertex_keys(pts, star_scale, pts.min(axis=0))
     stars = _membership(np.repeat(np.arange(n), dim + 1),
@@ -177,14 +195,16 @@ def _kuhn_attempt(parents: sparse.csr_matrix, pts: np.ndarray, star_scale: float
     return sparse.hstack([stars[:, whole], pieces], format="csr")
 
 
-def refine_order(parents, scale: float, samples, spacing: float,
+def refine_order(parents, scale: float, samples, spacing: float, labels,
                  budget: int = 4) -> tuple[sparse.csr_matrix, int]:
     """Search for a low-order refinement of the parent cover on the samples.
 
     ``parents`` is the parent cover's (n_samples, n_elements) membership
-    matrix, ``scale`` its characteristic scale and ``spacing`` the samples'
-    `nn_spacing`.  Components of the sample set that are disconnected at
-    four times that spacing, padded by half that distance, are isolated
+    matrix and ``scale`` its characteristic scale; ``spacing`` and
+    ``labels`` are the samples' `sample_resolution`, which does not depend
+    on the scale, so a caller refining one sample set at several scales
+    computes it once.  Components of the sample set that are disconnected
+    at four times that spacing, padded by half that distance, are isolated
     into disjoint elements (order 0) whenever each fits inside a parent
     element; otherwise connected regions are covered by Kuhn-triangulation
     stars, which meet at most dim+1 at a point.  Splitting below the
@@ -195,14 +215,15 @@ def refine_order(parents, scale: float, samples, spacing: float,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    from scipy import sparse
+
     pts = _pts(samples)
     parents = sparse.csr_matrix(parents, dtype=np.int64)
-    if parents.shape[0] != pts.shape[0]:
-        raise ValueError("parent cover needs one row per sample")
+    if parents.shape[0] != pts.shape[0] or len(labels) != pts.shape[0]:
+        raise ValueError("parent cover and labels need one row per sample")
     cover_order(parents)  # raises if a sample lies in no parent element
-    g0 = max(4.0 * spacing, 1e-12)
+    g0 = _resolution_gap(spacing)
 
-    labels = linkage_components(pts, g0)
     comps = _membership(np.arange(len(labels)), labels,
                         shape=(len(labels), labels.max(initial=-1) + 1))
     if _inside(comps, parents).all():
@@ -256,7 +277,7 @@ def covering_dimension_estimate(samples, scales, budget: int = 4) -> DimensionEs
     scales = [float(s) for s in scales]
     if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("need at least two scales in descending order")
-    spacing = nn_spacing(pts)
+    spacing, labels = sample_resolution(pts)
     orders = []
     used = []
     notes = []
@@ -264,7 +285,7 @@ def covering_dimension_estimate(samples, scales, budget: int = 4) -> DimensionEs
         if s < 8.0 * spacing:
             notes.append(f"scale {s:g} below sampling resolution; dropped")
             continue
-        _, order = refine_order(mesh_cover(pts, s), s, pts, spacing, budget=budget)
+        _, order = refine_order(mesh_cover(pts, s), s, pts, spacing, labels, budget)
         orders.append(order)
         used.append(s)
     if not orders:

@@ -3,6 +3,10 @@ and byte-level determinism."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,37 @@ class TestGenericity:
         assert run("genericity", cfg, tmp_path) == 0
         report = json.loads((tmp_path / "genericity.json").read_text())
         assert report["fraction"] >= 0.95
+
+
+class TestImports:
+    def test_no_scipy_until_a_stage_needs_it(self, tmp_path):
+        """Importing the CLI loads no scipy module, and neither does a
+        genericity run, which builds no KD-tree or sparse matrix."""
+        cfg = write_config(tmp_path, {
+            "seed": 3, "system": HENON,
+            "observable": {"variant": "constant", "value": 0.5}, "d": 1,
+            "trajectory": {"x0": [0.1, 0.1], "n": 500, "transient": 100},
+            "pairs": {"delta": 0.01, "count": 40}, "trials": 20, "bump_scale": 0.1,
+        })
+        script = (
+            "import json, sys\n"
+            "import delayrecon.cli\n"
+            "def loaded(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+            "after_import = loaded()\n"
+            "code = delayrecon.cli.main(['genericity', '--config', sys.argv[1],\n"
+            "                            '--out', sys.argv[2], '--quiet'])\n"
+            "print(json.dumps([after_import, code, loaded()]))\n")
+        src = str(Path(dr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        after_import, code, after_run = json.loads(proc.stdout.splitlines()[-1])
+        assert after_import == []
+        assert code == 0
+        assert after_run == []
+        assert (tmp_path / "genericity.json").is_file()
 
 
 class TestErrors:

@@ -17,6 +17,7 @@ from delayrecon.genericity import (
     genericity_monte_carlo,
     openness_radius,
     perturb_to_compatible,
+    random_trig_bump,
     sample_pairs,
 )
 
@@ -337,3 +338,24 @@ class TestMonteCarlo:
     def test_trials_validated(self, henon, henon_pairs):
         with pytest.raises(ValueError):
             genericity_monte_carlo(henon, henon_pairs, 3, 0, 0.1)
+
+    # (m, tol, base, whether the fraction lies strictly between 0 and 1)
+    @pytest.mark.parametrize("m, tol, base, between", [
+        (3, MARGIN_TOL, None, False),
+        (3, 1e-2, None, True),
+        (1, 1e-3, dr.Coordinate(0, -1.5, 1.5), True),
+        (2, 2e-2, dr.TrigPolynomial(((1.0, 2, 1, 0.4),), 0.3), True),
+    ])
+    def test_matches_margin_loop(self, henon, henon_pairs, m, tol, base, between):
+        """The fraction from one pair orbit equals a loop of
+        `compatibility_margin` over the same bump draws."""
+        rng = np.random.default_rng(3)
+        hits = 0
+        for _ in range(60):
+            bump = random_trig_bump(rng, henon.ambient_dim, 0.1)
+            g = dr.SumObservable(base=base or dr.Constant(0.5), bump=bump, offset=0.5)
+            hits += compatibility_margin(g, henon, henon_pairs, m).margin > tol
+        frac = genericity_monte_carlo(henon, henon_pairs, m, 60, 0.1, seed=3,
+                                      base=base, tol=tol)
+        assert frac == hits / 60
+        assert (0.0 < frac < 1.0) == between

@@ -25,6 +25,7 @@ from delayrecon.topology import (
     mesh_cover,
     nn_spacing,
     refine_order,
+    sample_resolution,
 )
 
 from conftest import cantor_cube, cantor_left_endpoints
@@ -289,13 +290,13 @@ class TestResolutionHelpers:
 class TestRefineOrder:
     def test_two_separated_points_get_disjoint_blobs(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        _, order = refine_order(mesh_cover(pts, 2.0), 2.0, pts, nn_spacing(pts))
+        _, order = refine_order(mesh_cover(pts, 2.0), 2.0, pts, *sample_resolution(pts))
         assert order == 0
 
     def test_interval_refines_to_order_one(self):
         pts = np.linspace(0, 1, 400)[:, None]
         membership, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts,
-                                         nn_spacing(pts))
+                                         *sample_resolution(pts))
         assert order == 1
         assert np.all(membership.getnnz(axis=1) > 0)
         assert np.all(membership.getnnz(axis=0) > 0)
@@ -303,17 +304,20 @@ class TestRefineOrder:
     def test_square_refines_to_order_two(self):
         g = np.linspace(0, 1, 40)
         pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        _, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts, nn_spacing(pts))
+        _, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts, *sample_resolution(pts))
         assert order == 2
 
     def test_parent_rows_must_match_and_cover_samples(self):
         pts = np.linspace(0, 1, 10)[:, None]
         with pytest.raises(ValueError, match="one row per sample"):
-            refine_order(mesh_cover(pts[:5], 0.5), 0.5, pts, nn_spacing(pts))
+            refine_order(mesh_cover(pts[:5], 0.5), 0.5, pts, *sample_resolution(pts))
+        with pytest.raises(ValueError, match="one row per sample"):
+            refine_order(mesh_cover(pts, 0.5), 0.5, pts, nn_spacing(pts),
+                         linkage_components(pts[:5], 0.1))
         uncovered = np.ones((10, 1), dtype=bool)
         uncovered[3] = False
         with pytest.raises(UncoveredSampleError):
-            refine_order(uncovered, 0.5, pts, nn_spacing(pts))
+            refine_order(uncovered, 0.5, pts, *sample_resolution(pts))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
@@ -326,7 +330,7 @@ class TestRefineOrder:
         radius = float(reach.max()) * rng.uniform(1.0, 2.0) + 1e-9
         inside = ball_membership(pts, centers, radius)
         scale = radius * rng.uniform(0.5, 6.0)
-        membership, order = refine_order(inside, scale, pts, nn_spacing(pts))
+        membership, order = refine_order(inside, scale, pts, *sample_resolution(pts))
         rows = membership.toarray() > 0
         assert rows.any(axis=1).all()  # every sample is covered
         assert rows.any(axis=0).all()  # no element is empty
@@ -341,7 +345,7 @@ class TestReferenceRefinement:
 
     @staticmethod
     def same_refinement(parents, scale, pts, budget=4):
-        membership, order = refine_order(parents, scale, pts, nn_spacing(pts),
+        membership, order = refine_order(parents, scale, pts, *sample_resolution(pts),
                                          budget=budget)
         elements, ref_order = reference_refine_order(parents, scale, pts, budget=budget)
         assert order == ref_order
