@@ -191,21 +191,19 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
     K = _pairs(config, sys_, traj.states, seed)
     K.write_csv(out / "pairs.csv")
     try:
-        f = genericity.perturb_to_compatible(h, eps, K, sys_, d, seed=seed)
+        f, report = genericity.perturb_to_compatible(h, eps, K, sys_, d, seed=seed)
     except genericity.PerturbationError as exc:
         write_json(out / "perturb_report.json", {"ok": False, "reason": str(exc),
                                                  **_pair_accounting(config, K)})
         if not quiet:
             print(f"perturb: failed: {exc}")
         return EXIT_HYPOTHESIS
-    m = delay.delay_count_for(d)
-    report = genericity.compatibility_margin(f, sys_, K, m)
     dist = core.sup_distance(f, h, traj.states)
     write_json(out / "perturbed_observable.json", f.to_dict())
     write_json(out / "perturb_report.json", {
         "ok": True, "margin": report.margin, "sup_distance": dist,
         "sup_distance_bound": f.bump.max_deviation(),
-        "epsilon": eps, "m": m, **_pair_accounting(config, K),
+        "epsilon": eps, "m": report.m, **_pair_accounting(config, K),
     })
     out_config = dict(config)
     out_config["observable"] = f.to_dict()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .neighbors import close_pairs
 from .systems import Registered
 
 __all__ = [
@@ -171,12 +172,11 @@ class PiecewiseAnchor(Observable, name="anchors"):
     The denominator is always >= 1, so h is a convex combination of anchor
     values and the base, hence stays in [0, 1].
 
-    Evaluation uses the tents' compact support: KD-trees over the states and
-    the anchors find the (state, anchor) pairs closer than ``radius``, and
-    only those distances are computed, as exact differences.  Time is
-    O((n + a) log(n + a) + pairs) and memory O(n + a + pairs) for n states,
-    a anchors and the number of pairs inside the supports; both trees are
-    built on every call.
+    Evaluation uses the tents' compact support: `neighbors.close_pairs`
+    finds the (state, anchor) pairs within ``radius``, the only distances
+    computed.  Time is near-linear in n + a + pairs and memory O(n + a +
+    pairs) for n states, a anchors and the number of pairs inside the
+    supports; nothing is kept between calls.
     """
 
     points: tuple[tuple[float, ...], ...]
@@ -205,20 +205,17 @@ class PiecewiseAnchor(Observable, name="anchors"):
     def _values(self, pts):
         if not self.points:
             return np.full(pts.shape[0], self.base)
-        from scipy.spatial import cKDTree
-
         q = np.asarray(self.points)  # (a, k)
         if pts.shape[1] != q.shape[1]:
             raise ValueError(
                 f"anchor dimension {q.shape[1]} != state dimension {pts.shape[1]}"
             )
-        near = cKDTree(pts).sparse_distance_matrix(cKDTree(q), self.radius,
-                                                   output_type="ndarray")
-        w = 1.0 - near["v"] / self.radius
+        i, j, dist = close_pairs(pts, q, self.radius)
+        w = 1.0 - dist / self.radius
         n = pts.shape[0]
-        total = np.bincount(near["i"], weights=w, minlength=n)
+        total = np.bincount(i, weights=w, minlength=n)
         bg = np.maximum(0.0, 1.0 - total)
-        num = np.bincount(near["i"], weights=w * np.asarray(self.values)[near["j"]],
+        num = np.bincount(i, weights=w * np.asarray(self.values)[j],
                           minlength=n) + bg * self.base
         den = total + bg
         return num / den
@@ -255,11 +252,9 @@ class PiecewiseAnchor(Observable, name="anchors"):
         """
         if not self.points:
             return 0.0
-        from scipy.spatial import cKDTree
-
-        q = np.asarray(self.points)
-        k = int(np.max(cKDTree(q).query_ball_point(q, 2.0 * self.radius,
-                                                    return_length=True)))
+        i, j, _ = close_pairs(np.asarray(self.points), r=2.0 * self.radius)
+        k = 1 + int(np.max(np.bincount(np.concatenate([i, j]),
+                                       minlength=len(self.points))))
         scale = 1.0 if k == 1 else 2.0 * k
         return scale * self.max_deviation() / self.radius
 

@@ -23,6 +23,7 @@ from .core import (
     sup_distance,
 )
 from .delay import observe, orbits, write_csv
+from .neighbors import close_pairs, nn_distance
 from .systems import System, detect_period
 from .topology import mesh_cover, refine_order, sample_resolution
 
@@ -150,20 +151,7 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
     if n < 2:
         raise ValueError("need at least two samples to form pairs")
     rng = np.random.default_rng(seed)
-    ptree = None
-    if periodic_points is not None and len(periodic_points):
-        from scipy.spatial import cKDTree
-
-        ptree = cKDTree(np.atleast_2d(np.asarray(
-            [p for p, _ in periodic_points], dtype=float)))
-
-    def is_periodic(x) -> bool:
-        if ptree is None:
-            return False
-        dist, _ = ptree.query(x)
-        return bool(dist <= period_tol)
-
-    xs, ys, tags = [], [], []
+    xs, ys = [], []
     blocked = np.zeros(n, dtype=bool)  # within min_index_gap of a used index
     for _ in range(max_tries * count):
         if len(xs) >= count:
@@ -182,12 +170,17 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
                 blocked[max(0, u - min_index_gap):u + min_index_gap + 1] = True
         xs.append(pts[i])
         ys.append(pts[j])
-        px, py = is_periodic(pts[i]), is_periodic(pts[j])
-        tags.append("C2" if px and py else ("C1" if not px and not py else "C3"))
     if not xs:
         raise ValueError(f"no pair at separation {delta} could be sampled")
-    return PairSet(np.asarray(xs), np.asarray(ys), delta, tuple(tags),
-                   complete=len(xs) >= count)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    periodic = np.zeros(2 * len(xs), dtype=bool)
+    if periodic_points is not None and len(periodic_points):
+        near, _, _ = close_pairs(np.concatenate([xs, ys]), np.atleast_2d(
+            np.asarray([p for p, _ in periodic_points], dtype=float)), period_tol)
+        periodic[near] = True
+    px, py = np.split(periodic, 2)
+    tags = np.where(px & py, "C2", np.where(px | py, "C3", "C1"))
+    return PairSet(xs, ys, delta, tuple(tags.tolist()), complete=len(xs) >= count)
 
 
 def _pair_gaps(h: Observable, pair_orbits: np.ndarray) -> np.ndarray:
@@ -226,20 +219,19 @@ def _dedup_members(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     """Greedy dedup: returns (unique points, index of each input point).
 
     In input order, each point joins the earliest representative within
-    ``tol`` or becomes a new one.  A KD-tree supplies the candidates, at a
-    slightly larger radius so that the exact norm test decides ties.
+    ``tol`` or becomes a new one.  The candidates of each point are the
+    earlier points `neighbors.close_pairs` puts within ``tol`` of it.
     """
-    from scipy.spatial import cKDTree
-
     n = pts.shape[0]
     is_rep = np.zeros(n, dtype=bool)
     assign = np.empty(n, dtype=int)
     n_reps = 0
-    near = cKDTree(pts).query_ball_point(pts, tol * (1.0 + 1e-9),
-                                         return_sorted=True)
-    for i, cands in enumerate(near):
-        for c in cands:
-            if c < i and is_rep[c] and np.linalg.norm(pts[i] - pts[c]) <= tol:
+    earlier, later, _ = close_pairs(pts, r=tol)
+    order = np.lexsort((earlier, later))
+    bounds = np.searchsorted(later[order], np.arange(n + 1))
+    for i in range(n):
+        for c in earlier[order[bounds[i]:bounds[i + 1]]]:
+            if is_rep[c]:
                 assign[i] = assign[c]
                 break
         else:
@@ -273,9 +265,10 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
                           tol: float = MARGIN_TOL,
                           period_tol: float = 1e-9,
                           class_samples: dict[int, np.ndarray] | None = None,
-                          max_rounds: int = 60) -> SumObservable:
+                          max_rounds: int = 60
+                          ) -> tuple[SumObservable, CompatibilityReport]:
     """Construct f within eps of ``h_base`` whose (2d+1)-delay map separates
-    every pair of K.
+    every pair of K; returns f and the margin report that verified it.
 
     Each distinct pair member becomes an anchor; its forward orbit segment
     (full for aperiodic members, one cycle for periodic ones) carries target
@@ -297,8 +290,6 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
         raise ValueError("eps must be positive")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    from scipy.spatial import cKDTree
-
     m = 2 * d + 1
     members = np.concatenate([K.xs, K.ys], axis=0)
     reps, assign = _dedup_members(members, period_tol)
@@ -329,9 +320,8 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     in_segment = np.arange(segments.shape[1])[None, :] <= t_of[:, None]
     orbit_pts = segments[in_segment]
     orbit_owner = [tuple(o) for o in np.argwhere(in_segment).tolist()]
-    tree = cKDTree(orbit_pts)
-    close = tree.query_pairs(r=max(period_tol, 1e-12), output_type="ndarray")
-    conflicts = [(orbit_owner[i], orbit_owner[j]) for i, j in close
+    close = close_pairs(orbit_pts, r=max(period_tol, 1e-12))[:2]
+    conflicts = [(orbit_owner[i], orbit_owner[j]) for i, j in zip(*close)
                  if orbit_owner[i][0] != orbit_owner[j][0]]
     if conflicts:
         raise PerturbationError(
@@ -340,8 +330,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
         )
 
     # Bump radius: keep supports disjoint and the base's variation small.
-    dists, _ = tree.query(orbit_pts, k=2)
-    min_sep = float(dists[:, 1].min()) if orbit_pts.shape[0] > 1 else 1.0
+    min_sep = float(nn_distance(orbit_pts).min()) if orbit_pts.shape[0] > 1 else 1.0
     radius = min_sep / 3.0
     L = h_base.lipschitz()
     if L > 0.0:
@@ -379,7 +368,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
         report = compatibility_margin(f, sys, K, m, tolerance=tol)
         dist = sup_distance(f, h_base, probe)
         if report.margin > tol and dist < eps and bump.max_deviation() < eps:
-            return f
+            return f, report
     raise PerturbationError(
         f"general-position retries exhausted after {max_rounds} rounds")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .neighbors import close_pairs, nn_distance
 from .systems import System, find_periodic
 
 __all__ = [
@@ -83,11 +84,7 @@ def nn_spacing(samples) -> float:
     pts = _pts(samples)
     if pts.shape[0] < 2:
         return 0.0
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2)
-    return float(np.median(dist[:, 1]))
+    return float(np.median(nn_distance(pts)))
 
 
 def _resolution_gap(spacing: float) -> float:
@@ -102,11 +99,9 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=int)
     from scipy import sparse
-    from scipy.spatial import cKDTree
 
-    pairs = cKDTree(pts).query_pairs(r=threshold, output_type="ndarray")
-    graph = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                              shape=(n, n))
+    i, j, _ = close_pairs(pts, r=threshold)
+    graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
     _, labels = sparse.csgraph.connected_components(graph, directed=False)
     return labels
 

@@ -227,35 +227,64 @@ class TestGenericity:
         assert report["fraction"] >= 0.95
 
 
+def scipy_modules_after(tmp_path, command, config):
+    """Run ``command`` on ``config`` in a fresh interpreter; returns the scipy
+    modules loaded after ``import delayrecon.cli``, the exit code, and the
+    scipy modules loaded after the run."""
+    cfg = write_config(tmp_path, config)
+    script = (
+        "import json, sys\n"
+        "import delayrecon.cli\n"
+        "def loaded(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+        "after_import = loaded()\n"
+        "code = delayrecon.cli.main([sys.argv[1], '--config', sys.argv[2],\n"
+        "                            '--out', sys.argv[3], '--quiet'])\n"
+        "print(json.dumps([after_import, code, loaded()]))\n")
+    src = str(Path(dr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", script, command, cfg, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestImports:
     def test_no_scipy_until_a_stage_needs_it(self, tmp_path):
         """Importing the CLI loads no scipy module, and neither does a
         genericity run, which builds no KD-tree or sparse matrix."""
-        cfg = write_config(tmp_path, {
+        after_import, code, after_run = scipy_modules_after(tmp_path, "genericity", {
             "seed": 3, "system": HENON,
             "observable": {"variant": "constant", "value": 0.5}, "d": 1,
             "trajectory": {"x0": [0.1, 0.1], "n": 500, "transient": 100},
             "pairs": {"delta": 0.01, "count": 40}, "trials": 20, "bump_scale": 0.1,
         })
-        script = (
-            "import json, sys\n"
-            "import delayrecon.cli\n"
-            "def loaded(): return [m for m in sys.modules if m.startswith('scipy')]\n"
-            "after_import = loaded()\n"
-            "code = delayrecon.cli.main(['genericity', '--config', sys.argv[1],\n"
-            "                            '--out', sys.argv[2], '--quiet'])\n"
-            "print(json.dumps([after_import, code, loaded()]))\n")
-        src = str(Path(dr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        after_import, code, after_run = json.loads(proc.stdout.splitlines()[-1])
         assert after_import == []
         assert code == 0
         assert after_run == []
         assert (tmp_path / "genericity.json").is_file()
+
+    @pytest.mark.parametrize("command, config, artifact", [
+        ("perturb", {"seed": 3, "system": HENON,
+                     "observable": {"variant": "constant", "value": 0.5}, "d": 1,
+                     "trajectory": {"x0": [0.1, 0.1], "n": 500, "transient": 100},
+                     "pairs": {"delta": 0.01, "count": 40}, "epsilon": 0.05},
+         "perturb_report.json"),
+        ("hypothesis", {"seed": 3, "system": {"kind": "catmap"}, "d": 3,
+                        "n_seeds": 100}, "hypothesis.json"),
+    ])
+    def test_no_scipy_in_small_neighbour_queries(self, tmp_path, command, config,
+                                                 artifact):
+        """Perturb and hypothesis runs make only small neighbour queries
+        (anchor supports, member dedup, nearest-neighbour spacing), which
+        the NumPy grid of `delayrecon.neighbors` answers, so they load no
+        scipy module.  Dimension runs still do: they build sparse covers
+        and linkage graphs, and query large sample sets on a KD-tree."""
+        after_import, code, after_run = scipy_modules_after(tmp_path, command, config)
+        assert after_import == []
+        assert code == 0
+        assert after_run == []
+        assert (tmp_path / artifact).is_file()
 
 
 class TestErrors:

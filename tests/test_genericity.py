@@ -260,20 +260,22 @@ class TestDetectPeriod:
 
 class TestPerturbation:
     def test_restores_separation_from_constant(self, henon, henon_pairs):
-        f = perturb_to_compatible(dr.Constant(0.5), 0.05, henon_pairs, henon,
-                                  d=1, seed=0)
+        f, verified = perturb_to_compatible(dr.Constant(0.5), 0.05, henon_pairs,
+                                            henon, d=1, seed=0)
         report = compatibility_margin(f, henon, henon_pairs, 3)
         assert report.margin > MARGIN_TOL
+        # the returned report is the one a caller would recompute
+        assert verified.to_dict() == report.to_dict()
 
     def test_stays_within_eps(self, henon, henon_samples, henon_pairs):
         h = dr.Constant(0.5)
-        f = perturb_to_compatible(h, 0.05, henon_pairs, henon, d=1, seed=1)
+        f, _ = perturb_to_compatible(h, 0.05, henon_pairs, henon, d=1, seed=1)
         assert dr.sup_distance(f, h, henon_samples) < 0.05
 
     def test_certified_bound_covers_sampled_distance(self, henon,
                                                      henon_samples, henon_pairs):
         h = dr.Constant(0.5)
-        f = perturb_to_compatible(h, 0.05, henon_pairs, henon, d=1, seed=1)
+        f, _ = perturb_to_compatible(h, 0.05, henon_pairs, henon, d=1, seed=1)
         bound = f.bump.max_deviation()
         assert dr.sup_distance(f, h, henon_samples) <= bound < 0.05
         # the bound holds off the orbit too, e.g. right next to the anchors
@@ -288,7 +290,7 @@ class TestPerturbation:
         xs = np.array([[0.05], [0.15]])
         ys = np.array([[0.6], [0.7]])
         K = PairSet(xs, ys, delta=0.5, tags=("C2", "C2"))
-        f = perturb_to_compatible(dr.Constant(0.5), 0.08, K, rot, d=2, seed=2)
+        f, _ = perturb_to_compatible(dr.Constant(0.5), 0.08, K, rot, d=2, seed=2)
         assert compatibility_margin(f, rot, K, 5).margin > MARGIN_TOL
 
     def test_coincident_pair_members_rejected(self, henon):
