@@ -378,7 +378,7 @@ VECTOR_FIELDS: dict[str, dict] = {
 }
 
 
-# RK4 substeps per step, ceil(dt / substep).  Each costs about 7 us per
+# RK4 substeps per step, ceil(dt / substep).  Each costs about 4-7 us per
 # state in plain floats (Lorenz, 2-vCPU x86 VM), so the cap is under a
 # second per state step; a larger ratio is a typo in dt or substep that
 # would hang the run.
@@ -400,6 +400,11 @@ class SampledFlow(System, name="flow"):
             raise ValueError("dt and substep must be positive")
         if self.dt / self.substep > MAX_RK4_SUBSTEPS:
             raise ValueError(f"dt / substep exceeds {MAX_RK4_SUBSTEPS} RK4 substeps per step")
+        # The field and the step constants of `_map`, fixed per system.
+        n_sub = max(1, math.ceil(self.dt / self.substep))
+        h = self.dt / n_sub
+        object.__setattr__(self, "_rk4", (VECTOR_FIELDS[self.field_id]["components"],
+                                          n_sub, 0.5 * h, h, h / 6.0))
 
     @property
     def ambient_dim(self):
@@ -418,17 +423,15 @@ class SampledFlow(System, name="flow"):
         return f"flow({self.field_id},dt={self.dt})"
 
     def _map(self, *s):
-        f = VECTOR_FIELDS[self.field_id]["components"]
-        n_sub = max(1, math.ceil(self.dt / self.substep))
-        h = self.dt / n_sub
+        f, n_sub, half, h, sixth = self._rk4
         for _ in range(n_sub):
             k1 = f(*s)
-            k2 = f(*(a + 0.5 * h * b for a, b in zip(s, k1)))
-            k3 = f(*(a + 0.5 * h * b for a, b in zip(s, k2)))
-            k4 = f(*(a + h * b for a, b in zip(s, k3)))
-            s = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                      for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
-        return s
+            k2 = f(*[a + half * b for a, b in zip(s, k1)])
+            k3 = f(*[a + half * b for a, b in zip(s, k2)])
+            k4 = f(*[a + h * b for a, b in zip(s, k3)])
+            s = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+        return tuple(s)
 
 
 @dataclass(frozen=True)

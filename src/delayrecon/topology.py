@@ -8,9 +8,11 @@ splitting, and a Kuhn-triangulation star cover whose order equals the
 ambient grid dimension) and the best achieved order is reported with a
 ``heuristic`` flag.
 
-A cover, parent or refinement alike, is a sparse sample-membership
-matrix: one row per sample, one column per cover element, entry 1 where the
-element contains the sample.  The order of a cover is then a row sum.
+A cover, parent or refinement alike, is its ``(sample, element)`` index
+pairs: one pair for each sample an element contains, the sample-membership
+matrix in coordinate form.  The order of a cover is one ``bincount`` of its
+sample indices, and each product of two membership matrices is a join of
+their pairs on the sample index.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -68,12 +70,13 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     return ids
 
 
-def cover_order(membership) -> int:
-    """-1 + the most elements containing one sample, from a dense or sparse
-    membership matrix with one row per sample."""
-    counts = np.asarray(membership.sum(axis=1)).ravel()
-    if np.any(counts == 0):
-        raise UncoveredSampleError("some samples are uncovered")
+def cover_order(cover, n_samples: int) -> int:
+    """-1 + the most elements containing one sample, for a cover of
+    ``n_samples`` samples given as ``(sample, element)`` index pairs."""
+    counts = np.bincount(cover[0], minlength=n_samples)
+    if len(counts) != n_samples or not counts.all():
+        raise UncoveredSampleError(
+            "a cover needs one row per sample, each in some element")
     return int(counts.max()) - 1
 
 
@@ -93,17 +96,23 @@ def _resolution_gap(spacing: float) -> float:
 
 
 def linkage_components(samples, threshold: float) -> np.ndarray:
-    """Single-linkage component labels at the given distance threshold."""
-    pts = _pts(samples)
-    n = pts.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=int)
-    from scipy import sparse
+    """Single-linkage component labels at the given distance threshold,
+    numbered in the order of each component's smallest sample index.
 
+    Hook and shortcut on the edges of `close_pairs`: every root of an edge
+    whose ends have different roots points at the smaller root, then the
+    pointers are followed until each sample points at its root, until no
+    edge joins two roots.  A root is the smallest index of its component."""
+    pts = _pts(samples)
     i, j, _ = close_pairs(pts, r=threshold)
-    graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-    _, labels = sparse.csgraph.connected_components(graph, directed=False)
-    return labels
+    root = np.arange(pts.shape[0])
+    while True:
+        ri, rj = root[i], root[j]
+        if np.array_equal(ri, rj):
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
 
 
 def sample_resolution(samples) -> tuple[float, np.ndarray]:
@@ -113,17 +122,17 @@ def sample_resolution(samples) -> tuple[float, np.ndarray]:
     return spacing, linkage_components(samples, _resolution_gap(spacing))
 
 
-def mesh_cover(samples, scale: float, anchor=None) -> sparse.csr_matrix:
+def mesh_cover(samples, scale: float, anchor=None) -> tuple[np.ndarray, np.ndarray]:
     """Half-open mesh boxes of side ``scale`` occupied by at least one sample,
-    as a one-hot membership matrix with columns in lexicographic cell order.
+    as a one-hot cover: each sample with the id of its box, ids in
+    lexicographic cell order.
 
     The grid is anchored at the sample bounding-box corner (or an explicit
     anchor) for reproducibility.
     """
     pts = _pts(samples)
     origin = pts.min(axis=0) if anchor is None else np.asarray(anchor, dtype=float)
-    cells = _row_ids(_grid_index(pts, origin, scale))
-    return _membership(np.arange(len(cells)), cells).tocsr()
+    return np.arange(len(pts)), _row_ids(_grid_index(pts, origin, scale))
 
 
 # --- order-minimizing refinement -----------------------------------------
@@ -146,84 +155,97 @@ def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> np.nd
     return base[:, None, :] + np.cumsum(steps, axis=1)
 
 
-def _membership(rows: np.ndarray, cols: np.ndarray, shape=None) -> sparse.csc_matrix:
-    from scipy import sparse
+def _join(a, b):
+    """``(sample, element of a, element of b)`` for every sample in an
+    element of each cover: the entries of the product aᵀ·b of their
+    membership matrices before they are summed, from one sort on the
+    sample index."""
+    order = np.argsort(b[0], kind="stable")
+    count = np.bincount(b[0], minlength=a[0].max(initial=-1) + 1)
+    n = count[a[0]]
+    lo = (np.cumsum(count) - count)[a[0]]
+    rows = np.repeat(np.arange(len(n)), n)
+    pos = np.arange(len(rows)) + np.repeat(lo - np.cumsum(n) + n, n)
+    return a[0][rows], a[1][rows], b[1][order[pos]]
 
-    return sparse.csc_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
-                             shape=shape)
+
+def _overlaps(ea, eb, pair=False):
+    """The distinct ``(ea, eb)`` element pairs of a join, sorted, and the
+    number of samples each pair shares; with ``pair``, the index of each
+    join entry's pair instead."""
+    radix = eb.max(initial=0) + 1
+    keys, out = np.unique(ea * radix + eb, return_inverse=pair, return_counts=not pair)
+    return keys // radix, keys % radix, out
 
 
-def _inside(members: sparse.csc_matrix, parents: sparse.csr_matrix) -> np.ndarray:
-    """Whether all samples of each column of ``members`` lie in one parent
-    element: some entry of membersᵀ·parents equals the column's size."""
-    sizes = np.asarray(members.sum(axis=0)).ravel()
-    most = (members.T @ parents).max(axis=1).toarray().ravel()
-    return most == sizes
+def _inside(members, parents) -> np.ndarray:
+    """Whether all samples of each element of ``members`` lie in one parent
+    element: some parent shares as many samples with it as it has."""
+    sizes = np.bincount(members[1])
+    element, _, shared = _overlaps(*_join(members, parents)[1:])
+    inside = np.zeros(len(sizes), dtype=bool)
+    inside[element[shared == sizes[element]]] = True
+    return inside
 
 
-def _kuhn_attempt(parents: sparse.csr_matrix, pts: np.ndarray, star_scale: float):
+def _kuhn_attempt(parents, pts: np.ndarray, star_scale: float):
     """Kuhn-star refinement: lattice-triangulation vertex stars meet at most
     dim+1 at a point; stars straddling parent elements are cut by them."""
-    from scipy import sparse
-
     n, dim = pts.shape
     keys = kuhn_vertex_keys(pts, star_scale, pts.min(axis=0))
-    stars = _membership(np.repeat(np.arange(n), dim + 1),
-                        _row_ids(keys.reshape(-1, dim)))
+    stars = _row_ids(keys.reshape(-1, dim)).reshape(n, dim + 1)
     # Drop stars whose samples lie in another star's (coverage is kept,
-    # multiplicity can only drop); of equal stars the lowest column stays.
-    sizes = np.asarray(stars.sum(axis=0)).ravel()
-    gram = (stars.T @ stars).tocoo()
-    a, b = gram.row, gram.col
-    inner = (a != b) & (gram.data == sizes[a]) & ((sizes[b] > sizes[a]) | (b < a))
+    # multiplicity can only drop); of equal stars the lowest id stays.  The
+    # pairs of stars one sample lies in join the star cover with itself.
+    sizes = np.bincount(stars.ravel())
+    a, b, shared = _overlaps(stars[:, :, None], stars[:, None, :])
+    inner = (a != b) & (shared == sizes[a]) & ((sizes[b] > sizes[a]) | (b < a))
     keep = np.ones(len(sizes), dtype=bool)
     keep[a[inner]] = False
-    stars = stars[:, keep]
-    whole = _inside(stars, parents)
-    straddle = stars[:, ~whole]
-    cut = (straddle.T @ parents).tocoo()
-    # Piece c is star cut.row[c] cut by parent cut.col[c]: keep the entries
-    # of the star's column whose sample lies in that parent.
-    sub = straddle[:, cut.row].tocoo()
-    inside = parents.astype(bool).toarray()[sub.row, cut.col[sub.col]]
-    pieces = _membership(sub.row[inside], sub.col[inside], shape=(n, cut.nnz))
-    return sparse.hstack([stars[:, whole], pieces], format="csr")
+    sample, star = np.repeat(np.arange(n), dim + 1), stars.ravel()
+    sample, star = sample[keep[star]], star[keep[star]]
+    whole = _inside((sample, star), parents)[star]
+    # A straddling star is cut into one piece per parent it meets: the
+    # star's samples in that parent.
+    cut, cut_star, cut_parent = _join((sample[~whole], star[~whole]), parents)
+    _, star_id = np.unique(star[whole], return_inverse=True)
+    piece = _overlaps(cut_star, cut_parent, pair=True)[2]
+    return (np.concatenate([sample[whole], cut]),
+            np.concatenate([star_id, star_id.max(initial=-1) + 1 + piece]))
 
 
 def refine_order(parents, scale: float, samples, spacing: float, labels,
-                 budget: int = 4) -> tuple[sparse.csr_matrix, int]:
+                 budget: int = 4) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """Search for a low-order refinement of the parent cover on the samples.
 
-    ``parents`` is the parent cover's (n_samples, n_elements) membership
-    matrix and ``scale`` its characteristic scale; ``spacing`` and
-    ``labels`` are the samples' `sample_resolution`, which does not depend
-    on the scale, so a caller refining one sample set at several scales
-    computes it once.  Components of the sample set that are disconnected
+    ``parents`` is the parent cover's ``(sample, element)`` index pairs and
+    ``scale`` its characteristic scale; ``spacing`` and ``labels`` are the
+    samples' `sample_resolution`, which does not depend on the scale, so a
+    caller refining one sample set at several scales computes it once.  Components of the sample set that are disconnected
     at four times that spacing, padded by half that distance, are isolated
     into disjoint elements (order 0) whenever each fits inside a parent
     element; otherwise connected regions are covered by Kuhn-triangulation
     stars, which meet at most dim+1 at a point.  Splitting below the
     sampling resolution is never attempted: gaps that small are
     indistinguishable from finite-sample artifacts.  Returns
-    ``(membership, order)`` for the best refinement found within ``budget``
-    attempts: a sparse (n_samples, n_elements) 0/1 matrix and its order.
+    ``(cover, order)`` for the best refinement found within ``budget``
+    attempts: its ``(sample, element)`` index pairs, element ids 0..m-1,
+    and its order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    from scipy import sparse
-
     pts = _pts(samples)
-    parents = sparse.csr_matrix(parents, dtype=np.int64)
-    if parents.shape[0] != pts.shape[0] or len(labels) != pts.shape[0]:
+    n = pts.shape[0]
+    if len(labels) != n:
         raise ValueError("parent cover and labels need one row per sample")
-    cover_order(parents)  # raises if a sample lies in no parent element
+    parents = tuple(np.asarray(x, dtype=np.int64) for x in parents)
+    cover_order(parents, n)  # raises if a sample lies in no parent element
     g0 = _resolution_gap(spacing)
 
-    comps = _membership(np.arange(len(labels)), labels,
-                        shape=(len(labels), labels.max(initial=-1) + 1))
+    comps = (np.arange(n), np.asarray(labels, dtype=np.int64))
     if _inside(comps, parents).all():
         # Components are more than g0 apart and padded by g0/2: order 0.
-        return comps.tocsr(), 0
+        return comps, 0
 
     dim = pts.shape[1]
     best = None
@@ -231,10 +253,10 @@ def refine_order(parents, scale: float, samples, spacing: float, labels,
         star_scale = scale / (4.0 * math.sqrt(dim) * (1 + attempt))
         if star_scale < g0 / 2.0 and attempt > 0:
             break
-        membership = _kuhn_attempt(parents, pts, star_scale)
-        order = cover_order(membership)
+        cover = _kuhn_attempt(parents, pts, star_scale)
+        order = cover_order(cover, n)
         if best is None or order < best[1]:
-            best = (membership, order)
+            best = (cover, order)
         if best[1] <= dim:
             break
     return best

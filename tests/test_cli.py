@@ -278,13 +278,28 @@ class TestImports:
         """Perturb and hypothesis runs make only small neighbour queries
         (anchor supports, member dedup, nearest-neighbour spacing), which
         the NumPy grid of `delayrecon.neighbors` answers, so they load no
-        scipy module.  Dimension runs still do: they build sparse covers
-        and linkage graphs, and query large sample sets on a KD-tree."""
+        scipy module."""
         after_import, code, after_run = scipy_modules_after(tmp_path, command, config)
         assert after_import == []
         assert code == 0
         assert after_run == []
         assert (tmp_path / artifact).is_file()
+
+    def test_no_scipy_in_a_dimension_run(self, tmp_path):
+        """A dimension run on 2e4 Lorenz states keeps its covers as NumPy
+        index pairs, labels linkage components in NumPy, and answers its
+        neighbour queries on the grid, which the attractor's shape keeps
+        small: it loads no scipy module."""
+        after_import, code, after_run = scipy_modules_after(tmp_path, "dimension", {
+            "seed": 7,
+            "system": {"kind": "flow", "field": "lorenz", "dt": 0.02, "substep": 0.01},
+            "trajectory": {"x0": [1.0, 1.0, 20.0], "n": 20_000, "transient": 500},
+            "scales": [16.0, 8.0, 4.0, 2.0, 1.0, 0.5], "covering_scales": [16.0, 8.0],
+        })
+        assert after_import == []
+        assert code == 0
+        assert after_run == []
+        assert json.loads((tmp_path / "dimension.json").read_text())["covering"]["value"] == 3
 
 
 class TestErrors:

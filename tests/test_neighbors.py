@@ -3,6 +3,10 @@ force: the same pairs, distances and nearest-neighbour distances, bit for
 bit, ties at the radius included."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from delayrecon import neighbors
 from delayrecon.neighbors import (
     _grid_nn,
     _grid_pairs,
+    _grid_within,
     _tree_nn,
     _tree_pairs,
     close_pairs,
@@ -118,17 +123,53 @@ def test_many_axes_bucket_on_three():
 
 def test_backend_follows_grid_work(monkeypatch):
     calls = []
-    monkeypatch.setattr(neighbors, "_grid_pairs",
-                        lambda *args: calls.append("grid") or _grid_pairs(*args))
+    monkeypatch.setattr(neighbors, "_grid_within",
+                        lambda *args: calls.append("grid") or _grid_within(*args))
     monkeypatch.setattr(neighbors, "_tree_pairs",
                         lambda *args: calls.append("tree") or _tree_pairs(*args))
-    # Work is the points of the query times 3**k: 20 * 9, then above the
-    # limit; points with more than three axes always go to the tree.
+    # Work is the candidates the grid examines, not the points times 3**k:
+    # points far apart cost one candidate each, while points sharing one
+    # cell cost n**2; points with more than three axes always go to the tree.
     close_pairs(np.zeros((10, 2)), np.ones((10, 2)), 0.1)
-    n = neighbors.GRID_LIMIT // 27 + 1
-    close_pairs(np.arange(3.0 * n).reshape(n, 3), r=0.0)
+    close_pairs(np.arange(60_000.0).reshape(-1, 3), r=0.0)
+    n = math.isqrt(neighbors.GRID_LIMIT) + 1
+    close_pairs(np.zeros((n, 2)), r=0.0)
     close_pairs(np.zeros((10, 4)), r=0.1)
-    assert calls == ["grid", "tree", "tree"]
+    assert calls == ["grid", "grid", "tree", "tree"]
+
+
+def test_candidate_count_before_building():
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(0, 1, (300, 3)), rng.uniform(0, 1, (500, 3))
+    for q, p in ((a, b), (a, None)):
+        counted = neighbors._candidates(neighbors._grid(q, p, 0.1))
+        # Every candidate: each query point against all of b in the 27
+        # cells around its own.
+        p = q if p is None else p
+        big = max(np.abs(q).max(), np.abs(p).max())
+        side = 0.1 * (1.0 + 1e-9) + big * 2.0 ** -50 + 1e-150
+        cq, cp = np.floor(q / side), np.floor(p / side)
+        assert counted == np.count_nonzero(np.abs(cq[:, None] - cp[None]).max(axis=2) <= 1)
+
+
+def test_nn_distance_on_a_large_uniform_cloud_uses_the_tree():
+    """A uniform 2e4 x 3 cloud is the kind whose pairs at a few spacings
+    are too many for the grid, so its nearest neighbours go to the KD-tree
+    and scipy.spatial is loaded; a smaller one stays on the grid."""
+    script = (
+        "import sys, numpy as np\n"
+        "from delayrecon.neighbors import nn_distance\n"
+        "nn_distance(np.random.default_rng(0).uniform(0, 1, (2000, 3)))\n"
+        "small = 'scipy.spatial' in sys.modules\n"
+        "nn_distance(np.random.default_rng(0).uniform(0, 1, (20000, 3)))\n"
+        "print(small, 'scipy.spatial' in sys.modules)\n")
+    src = str(Path(neighbors.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_empty_and_single_inputs():

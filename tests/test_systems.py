@@ -96,6 +96,22 @@ def reference_step(sys_, pts):
     return out
 
 
+def reference_flow_map(flow, *s):
+    """The component-form RK4 that `SampledFlow._map` replaced: field
+    lookup and step constants on every call, generator arguments."""
+    f = VECTOR_FIELDS[flow.field_id]["components"]
+    n_sub = max(1, math.ceil(flow.dt / flow.substep))
+    h = flow.dt / n_sub
+    for _ in range(n_sub):
+        k1 = f(*s)
+        k2 = f(*(a + 0.5 * h * b for a, b in zip(s, k1)))
+        k3 = f(*(a + 0.5 * h * b for a, b in zip(s, k2)))
+        k4 = f(*(a + h * b for a, b in zip(s, k3)))
+        s = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
+    return s
+
+
 def reference_iterate(sys_, x0, n):
     """The orbit loop iterate replaced: one checked array step per state."""
     x0 = np.asarray(x0, dtype=float)
@@ -462,6 +478,22 @@ class TestSampledFlow:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             dr.SampledFlow("pendulum", dt=0.1)
+
+    @pytest.mark.parametrize("flow, x0", [
+        (dr.SampledFlow("lorenz", dt=0.02, substep=0.01), [1.0, 1.0, 20.0]),
+        (dr.SampledFlow("lorenz", dt=0.05, substep=0.015), [-3.0, 4.0, 25.0]),
+        (dr.SampledFlow("harmonic", dt=0.3, substep=0.07), [0.5, -0.2]),
+    ])
+    def test_rk4_bitwise_equal_to_component_loop(self, flow, x0):
+        # On Python floats, the path `iterate` takes ...
+        states = dr.iterate(flow, np.array(x0), 400).states
+        ref = [tuple(x0)]
+        for _ in range(399):
+            ref.append(reference_flow_map(flow, *ref[-1]))
+        assert np.array_equal(states, np.array(ref))
+        # ... and on NumPy columns, the path of `step_many`.
+        cols = reference_flow_map(flow, *states.T)
+        assert np.array_equal(flow.step_many(states), np.stack(cols, axis=1))
 
     def test_size_caps_admit_their_bound(self):
         # Construction only: neither the domain nor an orbit is built.

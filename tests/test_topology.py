@@ -36,9 +36,21 @@ LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)  # 0.6309...
 # --- reference implementation: the element-class refinement that the
 # --- sample-membership matrices replaced, over parent membership columns
 
-def dense(parents):
-    """A parent cover's membership matrix as a dense bool array."""
-    return parents.toarray() > 0 if sparse.issparse(parents) else np.asarray(parents, bool)
+def pairs(cover):
+    """A cover as ``(sample, element)`` index pairs, from a dense or sparse
+    membership matrix; index pairs pass through."""
+    if isinstance(cover, tuple):
+        return cover
+    return np.nonzero(cover.toarray() if sparse.issparse(cover) else np.asarray(cover))
+
+
+def dense(parents, n):
+    """A parent cover of ``n`` samples as a dense bool membership matrix."""
+    if not isinstance(parents, tuple):
+        return np.asarray(parents, bool)
+    mask = np.zeros((n, parents[1].max() + 1), dtype=bool)
+    mask[parents] = True
+    return mask
 
 
 def reference_kuhn_vertex_keys(pts, scale, origin):
@@ -96,7 +108,8 @@ def _ref_split_attempt(parent_mask, pts, threshold):
         elements.append(RefBlob(points=tuple(map(tuple, pts[idx])), pad=pad))
     cross = cKDTree(pts).query_pairs(r=pad, output_type="ndarray")
     if len(cross) and np.any(labels[cross[:, 0]] != labels[cross[:, 1]]):
-        return elements, cover_order(np.stack([el.contains(pts) for el in elements], 1))
+        return elements, cover_order(pairs(np.stack([el.contains(pts) for el in elements], 1)),
+                                     len(pts))
     return elements, 0
 
 
@@ -137,7 +150,7 @@ def _ref_kuhn_attempt(parent_mask, pts, star_scale):
 
 def reference_refine_order(parents, scale, samples, budget=4):
     pts = np.asarray(samples, dtype=float).reshape(len(samples), -1)
-    parent_mask = dense(parents)
+    parent_mask = dense(parents, len(pts))
     g0 = max(4.0 * nn_spacing(pts), 1e-12)
     best = _ref_split_attempt(parent_mask, pts, g0)
     if best is not None and best[1] == 0:
@@ -160,7 +173,7 @@ def reference_sample_sets(elements, parents, pts):
     samples whose Kuhn chain contains its vertex, read from one vertex table
     per star grid; an intersection holds the star's samples that are in its
     parent column."""
-    parent_mask = dense(parents)
+    parent_mask = dense(parents, len(pts))
     tables = {}
 
     def members(el):
@@ -181,10 +194,10 @@ def reference_sample_sets(elements, parents, pts):
     return {members(el) for el in elements}
 
 
-def column_sets(membership):
-    csc = membership.tocsc()
-    return {frozenset(csc.indices[csc.indptr[j]:csc.indptr[j + 1]].tolist())
-            for j in range(csc.shape[1])}
+def column_sets(cover):
+    """The sample-index set of each element of a cover."""
+    sample, element = cover
+    return {frozenset(sample[element == j].tolist()) for j in np.unique(element)}
 
 
 def ball_membership(pts, centers, radius):
@@ -219,15 +232,15 @@ class TestCoverBasics:
     def test_order_counts_overlaps(self):
         # Intervals [-1, 1], [-0.5, 1.5] and [4, 6] on the samples 0.2 and 5.
         membership = np.array([[1, 1, 0], [0, 0, 1]])
-        assert cover_order(membership) == 1
-        assert cover_order(sparse.csr_matrix(membership)) == 1
+        assert cover_order(pairs(membership), 2) == 1
+        assert cover_order(pairs(sparse.csr_matrix(membership)), 2) == 1
 
     def test_disjoint_cover_order_zero(self):
-        assert cover_order(np.array([[1, 0], [0, 1]])) == 0
+        assert cover_order(pairs(np.array([[1, 0], [0, 1]])), 2) == 0
 
     def test_uncovered_sample_raises(self):
         with pytest.raises(UncoveredSampleError):
-            cover_order(np.array([[1], [0]]))
+            cover_order(pairs(np.array([[1], [0]])), 2)
 
 
 def reference_mesh_membership(pts, scale, origin):
@@ -244,14 +257,14 @@ class TestMeshCover:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, (200, 2))
         cov = mesh_cover(pts, 0.25)
-        assert cov.shape[0] == len(pts)
-        assert np.all(cov.getnnz(axis=0) > 0)  # no empty cell
-        assert cover_order(cov) == 0  # half-open cells partition
+        assert np.array_equal(cov[0], np.arange(len(pts)))  # one row per sample
+        assert np.all(np.bincount(cov[1]) > 0)  # no empty cell
+        assert cover_order(cov, len(pts)) == 0  # half-open cells partition
 
     def test_boundary_points_single_cell(self):
         # samples exactly on a cell edge must not occupy two cells
         pts = np.array([[0.0], [0.25], [0.5]])
-        assert mesh_cover(pts, 0.25).shape[1] == 3
+        assert mesh_cover(pts, 0.25)[1].max() + 1 == 3
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3),
@@ -266,17 +279,35 @@ class TestMeshCover:
                                           min_size=1, max_size=40)), dtype=float)
         anchor = np.full(dim, -3.0) if anchored else None
         cov = mesh_cover(pts, scale, anchor=anchor)
-        assert cov.format == "csr"
-        assert np.array_equal(cov.getnnz(axis=1), np.ones(len(pts)))
+        assert all(x.dtype == np.int64 for x in cov)
+        assert np.array_equal(np.bincount(cov[0], minlength=len(pts)), np.ones(len(pts)))
         origin = pts.min(axis=0) if anchor is None else anchor
         ref = reference_mesh_membership(pts, scale, origin)
-        assert np.array_equal(cov.toarray(), ref.astype(int))
+        assert np.array_equal(dense(cov, len(pts)), ref)
 
 
 class TestResolutionHelpers:
     def test_nn_spacing_regular_grid(self):
         pts = np.linspace(0, 1, 11)[:, None]
         assert nn_spacing(pts) == pytest.approx(0.1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           threshold=st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    def test_linkage_labels_equal_csgraph(self, data, dim, threshold):
+        # Lattice points, so pairs sit exactly at the threshold, with some
+        # rows repeated and some far away on their own.
+        pts = np.array(data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
+                                          min_size=1, max_size=50)), float) * 0.1
+        repeats = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=6))
+        far = 100.0 * np.arange(1, data.draw(st.integers(0, 3)) + 1)[:, None]
+        pts = np.concatenate([pts, pts[repeats], np.broadcast_to(far, (len(far), dim))])
+        pts = pts[np.random.default_rng(len(pts)).permutation(len(pts))]
+        i, j = np.nonzero(np.triu(np.linalg.norm(pts[:, None] - pts[None], axis=2)
+                                  <= threshold, k=1))
+        graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(len(pts),) * 2)
+        _, ref = sparse.csgraph.connected_components(graph, directed=False)
+        assert np.array_equal(linkage_components(pts, threshold), ref)
 
     def test_linkage_components_split_at_gap(self):
         pts = np.concatenate([np.linspace(0, 1, 20),
@@ -298,8 +329,8 @@ class TestRefineOrder:
         membership, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts,
                                          *sample_resolution(pts))
         assert order == 1
-        assert np.all(membership.getnnz(axis=1) > 0)
-        assert np.all(membership.getnnz(axis=0) > 0)
+        assert np.all(np.bincount(membership[0], minlength=len(pts)) > 0)
+        assert np.all(np.bincount(membership[1]) > 0)
 
     def test_square_refines_to_order_two(self):
         g = np.linspace(0, 1, 40)
@@ -317,7 +348,7 @@ class TestRefineOrder:
         uncovered = np.ones((10, 1), dtype=bool)
         uncovered[3] = False
         with pytest.raises(UncoveredSampleError):
-            refine_order(uncovered, 0.5, pts, *sample_resolution(pts))
+            refine_order(pairs(uncovered), 0.5, pts, *sample_resolution(pts))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
@@ -330,8 +361,8 @@ class TestRefineOrder:
         radius = float(reach.max()) * rng.uniform(1.0, 2.0) + 1e-9
         inside = ball_membership(pts, centers, radius)
         scale = radius * rng.uniform(0.5, 6.0)
-        membership, order = refine_order(inside, scale, pts, *sample_resolution(pts))
-        rows = membership.toarray() > 0
+        membership, order = refine_order(pairs(inside), scale, pts, *sample_resolution(pts))
+        rows = dense(membership, n)
         assert rows.any(axis=1).all()  # every sample is covered
         assert rows.any(axis=0).all()  # no element is empty
         for col in rows.T:  # every element lies inside some parent element
@@ -345,8 +376,8 @@ class TestReferenceRefinement:
 
     @staticmethod
     def same_refinement(parents, scale, pts, budget=4):
-        membership, order = refine_order(parents, scale, pts, *sample_resolution(pts),
-                                         budget=budget)
+        membership, order = refine_order(pairs(parents), scale, pts,
+                                         *sample_resolution(pts), budget=budget)
         elements, ref_order = reference_refine_order(parents, scale, pts, budget=budget)
         assert order == ref_order
         assert column_sets(membership) == reference_sample_sets(elements, parents, pts)
