@@ -263,14 +263,19 @@ def cmd_genericity(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     h = _observable(config)
     m = _delay_count(config)
+    trials = _number(config, "trials", int)
+    if trials < 1:
+        raise ConfigError(f"config field 'trials' must be >= 1, got {trials}")
+    bump_scale = _number(config, "bump_scale", float)
+    if not bump_scale >= 0.0:  # NaN included
+        raise ConfigError(f"config field 'bump_scale' must be >= 0, got {bump_scale}")
     traj = _trajectory(config, sys_)
     K = _pairs(config, sys_, traj.states, seed)
-    trials = _number(config, "trials", int)
-    bump_scale = _number(config, "bump_scale", float)
     frac = genericity.genericity_monte_carlo(sys_, K, m, trials, bump_scale,
                                              seed=seed, base=h)
     write_json(out / "genericity.json", {
         "fraction": frac, "trials": trials, "bump_scale": bump_scale, "m": m,
+        **_pair_accounting(config, K),
     })
     if not quiet:
         print(f"genericity: compatible fraction {frac:.3f} over {trials} trials")

@@ -22,7 +22,7 @@ from .core import (
     TrigPolynomial,
     sup_distance,
 )
-from .delay import observe, orbits, write_csv
+from .delay import delay_vectors, orbits, write_csv
 from .neighbors import close_pairs, nn_distance
 from .systems import System, detect_period
 from .topology import mesh_cover, refine_order, sample_resolution
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-6  # below this, separation is indistinguishable from noise
+BUMP_MAX_FREQ = 3  # highest term frequency of a `random_trig_bump`
 
 
 class PerturbationError(RuntimeError):
@@ -93,17 +94,12 @@ class PairSet:
 
     @classmethod
     def read_csv(cls, path, delta: float) -> "PairSet":
-        rows = []
-        tags = []
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            k = sum(1 for name in header if name.startswith("x"))
-            for line in fh:
-                parts = line.strip().split(",")
-                rows.append([float(v) for v in parts[:2 * k]])
-                tags.append(parts[2 * k])
-        arr = np.asarray(rows)
-        return cls(arr[:, :k], arr[:, k:], delta, tuple(tags))
+            rows = [line.strip().split(",") for line in fh]
+        k = sum(1 for name in header if name.startswith("x"))
+        arr = np.asarray([[float(v) for v in row[:2 * k]] for row in rows])
+        return cls(arr[:, :k], arr[:, k:], delta, tuple(row[2 * k] for row in rows))
 
 
 @dataclass
@@ -157,14 +153,10 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
         if len(xs) >= count:
             break
         i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        if np.linalg.norm(pts[i] - pts[j]) < delta:
+        if i == j or np.linalg.norm(pts[i] - pts[j]) < delta:
             continue
         if min_index_gap > 0:
-            if abs(int(i) - int(j)) <= min_index_gap:
-                continue
-            if blocked[i] or blocked[j]:
+            if abs(int(i) - int(j)) <= min_index_gap or blocked[i] or blocked[j]:
                 continue
             for u in (i, j):
                 blocked[max(0, u - min_index_gap):u + min_index_gap + 1] = True
@@ -183,19 +175,12 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
     return PairSet(xs, ys, delta, tuple(tags.tolist()), complete=len(xs) >= count)
 
 
-def _pair_gaps(h: Observable, pair_orbits: np.ndarray) -> np.ndarray:
-    """Max over the delay coordinates of |h(T^t x) - h(T^t y)|, per pair,
-    from the `orbits` of the stacked members ``xs; ys`` (rows i and n + i
-    are the two sides of pair i)."""
-    vx, vy = np.split(observe(h, pair_orbits), 2)
-    return np.max(np.abs(vx - vy), axis=1)
-
-
 def compatibility_margin(h: Observable, sys: System, K: PairSet, m: int,
                          tolerance: float = MARGIN_TOL) -> CompatibilityReport:
     """Min over pairs of the max over the m delay coordinates of
     |h(T^n x) - h(T^n y)|."""
-    per_pair = _pair_gaps(h, orbits(sys, np.concatenate([K.xs, K.ys]), m))
+    vx, vy = np.split(delay_vectors(h, sys, np.concatenate([K.xs, K.ys]), m), 2)
+    per_pair = np.max(np.abs(vx - vy), axis=1)
     argmin = int(np.argmin(per_pair))
     return CompatibilityReport(margin=float(per_pair[argmin]),
                                argmin_index=argmin, per_pair=per_pair, m=m,
@@ -304,13 +289,10 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     # the refinement heuristic only runs on classes for which the caller
     # supplied a sampled neighborhood of the underlying periodic set.
     if class_samples:
-        by_class: dict[int, list[np.ndarray]] = {}
-        for q, p in zip(reps, periods):
-            by_class.setdefault(0 if p is None else p, []).append(q)
+        rep_class = np.array([0 if p is None else p for p in periods])
         for label, sample in sorted(class_samples.items()):
             pts = np.atleast_2d(np.asarray(sample, dtype=float))
-            if label in by_class:
-                pts = np.concatenate([np.asarray(by_class[label]), pts], axis=0)
+            pts = np.concatenate([reps[rep_class == label], pts], axis=0)
             t = 2 * d if label == 0 else min(label - 1, 2 * d)
             _check_cover_bound(pts, t, label if label else 2 * d + 1, K.delta)
 
@@ -377,7 +359,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
 
 def random_trig_bump(rng: np.random.Generator, ambient_dim: int,
                      bump_scale: float, n_terms: int = 4,
-                     max_freq: int = 3) -> TrigPolynomial:
+                     max_freq: int = BUMP_MAX_FREQ) -> TrigPolynomial:
     """Random trigonometric bump with sup-norm at most ``bump_scale``,
     centered at 1/2 so it acts as a signed perturbation under SumObservable
     with offset 1/2."""
@@ -391,6 +373,39 @@ def random_trig_bump(rng: np.random.Generator, ambient_dim: int,
     return TrigPolynomial(terms=tuple(terms), amplitude=min(bump_scale, 0.5))
 
 
+def _trial_gaps(sys: System, K: PairSet, m: int, trials: int, bump_scale: float,
+                seed: int, base: Observable) -> np.ndarray:
+    """Per trial, the margin on K of the base plus one `random_trig_bump`,
+    as `compatibility_margin` of ``SumObservable(base, bump, offset=0.5)``
+    would give it, with the bumps drawn in turn from ``seed``.
+
+    A bump term c cos(2 pi f x_a + phi) is c cos(phi) C[f, a] - c sin(phi)
+    S[f, a], where C and S are cos and sin of 2 pi f x_a.  C, S and the
+    base are evaluated once on the pair orbits' states, so a trial is one
+    product of its term weights with that basis, then the clamp.  The
+    angle addition rounds differently from `TrigPolynomial._values`: the
+    gaps agree with it to about 1e-16, not bitwise.
+    """
+    states = orbits(sys, np.concatenate([K.xs, K.ys]), m).reshape(-1, sys.ambient_dim)
+    angles = 2.0 * math.pi * np.arange(1, BUMP_MAX_FREQ + 1)[:, None, None] * states.T
+    basis = np.stack([np.cos(angles), np.sin(angles)]).reshape(-1, states.shape[0])
+    base_vals = base.evaluate(states)
+    rng = np.random.default_rng(seed)
+    gaps = np.empty(trials)
+    for t in range(trials):
+        bump = random_trig_bump(rng, sys.ambient_dim, bump_scale)
+        weights = np.zeros((2, BUMP_MAX_FREQ, sys.ambient_dim))
+        for coef, freq, axis, phase in bump.terms:
+            weights[:, freq - 1, axis] += (coef * math.cos(phase),
+                                           -coef * math.sin(phase))
+        # A zero coefficient mass leaves zero weights: the constant bump 1/2.
+        scale = bump.amplitude / (bump._mass() or 1.0)
+        vals = np.clip(base_vals + scale * (weights.ravel() @ basis), 0.0, 1.0)
+        vx, vy = vals.reshape(2, len(K), m)
+        gaps[t] = np.abs(vx - vy).max(axis=1).min()
+    return gaps
+
+
 def genericity_monte_carlo(sys: System, K: PairSet, m: int, trials: int,
                            bump_scale: float, seed: int = 0,
                            base: Observable | None = None,
@@ -399,15 +414,6 @@ def genericity_monte_carlo(sys: System, K: PairSet, m: int, trials: int,
     delay map separates every pair of K at the working tolerance."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if base is None:
-        base = Constant(0.5)
-    # The orbits do not depend on the observable: compute them once.
-    pair_orbits = orbits(sys, np.concatenate([K.xs, K.ys]), m)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(trials):
-        bump = random_trig_bump(rng, sys.ambient_dim, bump_scale)
-        g = SumObservable(base=base, bump=bump, offset=0.5)
-        if _pair_gaps(g, pair_orbits).min() > tol:
-            hits += 1
-    return hits / trials
+    gaps = _trial_gaps(sys, K, m, trials, bump_scale, seed,
+                       Constant(0.5) if base is None else base)
+    return np.count_nonzero(gaps > tol) / trials

@@ -141,13 +141,14 @@ class TestPerturb:
 
 class TestPairShortfall:
     @pytest.mark.parametrize("cmd,artifact", [("margin", "margin.json"),
-                                              ("perturb", "perturb_report.json")])
+                                              ("perturb", "perturb_report.json"),
+                                              ("genericity", "genericity.json")])
     def test_unreachable_count_reported(self, tmp_path, base_config, cmd,
                                         artifact):
         # 20 states with index gap 3: each pair blocks 14 indices, so far
         # fewer than 10 pairs exist.
         base_config["trajectory"]["n"] = 20
-        base_config["epsilon"] = 0.05
+        base_config.update(epsilon=0.05, trials=20, bump_scale=0.1)
         base_config["pairs"] = {"delta": 0.01, "count": 10}
         cfg = write_config(tmp_path, base_config)
         assert run(cmd, cfg, tmp_path) == 0
@@ -371,6 +372,9 @@ class TestErrors:
         ("embed", "observable.bump", 3),
         ("hypothesis", "d", True),
         ("margin", "pairs.detect_periodic", "no"),
+        ("genericity", "bump_scale", -0.1),
+        ("genericity", "bump_scale", float("nan")),
+        ("genericity", "trials", 0),
     ])
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):

@@ -6,6 +6,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 import delayrecon as dr
+from delayrecon import genericity
+from delayrecon.delay import orbits
 from delayrecon.genericity import (
     MARGIN_TOL,
     CompatibilityReport,
@@ -345,19 +347,48 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("m, tol, base, between", [
         (3, MARGIN_TOL, None, False),
         (3, 1e-2, None, True),
-        (1, 1e-3, dr.Coordinate(0, -1.5, 1.5), True),
+        (1, 1e-3, dr.Coordinate(0, -1.0, 1.0), True),
         (2, 2e-2, dr.TrigPolynomial(((1.0, 2, 1, 0.4),), 0.3), True),
     ])
-    def test_matches_margin_loop(self, henon, henon_pairs, m, tol, base, between):
-        """The fraction from one pair orbit equals a loop of
-        `compatibility_margin` over the same bump draws."""
-        rng = np.random.default_rng(3)
-        hits = 0
-        for _ in range(60):
-            bump = random_trig_bump(rng, henon.ambient_dim, 0.1)
-            g = dr.SumObservable(base=base or dr.Constant(0.5), bump=bump, offset=0.5)
-            hits += compatibility_margin(g, henon, henon_pairs, m).margin > tol
-        frac = genericity_monte_carlo(henon, henon_pairs, m, 60, 0.1, seed=3,
-                                      base=base, tol=tol)
-        assert frac == hits / 60
-        assert (0.0 < frac < 1.0) == between
+    def test_matches_margin_loop(self, monkeypatch, henon, henon_pairs, m, tol,
+                                 base, between):
+        """Each trial's gap on the trig basis lies within 1e-12 of
+        `compatibility_margin` of the same bump as a `SumObservable`, with
+        the same hit decision, at bump scale 0.1, at bump scale 0 and for
+        bumps whose coefficients are all 0 (both give the constant 1/2)."""
+        base_obs = base or dr.Constant(0.5)
+        states = orbits(henon, np.concatenate([henon_pairs.xs, henon_pairs.ys]),
+                        m).reshape(-1, henon.ambient_dim)
+
+        def zero_mass_bump(rng, ambient_dim, bump_scale):
+            bump = random_trig_bump(rng, ambient_dim, bump_scale)
+            return dr.TrigPolynomial(tuple((0.0, *t[1:]) for t in bump.terms),
+                                     bump.amplitude)
+
+        for scale, draw in [(0.1, random_trig_bump), (0.0, random_trig_bump),
+                            (0.1, zero_mass_bump)]:
+            rng = np.random.default_rng(3)
+            ref, unclamped = [], []
+            for _ in range(60):
+                bump = draw(rng, henon.ambient_dim, scale)
+                g = dr.SumObservable(base=base_obs, bump=bump, offset=0.5)
+                ref.append(compatibility_margin(g, henon, henon_pairs, m).margin)
+                sums = base_obs.evaluate(states) + bump.evaluate(states) - 0.5
+                sx, sy = sums.reshape(2, len(henon_pairs), m)
+                unclamped.append(np.abs(sx - sy).max(axis=1).min())
+            ref, unclamped = np.array(ref), np.array(unclamped)
+            monkeypatch.setattr(genericity, "random_trig_bump", draw)
+            gaps = genericity._trial_gaps(henon, henon_pairs, m, 60, scale, 3,
+                                          base_obs)
+            frac = genericity_monte_carlo(henon, henon_pairs, m, 60, scale, seed=3,
+                                          base=base, tol=tol)
+            np.testing.assert_allclose(gaps, ref, rtol=0.0, atol=1e-12)
+            assert np.array_equal(gaps > tol, ref > tol)
+            assert frac == np.count_nonzero(ref > tol) / 60
+            if draw is zero_mass_bump or scale == 0.0:
+                assert np.ptp(gaps) == 0.0  # every trial is the base alone
+            else:
+                assert (0.0 < frac < 1.0) == between
+                # Under the Coordinate base the clamp decides some trials.
+                clamp_decides = np.any((unclamped > tol) != (ref > tol))
+                assert clamp_decides == isinstance(base, dr.Coordinate)
