@@ -41,11 +41,25 @@ def _field(config: dict, key: str, default=None):
     return config.get(leaf, default)
 
 
+# Lower bounds of numeric config fields, as (bound, strict): a value below
+# the bound, at it when strict, or NaN is an error naming the field.
+_LOWER = {"d": (0, False), "m": (1, False), "epsilon": (0, True),
+          "n_seeds": (1, False), "trials": (1, False), "bump_scale": (0, False),
+          "trajectory.n": (1, False), "pairs.delta": (0, True),
+          "pairs.count": (1, False)}
+
+
 def _number(config: dict, key: str, kind, default=None):
     """Value at the dotted path ``key`` converted to ``kind`` (int, float or
-    bool); a missing field takes ``default``, or is an error when there is
-    none."""
-    return convert(_field(config, key, default), kind, key)
+    bool) and checked against its bound in `_LOWER`; a missing field takes
+    ``default``, or is an error when there is none."""
+    value = convert(_field(config, key, default), kind, key)
+    if key in _LOWER:
+        low, strict = _LOWER[key]
+        if not (value > low if strict else value >= low):
+            raise ConfigError(f"config field {key!r} must be "
+                              f"{'>' if strict else '>='} {low}, got {value}")
+    return value
 
 
 def _numbers(config: dict, key: str, kind, default=None) -> list:
@@ -130,8 +144,7 @@ def _pairs(config: dict, sys_: systems.System, samples: np.ndarray,
 
 
 def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:
-    """Requested and realised pair counts, for the reports that use pairs;
-    ``pairs.count`` was validated when the pairs were sampled."""
+    """Requested and realised pair counts, for the reports that use pairs."""
     return {"pairs_requested": _number(config, "pairs.count", int),
             "pairs_realised": len(K), "pairs_complete": K.complete}
 
@@ -264,11 +277,7 @@ def cmd_genericity(config, out: Path, seed, quiet) -> int:
     h = _observable(config)
     m = _delay_count(config)
     trials = _number(config, "trials", int)
-    if trials < 1:
-        raise ConfigError(f"config field 'trials' must be >= 1, got {trials}")
     bump_scale = _number(config, "bump_scale", float)
-    if not bump_scale >= 0.0:  # NaN included
-        raise ConfigError(f"config field 'bump_scale' must be >= 0, got {bump_scale}")
     traj = _trajectory(config, sys_)
     K = _pairs(config, sys_, traj.states, seed)
     frac = genericity.genericity_monte_carlo(sys_, K, m, trials, bump_scale,

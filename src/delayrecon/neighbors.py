@@ -11,24 +11,24 @@ on the work a grid query does: the candidate pairs it examines, counted
 from its cells' occupancy before any is built, against `GRID_LIMIT`.  So
 the shape of a cloud counts, not only its size: 2·10⁴ Lorenz states at four
 spacings give 1.1·10⁶ candidates, 2·10⁴ uniform points in a cube 4.8·10⁶.
-A nearest-neighbour query is routed by the pair query at four times the
-median nearest-neighbour distance of its cloud.  The grid buckets on at most the first three axes,
-which bounds nothing when those axes take few values (a 64-digit odometer
-has 8 cells), so points with more axes go to the tree.
+The grid buckets on at most the first three axes, which bounds nothing when
+those axes take few values (a 64-digit odometer has 8 cells), so points
+with more axes go to the tree.  A nearest-neighbour query is rounds of that
+same routed pair query at a doubling radius, so it makes no backend choice
+of its own.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 # Candidate pairs a grid query may examine; above, a KD-tree, including the
 # 0.41-0.53 s it takes to import scipy.spatial (2-vCPU x86 VM), is faster.
-# Just below where the slowest clouds measured make a grid `nn_distance`
-# plus `close_pairs` at four spacings cost that import more than a KD-tree
-# does: uniform 2-D points at about 4e6 candidates (1.2e5 points), uniform
-# 3-D points at 4.8e6-6.8e6 (2e4-2.75e4 points).
+# Set just below where the slowest clouds measured, queried at four nearest-
+# neighbour spacings as `topology.sample_resolution` does, cost that import
+# more on the grid than on a KD-tree: uniform 2-D points at about 4e6
+# candidates (1.2e5 points), uniform 3-D points at 4.8e6-6.8e6 (2e4-2.75e4
+# points).
 GRID_LIMIT = 3_500_000
 # Candidates whose coordinate differences `_within` takes at once.
 _CHUNK = 1 << 16
@@ -125,29 +125,37 @@ def _grid_within(a, b, r, grid=None):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _grid_pairs(a, b, r, limit=np.inf):
-    """`close_pairs` on the grid, bucketing the larger cloud; None when the
-    grid would examine more than ``limit`` candidates."""
+def _grid_pairs(a, b, r):
+    """The unsorted pairs of `close_pairs` on the grid, bucketing the larger
+    cloud; None when the grid would examine more than `GRID_LIMIT`
+    candidates."""
     swap = b is not None and len(a) > len(b)
     q, p = (b, a) if swap else (a, b)
     grid = _grid(q, p, r)
-    if _candidates(grid) > limit:
+    if _candidates(grid) > GRID_LIMIT:
         return None
     i, j, dist = _grid_within(q, p, r, grid)
-    return _by_pair(j, i, dist) if swap else _by_pair(i, j, dist)
+    return (j, i, dist) if swap else (i, j, dist)
 
 
 def _tree_pairs(a, b, r):
-    """`close_pairs` from cKDTree candidates at ``r * (1 + 1e-9)``."""
+    """The unsorted pairs of `close_pairs` from cKDTree candidates at
+    ``r * (1 + 1e-9)``."""
     from scipy.spatial import cKDTree
 
     reach = r * (1.0 + 1e-9)
     if b is None:
         i, j = cKDTree(a).query_pairs(reach, output_type="ndarray").T
-        return _by_pair(*_within(a, a, i, j, r))
+        return _within(a, a, i, j, r)
     near = cKDTree(a).sparse_distance_matrix(cKDTree(b), reach,
                                              output_type="ndarray")
-    return _by_pair(*_within(a, b, near["i"], near["j"], r))
+    return _within(a, b, near["i"], near["j"], r)
+
+
+def _pairs(a, b, r):
+    """The pairs of `close_pairs`, unsorted: the one grid-or-tree choice."""
+    pairs = _grid_pairs(a, b, r) if a.shape[1] <= 3 else None
+    return _tree_pairs(a, b, r) if pairs is None else pairs
 
 
 def close_pairs(a, b=None, r: float = 0.0):
@@ -158,27 +166,22 @@ def close_pairs(a, b=None, r: float = 0.0):
     b = None if b is None else np.asarray(b, dtype=float)
     if len(a) == 0 or (b is not None and len(b) == 0):
         return _EMPTY
-    if a.shape[1] <= 3:
-        pairs = _grid_pairs(a, b, r, GRID_LIMIT)
-        if pairs is not None:
-            return pairs
-    return _tree_pairs(a, b, r)
+    return _by_pair(*_pairs(a, b, r))
 
 
-def _grid_nn(pts, limit=np.inf):
-    """`nn_distance` from grid queries at a radius doubled for the points
-    with no other point within it yet.  A repeated point is at 0 and only
-    one copy enters the grid.  The first radius is half the spacing of n
-    points spread evenly over an extent of (median gap) x (gaps) along the
-    first axis, so a dense cluster starts at its own scale; gaps below
-    2**-40 of the extent are coordinates shared up to rounding.
+def nn_distance(pts) -> np.ndarray:
+    """Distance from each point of an (n, k) array to its nearest other
+    point: 0 for a duplicated point, inf when n < 2.
 
-    Once more than half the points are resolved, their median distance is
-    known.  If points remain and a grid `close_pairs` of the cloud at four
-    times that distance would examine more than ``limit`` candidates, the
-    search stops and returns None: a cloud that dense at its own scale
-    belongs on the KD-tree, whose scipy.spatial import its pair queries need
-    anyway."""
+    Rounds of the pair query at a radius doubled each round: the points with
+    no other point within the radius yet, against one copy of each distinct
+    point.  The first radius is half the spacing of n points spread evenly
+    over an extent of (median gap) x (gaps) along the first axis, so a dense
+    cluster starts at its own scale; gaps below 2**-40 of the extent are
+    coordinates shared up to rounding."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < 2:
+        return np.full(len(pts), np.inf)
     order = np.lexsort(pts.T[::-1])
     same = np.all(pts[order[1:]] == pts[order[:-1]], axis=1)
     repeated = np.zeros(len(pts), dtype=bool)
@@ -192,48 +195,11 @@ def _grid_nn(pts, limit=np.inf):
     gaps = gaps[gaps > span * 2.0 ** -40]
     extent = float(np.median(gaps)) * len(gaps) if len(gaps) else span
     r = extent / (2.0 * len(reps) ** (1.0 / k)) or 1.0
-    half = len(pts) // 2
     while todo.size and r < np.inf:
-        if limit < np.inf and len(todo) < len(pts) - half:
-            spacing = np.partition(best, half)[half]
-            if _candidates(_grid(pts, None, 4.0 * spacing)) > limit:
-                return None
-            limit = np.inf
-        i, j, dist = _grid_within(pts[todo], pts[reps], r)
+        # Unsorted: `_by_pair`'s sort arrays would add to the peak memory.
+        i, j, dist = _pairs(pts[todo], pts[reps], r)
         other = todo[i] != reps[j]
         np.minimum.at(best, todo[i[other]], dist[other])
         todo = todo[best[todo] > r]
         r *= 2.0
     return best
-
-
-def _tree_nn(pts):
-    """`nn_distance` from cKDTree.  Up to 7 axes it sums the squares in
-    NumPy's order, so its distances are `_norm`'s; beyond, the nearest
-    point is taken among those within ``1 + 1e-9`` times its distance."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    nearest = tree.query(pts, k=2)[0][:, 1]
-    if pts.shape[1] <= 7:
-        return nearest
-    near = tree.query_ball_point(pts, nearest * (1.0 + 1e-9), return_sorted=False)
-    j = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64)
-    i = np.repeat(np.arange(len(pts)), [len(c) for c in near])
-    dist = _norm(pts[i], pts[j])
-    best = np.full(len(pts), np.inf)
-    np.minimum.at(best, i[i != j], dist[i != j])
-    return best
-
-
-def nn_distance(pts) -> np.ndarray:
-    """Distance from each point of an (n, k) array to its nearest other
-    point: 0 for a duplicated point, inf when n < 2."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) < 2:
-        return np.full(len(pts), np.inf)
-    if pts.shape[1] <= 3:
-        best = _grid_nn(pts, GRID_LIMIT)
-        if best is not None:
-            return best
-    return _tree_nn(pts)

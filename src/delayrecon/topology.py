@@ -91,7 +91,9 @@ def nn_spacing(samples) -> float:
 
 
 def _resolution_gap(spacing: float) -> float:
-    """Smallest gap `refine_order` splits at: four sample spacings."""
+    """The sampling resolution, four sample spacings: the smallest gap
+    `refine_order` splits at and the smallest scale a detected periodic set
+    is box-counted at."""
     return max(4.0 * spacing, 1e-12)
 
 
@@ -379,7 +381,7 @@ def _detected_set_dimension(points: np.ndarray, n_seeds: int) -> float:
     spacing = nn_spacing(points)
     scales = []
     s = diam / 2.0
-    while s >= max(4.0 * spacing, 1e-12) and len(scales) < 8:
+    while s >= _resolution_gap(spacing) and len(scales) < 8:
         scales.append(s)
         s /= 2.0
     if len(scales) < 3:

@@ -431,6 +431,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "n_seeds" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd,field,value", [
+        ("perturb", "epsilon", 0.0),
+        ("perturb", "epsilon", float("nan")),
+        ("margin", "pairs.delta", -1.0),
+        ("perturb", "pairs.delta", 0.0),
+        ("margin", "pairs.count", 0),
+        ("hypothesis", "n_seeds", 0),
+        ("embed", "m", 0),
+        ("genericity", "d", -1),
+        ("simulate", "trajectory.n", 0),
+    ])
+    def test_out_of_range_named_before_any_stage(self, tmp_path, base_config,
+                                                 capsys, cmd, field, value):
+        # Checked when the field is read, so no artifact is written first.
+        base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
+                           pairs={"delta": 0.01, "count": 10})
+        outer, _, leaf = field.rpartition(".")
+        (base_config[outer] if outer else base_config)[leaf] = value
+        cfg = write_config(tmp_path, base_config)
+        out = tmp_path / "out"
+        assert run(cmd, cfg, out) == 1
+        err = capsys.readouterr().err
+        assert f"config field {field!r} must be" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_unknown_observable_variant(self, tmp_path, base_config, capsys):
         base_config["observable"] = {"variant": "wavelet"}
         cfg = write_config(tmp_path, base_config)

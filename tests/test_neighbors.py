@@ -1,6 +1,6 @@
 """The two neighbour-search backends against each other and against brute
-force: the same pairs, distances and nearest-neighbour distances, bit for
-bit, ties at the radius included."""
+force, and nearest-neighbour distances against brute force: the same pairs
+and distances, bit for bit, ties at the radius included."""
 
 import math
 import os
@@ -16,10 +16,9 @@ from hypothesis.extra import numpy as hnp
 
 from delayrecon import neighbors
 from delayrecon.neighbors import (
-    _grid_nn,
+    _by_pair,
     _grid_pairs,
     _grid_within,
-    _tree_nn,
     _tree_pairs,
     close_pairs,
     nn_distance,
@@ -54,6 +53,26 @@ def brute_pairs(a, b, r):
     return i, j, dist[i, j]
 
 
+def brute_nn(pts):
+    """Each point's smallest NumPy distance to another point, taken over
+    blocks of rows so that large clouds stay small in memory."""
+    best = np.empty(len(pts))
+    for s in range(0, len(pts), 256):
+        _, _, dist = brute_pairs(pts[s:s + 256], pts, np.inf)
+        dist = dist.reshape(-1, len(pts))
+        dist[np.arange(len(dist)), np.arange(s, s + len(dist))] = np.inf
+        best[s:s + 256] = dist.min(axis=1)
+    return best
+
+
+def grid(a, b, r):
+    return _by_pair(*_grid_pairs(a, b, r))
+
+
+def tree(a, b, r):
+    return _by_pair(*_tree_pairs(a, b, r))
+
+
 def assert_same(x, y):
     for u, v in zip(x, y):
         assert np.array_equal(u, v)
@@ -65,31 +84,26 @@ def assert_same(x, y):
 def test_cross_pairs_agree(cloud, data):
     a, r = cloud
     b, _ = data.draw(clouds(k=a.shape[1]))
-    grid = _grid_pairs(a, b, r)
-    assert_same(grid, _tree_pairs(a, b, r))
-    assert_same(grid, brute_pairs(a, b, r))
+    on_grid = grid(a, b, r)
+    assert_same(on_grid, tree(a, b, r))
+    assert_same(on_grid, brute_pairs(a, b, r))
 
 
 @settings(deadline=None)
 @given(clouds())
 def test_self_pairs_agree(cloud):
     pts, r = cloud
-    grid = _grid_pairs(pts, None, r)
-    assert_same(grid, _tree_pairs(pts, None, r))
+    on_grid = grid(pts, None, r)
+    assert_same(on_grid, tree(pts, None, r))
     i, j, dist = brute_pairs(pts, pts, r)
-    assert_same(grid, (i[i < j], j[i < j], dist[i < j]))
+    assert_same(on_grid, (i[i < j], j[i < j], dist[i < j]))
 
 
 @settings(deadline=None)
 @given(clouds(min_size=2))
 def test_nn_distance_agrees(cloud):
     pts, _ = cloud
-    grid = _grid_nn(pts)
-    assert np.array_equal(grid, _tree_nn(pts))
-    _, _, dist = brute_pairs(pts, pts, np.inf)
-    dist = dist.reshape(len(pts), len(pts))
-    np.fill_diagonal(dist, np.inf)
-    assert np.array_equal(grid, dist.min(axis=1))
+    assert np.array_equal(nn_distance(pts), brute_nn(pts))
 
 
 def test_lattice_ties_are_kept_by_both():
@@ -99,10 +113,10 @@ def test_lattice_ties_are_kept_by_both():
     axis = np.arange(6) * 0.1
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     r = 0.1 * math.sqrt(2.0)
-    grid = _grid_pairs(pts, None, r)
-    assert_same(grid, _tree_pairs(pts, None, r))
+    on_grid = grid(pts, None, r)
+    assert_same(on_grid, tree(pts, None, r))
     i, j, dist = brute_pairs(pts, pts, r)
-    assert len(grid[0]) == np.count_nonzero(i < j)
+    assert len(on_grid[0]) == np.count_nonzero(i < j)
 
 
 def test_tiny_radius_far_from_the_origin():
@@ -110,15 +124,15 @@ def test_tiny_radius_far_from_the_origin():
     # coordinates are 1e9 times the radius.
     pts = np.array([[1e3, 5.0], [1e3 + 2.0 ** -20, 5.0], [1e3, 5.0 + 1e-3]])
     r = 2.0 ** -20
-    assert_same(_grid_pairs(pts, None, r), _tree_pairs(pts, None, r))
-    assert _grid_pairs(pts, None, r)[0].tolist() == [0]
+    assert_same(grid(pts, None, r), tree(pts, None, r))
+    assert grid(pts, None, r)[0].tolist() == [0]
 
 
 def test_many_axes_bucket_on_three():
     rng = np.random.default_rng(0)
     pts = rng.integers(0, 2, (60, 64)).astype(float)
-    assert_same(_grid_pairs(pts, None, 4.0), _tree_pairs(pts, None, 4.0))
-    assert np.array_equal(_grid_nn(pts), _tree_nn(pts))
+    assert_same(grid(pts, None, 4.0), tree(pts, None, 4.0))
+    assert np.array_equal(nn_distance(pts), brute_nn(pts))
 
 
 def test_backend_follows_grid_work(monkeypatch):
@@ -152,16 +166,16 @@ def test_candidate_count_before_building():
         assert counted == np.count_nonzero(np.abs(cq[:, None] - cp[None]).max(axis=2) <= 1)
 
 
-def test_nn_distance_on_a_large_uniform_cloud_uses_the_tree():
-    """A uniform 2e4 x 3 cloud is the kind whose pairs at a few spacings
-    are too many for the grid, so its nearest neighbours go to the KD-tree
-    and scipy.spatial is loaded; a smaller one stays on the grid."""
+def test_sample_resolution_on_a_large_uniform_cloud_uses_the_tree():
+    """A uniform 2e4 x 3 cloud is the kind whose pairs at four spacings are
+    too many for the grid, so its linkage query goes to the KD-tree and
+    scipy.spatial is loaded; a smaller one stays on the grid."""
     script = (
         "import sys, numpy as np\n"
-        "from delayrecon.neighbors import nn_distance\n"
-        "nn_distance(np.random.default_rng(0).uniform(0, 1, (2000, 3)))\n"
+        "from delayrecon.topology import sample_resolution\n"
+        "sample_resolution(np.random.default_rng(0).uniform(0, 1, (2000, 3)))\n"
         "small = 'scipy.spatial' in sys.modules\n"
-        "nn_distance(np.random.default_rng(0).uniform(0, 1, (20000, 3)))\n"
+        "sample_resolution(np.random.default_rng(0).uniform(0, 1, (20000, 3)))\n"
         "print(small, 'scipy.spatial' in sys.modules)\n")
     src = str(Path(neighbors.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -189,12 +203,23 @@ def test_duplicates_have_zero_nn_distance(k):
     assert dist[0] == dist[-1] == 0.0
 
 
-def test_grid_nn_on_repeats_and_tight_clusters():
+@pytest.mark.parametrize("limit", [0, math.inf])
+def test_nn_distance_is_exact_on_either_backend(monkeypatch, limit):
+    # Every round goes to the KD-tree (limit 0) or every round to the grid.
+    monkeypatch.setattr(neighbors, "GRID_LIMIT", limit)
+    rng = np.random.default_rng(2)
+    pts = np.concatenate([rng.uniform(0, 1, (500, 3)),
+                          rng.normal(0.5, 1e-5, (50, 3))])
+    pts = np.concatenate([pts, pts[:7]])
+    assert np.array_equal(nn_distance(pts), brute_nn(pts))
+
+
+def test_nn_distance_on_repeats_and_tight_clusters():
     # Thousands of copies of one point, and two clusters far narrower than
-    # their distance apart: both start the grid at their own scale.
+    # their distance apart: both start the rounds at their own scale.
     rng = np.random.default_rng(1)
     copies = np.concatenate([np.full((3000, 2), 0.3), rng.uniform(0, 1, (200, 2))])
     clusters = np.concatenate([rng.normal(0, 1e-4, (1500, 2)),
                                rng.normal(1, 1e-4, (1500, 2))])
     for pts in (copies, clusters):
-        assert np.array_equal(_grid_nn(pts), _tree_nn(pts))
+        assert np.array_equal(nn_distance(pts), brute_nn(pts))
