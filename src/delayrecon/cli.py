@@ -45,8 +45,10 @@ def _field(config: dict, key: str, default=None):
 # the bound, at it when strict, or NaN is an error naming the field.
 _LOWER = {"d": (0, False), "m": (1, False), "epsilon": (0, True),
           "n_seeds": (1, False), "trials": (1, False), "bump_scale": (0, False),
-          "trajectory.n": (1, False), "pairs.delta": (0, True),
-          "pairs.count": (1, False)}
+          "tol": (0, True), "trajectory.n": (1, False),
+          "trajectory.transient": (0, False), "pairs.delta": (0, True),
+          "pairs.count": (1, False), "pairs.period_tol": (0, True),
+          "pairs.period_max": (1, False), "pairs.period_seeds": (1, False)}
 
 
 def _number(config: dict, key: str, kind, default=None):

@@ -23,7 +23,7 @@ from .core import (
     sup_distance,
 )
 from .delay import delay_vectors, orbits, write_csv
-from .neighbors import close_pairs, nn_distance
+from .neighbors import close_pairs, first_found, nn_distance
 from .systems import System, detect_period
 from .topology import mesh_cover, refine_order, sample_resolution
 
@@ -200,32 +200,6 @@ def openness_radius(report: CompatibilityReport) -> float:
 
 # --- perturbation construction -------------------------------------------
 
-def _dedup_members(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy dedup: returns (unique points, index of each input point).
-
-    In input order, each point joins the earliest representative within
-    ``tol`` or becomes a new one.  The candidates of each point are the
-    earlier points `neighbors.close_pairs` puts within ``tol`` of it.
-    """
-    n = pts.shape[0]
-    is_rep = np.zeros(n, dtype=bool)
-    assign = np.empty(n, dtype=int)
-    n_reps = 0
-    earlier, later, _ = close_pairs(pts, r=tol)
-    order = np.lexsort((earlier, later))
-    bounds = np.searchsorted(later[order], np.arange(n + 1))
-    for i in range(n):
-        for c in earlier[order[bounds[i]:bounds[i + 1]]]:
-            if is_rep[c]:
-                assign[i] = assign[c]
-                break
-        else:
-            assign[i] = n_reps
-            n_reps += 1
-            is_rep[i] = True
-    return pts[is_rep], assign
-
-
 def _check_cover_bound(class_pts: np.ndarray, t: int, n_label: int,
                        delta: float) -> None:
     """Desk-scale analogue of the cover-order requirement ord < (t+1)/2 for
@@ -277,22 +251,22 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
         raise ValueError("d must be nonnegative")
     m = 2 * d + 1
     members = np.concatenate([K.xs, K.ys], axis=0)
-    reps, assign = _dedup_members(members, period_tol)
+    into = first_found(members, period_tol)
+    reps = members[into == np.arange(len(into))]
+    assign = np.unique(into, return_inverse=True)[1]
 
     # Orbit segment length per anchor: one cycle for periodic members.
     periods = detect_period(sys, reps, 2 * d if d > 0 else 1, period_tol)
-    t_of = np.array([min(p - 1, 2 * d) if p is not None else 2 * d
-                     for p in periods])
+    t_of = np.where(periods > 0, np.minimum(periods - 1, 2 * d), 2 * d)
 
     # Cover-order smallness check per class.  The anchors themselves are
     # finitely many separated points and always admit a disjoint cover, so
     # the refinement heuristic only runs on classes for which the caller
     # supplied a sampled neighborhood of the underlying periodic set.
     if class_samples:
-        rep_class = np.array([0 if p is None else p for p in periods])
         for label, sample in sorted(class_samples.items()):
             pts = np.atleast_2d(np.asarray(sample, dtype=float))
-            pts = np.concatenate([reps[rep_class == label], pts], axis=0)
+            pts = np.concatenate([reps[periods == label], pts], axis=0)
             t = 2 * d if label == 0 else min(label - 1, 2 * d)
             _check_cover_bound(pts, t, label if label else 2 * d + 1, K.delta)
 

@@ -15,7 +15,9 @@ The grid buckets on at most the first three axes, which bounds nothing when
 those axes take few values (a 64-digit odometer has 8 cells), so points
 with more axes go to the tree.  A nearest-neighbour query is rounds of that
 same routed pair query at a doubling radius, so it makes no backend choice
-of its own.
+of its own.  The greedy merge of near-duplicate rows, `first_found`, makes no
+pair query at all: a sort on the first axis and a sweep over the rows it
+cannot rule out, with the same distance formula and tie rule.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ _CHUNK = 1 << 16
 _EMPTY = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
 
 
-def _norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a - b
+def _norm(a: np.ndarray, b: np.ndarray, wrap=None) -> np.ndarray:
+    d = a - b if wrap is None else wrap(a - b)
     return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
@@ -203,3 +205,42 @@ def nn_distance(pts) -> np.ndarray:
         todo = todo[best[todo] > r]
         r *= 2.0
     return best
+
+
+def first_found(pts, r: float, labels=None, wrap=None) -> np.ndarray:
+    """Greedy merge in row order: for each row of the (n, k) array ``pts``,
+    the index of the row it merges into, its own index when it is kept.  A
+    row merges into the first earlier kept row within ``r`` of it that has
+    the same label (every row has one label when ``labels`` is None).  With
+    ``wrap``, distances are of ``wrap`` of the displacement, as
+    `System.wrap_displacement` gives it on a torus.
+
+    After one sort on the first axis, a row whose sorted neighbours on both
+    sides, the wrap-around gap included, are more than ``r`` away merges
+    with nothing.  The other rows go through a sweep, one step per kept
+    row: the first undecided row is kept, and the later undecided rows
+    within ``r`` of it with its label merge into it.  Every earlier kept
+    row has already taken its neighbours, so each merged row goes to its
+    earliest kept neighbour, as the greedy rule asks."""
+    pts = np.asarray(pts, dtype=float)
+    into = np.arange(len(pts))
+    if len(pts) == 0:
+        return into
+    key = pts[:, 0] if wrap is None else wrap(pts[:, 0])
+    order = np.argsort(key, kind="stable")
+    step = np.diff(key[order], append=key[order[0]])
+    gap = np.abs(step if wrap is None else wrap(step))
+    # The slack outweighs the rounding of the gaps, of the norm and of a wrap
+    # (an error of order 2**-53 even for small coordinates).
+    reach = r * (1.0 + 1e-9) + (1.0 + np.abs(pts[:, 0]).max()) * 2.0 ** -40
+    sweep = np.ones(len(pts), dtype=bool)
+    sweep[order[(gap > reach) & (np.roll(gap, 1) > reach)]] = False
+    rest = np.flatnonzero(sweep)
+    while rest.size:
+        q, rest = rest[0], rest[1:]
+        hit = _norm(pts[rest], pts[q], wrap) <= r
+        if labels is not None:
+            hit &= labels[rest] == labels[q]
+        into[rest[hit]] = q
+        rest = rest[~hit]
+    return into

@@ -15,6 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .neighbors import first_found
+
 __all__ = [
     "System",
     "Henon",
@@ -533,29 +535,12 @@ def _returns(sys: System, start: np.ndarray, n_max: int, tol: float) -> np.ndarr
     return close
 
 
-def detect_period(sys: System, x, n_max: int,
-                  tol: float) -> int | None | list[int | None]:
-    """Minimal p <= n_max with T^p(x) within tol of x, by direct return.
-
-    A single state gives one period (or None); an (n, k) batch gives a list
-    with one entry per row, from one batched orbit.
-    """
-    x = np.asarray(x, dtype=float)
-    found = [int(row.argmax()) + 1 if row.any() else None
-             for row in _returns(sys, np.atleast_2d(x), n_max, tol)]
-    return found[0] if x.ndim == 1 else found
-
-
-def _first_found(sys: System, pts: np.ndarray, labels: np.ndarray,
-                 radius: float) -> np.ndarray:
-    """Rows kept by a greedy merge in row order: a row is dropped when an
-    earlier kept row with the same label lies within ``radius``."""
-    kept = np.zeros(pts.shape[0], dtype=bool)
-    for i, (x, label) in enumerate(zip(pts, labels)):
-        prior = pts[:i][kept[:i] & (labels[:i] == label)]
-        dist = np.linalg.norm(sys.wrap_displacement(x - prior), axis=1)
-        kept[i] = not np.any(dist <= radius)
-    return np.flatnonzero(kept)
+def detect_period(sys: System, x, n_max: int, tol: float) -> np.ndarray:
+    """Minimal p <= n_max with T^p(x) within tol of x, by direct return, for
+    each row of the (n, k) batch ``x`` from one batched orbit; 0 where there
+    is no return within n_max."""
+    close = _returns(sys, _as_batch(x), n_max, tol)
+    return np.where(close.any(axis=1), close.argmax(axis=1) + 1, 0)
 
 
 def find_periodic(sys: System, n_max: int, tol: float, seeds) -> list[tuple[np.ndarray, int]]:
@@ -565,8 +550,9 @@ def find_periodic(sys: System, n_max: int, tol: float, seeds) -> list[tuple[np.n
     within tol are kept, the rest go through one batched Newton run, and
     `detect_period` gives each point its minimal period.  In pass-then-seed
     order, a point within 10*tol of an earlier kept point of the same period
-    is merged into it.  Returns (point, period) tuples sorted by period and
-    coordinates, so the result is deterministic regardless of seed order.
+    is merged into it (`neighbors.first_found`).  Returns (point, period)
+    tuples sorted by period and coordinates, so the result is deterministic
+    regardless of seed order.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -592,12 +578,13 @@ def find_periodic(sys: System, n_max: int, tol: float, seeds) -> list[tuple[np.n
             residual, seeds[miss], fd=max(1e-7, tol), maxiter=40, step_cap=1.0,
             stop_tol=0.1 * tol, accept_tol=tol, project=project)
         x = x[keep]
-        q = np.array([r or 0 for r in detect_period(sys, x, p, tol)], dtype=int)
+        q = detect_period(sys, x, p, tol)
         points.append(x[q > 0])
         periods.append(q[q > 0])
     points, periods = np.concatenate(points), np.concatenate(periods)
+    into = first_found(points, 10 * tol, periods, sys.wrap_displacement)
     found = [(points[i], int(periods[i]))
-             for i in _first_found(sys, points, periods, 10 * tol)]
+             for i in np.flatnonzero(into == np.arange(len(into)))]
     found.sort(key=lambda item: (item[1],) + tuple(np.round(item[0], 12)))
     return found
 
@@ -643,7 +630,7 @@ def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None,
         x, ok = _newton(f, _as_batch(equilibrium_seeds), fd=1e-7, maxiter=30,
                         step_cap=1e3, stop_tol=tol, accept_tol=tol)
         x = x[ok & np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=1)]
-        zeros = list(x[_first_found(sys, x, np.zeros(x.shape[0]), 100 * tol)])
+        zeros = list(x[first_found(x, 100 * tol) == np.arange(x.shape[0])])
         zeros.sort(key=lambda z: tuple(np.round(z, 9)))
         equilibria = [[float(c) for c in z] for z in zeros]
     return {

@@ -277,9 +277,8 @@ class TestImports:
     def test_no_scipy_in_small_neighbour_queries(self, tmp_path, command, config,
                                                  artifact):
         """Perturb and hypothesis runs make only small neighbour queries
-        (anchor supports, member dedup, nearest-neighbour spacing), which
-        the NumPy grid of `delayrecon.neighbors` answers, so they load no
-        scipy module."""
+        (anchor supports, nearest-neighbour spacing), which the NumPy grid
+        of `delayrecon.neighbors` answers, so they load no scipy module."""
         after_import, code, after_run = scipy_modules_after(tmp_path, command, config)
         assert after_import == []
         assert code == 0
@@ -417,11 +416,9 @@ class TestErrors:
         ("hypothesis", "n_seeds", -5),
         ("hypothesis", "n_seeds", 0),
         ("yorke", "n_seeds", -5),
-        ("margin", "pairs.period_seeds", 0),
     ])
     def test_nonpositive_seed_count_rejected(self, tmp_path, base_config, capsys,
                                              cmd, field, value):
-        base_config["pairs"] = {"delta": 0.01, "count": 10, "detect_periodic": True}
         if cmd == "yorke":
             base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
         outer, _, leaf = field.rpartition(".")
@@ -441,12 +438,18 @@ class TestErrors:
         ("embed", "m", 0),
         ("genericity", "d", -1),
         ("simulate", "trajectory.n", 0),
+        ("simulate", "trajectory.transient", -5),
+        ("hypothesis", "tol", 0.0),
+        ("margin", "pairs.period_tol", -1.0),
+        ("margin", "pairs.period_max", 0),
+        ("margin", "pairs.period_seeds", 0),
     ])
     def test_out_of_range_named_before_any_stage(self, tmp_path, base_config,
                                                  capsys, cmd, field, value):
         # Checked when the field is read, so no artifact is written first.
+        # The pairs.period_* fields are read only with detect_periodic.
         base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
-                           pairs={"delta": 0.01, "count": 10})
+                           pairs={"delta": 0.01, "count": 10, "detect_periodic": True})
         outer, _, leaf = field.rpartition(".")
         (base_config[outer] if outer else base_config)[leaf] = value
         cfg = write_config(tmp_path, base_config)

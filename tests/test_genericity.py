@@ -3,6 +3,9 @@ perturbation construction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 import delayrecon as dr
@@ -13,7 +16,6 @@ from delayrecon.genericity import (
     CompatibilityReport,
     PairSet,
     PerturbationError,
-    _dedup_members,
     compatibility_margin,
     detect_period,
     genericity_monte_carlo,
@@ -22,10 +24,12 @@ from delayrecon.genericity import (
     random_trig_bump,
     sample_pairs,
 )
+from delayrecon.neighbors import first_found
 
 
 def reference_dedup(pts, tol):
-    """The greedy quadratic loop `_dedup_members` replaces."""
+    """The greedy quadratic loop of member dedup in `perturb_to_compatible`:
+    (representatives, index of each point's representative)."""
     reps = []
     assign = np.empty(pts.shape[0], dtype=int)
     for i, p in enumerate(pts):
@@ -37,6 +41,51 @@ def reference_dedup(pts, tol):
             assign[i] = len(reps)
             reps.append(p)
     return np.asarray(reps), assign
+
+
+def reference_first_found(pts, labels, radius, wrap=lambda disp: disp):
+    """The per-row loop the periodic-point merge used: the rows kept when a
+    row is dropped for an earlier kept row with its label within
+    ``radius``."""
+    kept = np.zeros(pts.shape[0], dtype=bool)
+    for i, (x, label) in enumerate(zip(pts, labels)):
+        prior = pts[:i][kept[:i] & (labels[:i] == label)]
+        dist = np.linalg.norm(wrap(x - prior), axis=1)
+        kept[i] = not np.any(dist <= radius)
+    return np.flatnonzero(kept)
+
+
+def dedup(pts, tol):
+    """`first_found` as member dedup reads it: (representatives, index of
+    each point's representative)."""
+    into = first_found(pts, tol)
+    return pts[into == np.arange(len(pts))], np.unique(into, return_inverse=True)[1]
+
+
+TORUS_WRAP = dr.CatMap().wrap_displacement
+
+
+@st.composite
+def merge_inputs(draw):
+    """(points, r, labels, wrap): rows on a lattice or at random, with shared
+    first coordinates and exact repeats; on a torus, rows at 0, just below 1,
+    at exactly 1.0 and one period outside [0, 1]; from 0 rows up."""
+    torus = draw(st.booleans())
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 30))
+    if torus:
+        special = [0.0, 0.25, 0.5, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0)), 1.0,
+                   1.25, -0.75]
+        elements = st.sampled_from(special) | st.floats(-1.0, 2.0)
+    else:
+        elements = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+    pts = draw(hnp.arrays(float, (n, k), elements=elements))
+    if n:
+        pts = pts[draw(hnp.arrays(np.int64, draw(st.integers(n, 2 * n)),
+                                  elements=st.integers(0, n - 1)))]
+    r = draw(st.sampled_from([0.0, 1e-12, 0.25, 0.3, 0.5]))
+    labels = draw(st.none() | hnp.arrays(np.int64, len(pts), elements=st.integers(1, 3)))
+    return pts, r, labels, TORUS_WRAP if torus else None
 
 
 def reference_sample_pairs(samples, delta, count, periodic_points=None, seed=0,
@@ -219,7 +268,7 @@ class TestDedupMembers:
         pts = rng.uniform(0, 1, (150, 2))
         pts = np.concatenate([pts, pts[:40] + rng.normal(scale=0.01, size=(40, 2)),
                               pts[10:20]])[rng.permutation(200)]
-        reps, assign = _dedup_members(pts, tol)
+        reps, assign = dedup(pts, tol)
         ref_reps, ref_assign = reference_dedup(pts, tol)
         assert np.array_equal(reps, ref_reps)
         assert np.array_equal(assign, ref_assign)
@@ -228,36 +277,62 @@ class TestDedupMembers:
         # a~b and b~c, but a and c are farther apart than tol: greedy keeps
         # c as its own representative, connected components would merge it.
         pts = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]])
-        reps, assign = _dedup_members(pts, 1.0)
+        assert first_found(pts, 1.0).tolist() == [0, 0, 2]
+        reps, assign = dedup(pts, 1.0)
         ref_reps, ref_assign = reference_dedup(pts, 1.0)
         assert assign.tolist() == ref_assign.tolist() == [0, 0, 1]
         assert np.array_equal(reps, ref_reps)
 
     def test_tie_at_tol_joins(self):
         pts = np.array([[0.0], [0.25], [0.5]])
-        _, assign = _dedup_members(pts, 0.25)
+        assert first_found(pts, 0.25).tolist() == [0, 0, 2]
+        _, assign = dedup(pts, 0.25)
         assert assign.tolist() == reference_dedup(pts, 0.25)[1].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_inputs())
+    def test_first_found_matches_reference_loops(self, case):
+        pts, r, labels, wrap = case
+        n = len(pts)
+        into = first_found(pts, r, labels, wrap)
+        assert into.shape == (n,)
+        kept = np.flatnonzero(into == np.arange(n))
+        same = np.zeros(n, dtype=int) if labels is None else labels
+        assert np.array_equal(kept, reference_first_found(
+            pts, same, r, wrap or (lambda disp: disp)))
+        # Each merged row goes to its earliest kept row within r with its label.
+        for i in np.flatnonzero(into != np.arange(n)):
+            prior = kept[kept < i]
+            disp = pts[i] - pts[prior]
+            dist = np.linalg.norm(disp if wrap is None else wrap(disp), axis=1)
+            assert into[i] == prior[(dist <= r) & (same[prior] == same[i])][0]
+        if labels is None and wrap is None:
+            reps, assign = reference_dedup(pts, r)
+            assert np.array_equal(pts[kept], reps.reshape(-1, pts.shape[1]))
+            assert np.array_equal(np.unique(into, return_inverse=True)[1], assign)
 
 
 class TestDetectPeriod:
     def test_fixed_point(self, henon):
         fp = henon.fixed_points()[0]
-        assert detect_period(henon, fp, 3, 1e-9) == 1
+        assert detect_period(henon, fp[None, :], 3, 1e-9).tolist() == [1]
 
     def test_rational_rotation(self):
         rot = dr.CircleRotation(0.25)
-        assert detect_period(rot, np.array([0.1]), 6, 1e-9) == 4
+        assert detect_period(rot, np.array([[0.1]]), 6, 1e-9).tolist() == [4]
 
     def test_aperiodic_returns_none(self, henon):
-        assert detect_period(henon, np.array([0.1, 0.1]), 4, 1e-9) is None
+        # 0 stands for no return within n_max.
+        assert detect_period(henon, np.array([[0.1, 0.1]]), 4, 1e-9).tolist() == [0]
 
     def test_batch_matches_rows(self, henon):
         from delayrecon.topology import grid_seeds
         pts = np.concatenate([[p for p, _ in dr.find_periodic(
             henon, 2, 1e-9, grid_seeds(henon, 100))], [[0.1, 0.1]]])
         batch = detect_period(henon, pts, 4, 1e-9)
-        assert batch == [detect_period(henon, x, 4, 1e-9) for x in pts]
-        assert None in batch and 1 in batch and 2 in batch
+        assert batch.tolist() == [detect_period(henon, x[None, :], 4, 1e-9)[0]
+                                  for x in pts]
+        assert 0 in batch and 1 in batch and 2 in batch
 
 
 class TestPerturbation:

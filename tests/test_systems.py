@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayrecon as dr
-from delayrecon import topology
+from delayrecon import neighbors, topology
 from delayrecon.systems import (
     MAX_ODOMETER_DIGITS,
     MAX_RK4_SUBSTEPS,
@@ -599,6 +599,20 @@ class TestBatchedEngine:
             assert same_hits([(x, q) for x, q in hits if q <= n], ref)
             points = np.array([x for x, _ in ref])
             assert entry["detected_dim"] == _detected_set_dimension(points, 400)
+
+    def test_merge_makes_no_pair_query(self, monkeypatch):
+        # The cat map's candidates hold tight clusters of up to 164 copies of
+        # one point, so a pair query at the merge radius would build about
+        # 3e5 pairs; the merge sorts and sweeps instead.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pair query in the merge")
+
+        monkeypatch.setattr(neighbors, "_pairs", forbidden)
+        cat = dr.CatMap()
+        assert len(dr.find_periodic(cat, 6, 1e-9, grid_seeds(cat, 400))) == 455
+        flow = dr.SampledFlow("lorenz", dt=0.01)
+        cert = yorke_certificate(flow, 1, equilibrium_seeds=grid_seeds(flow, 1000))
+        assert len(cert["equilibria"]) == 3
 
     def test_hypothesis_check_d0_skips_search(self, monkeypatch):
         def forbidden(*args, **kwargs):
