@@ -21,18 +21,12 @@ EXIT_ERROR = 1
 EXIT_HYPOTHESIS = 2
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config field {key!r} is missing")
-    return config[key]
-
-
 def _field(config: dict, key: str, default=None):
     """Value at the dotted path ``key`` (``"d"``, ``"trajectory.n"``); a
     missing field takes ``default``, or is an error when there is none."""
     *outer, leaf = key.split(".")
     for depth, part in enumerate(outer):
-        config = _require(config, part)
+        config = _field(config, part)
         if not isinstance(config, dict):
             name = ".".join(outer[:depth + 1])
             raise ConfigError(f"config field {name!r} must be an object, got {config!r}")
@@ -43,11 +37,12 @@ def _field(config: dict, key: str, default=None):
 
 # Lower bounds of numeric config fields, as (bound, strict): a value below
 # the bound, at it when strict, or NaN is an error naming the field.
-_LOWER = {"d": (0, False), "m": (1, False), "epsilon": (0, True),
-          "n_seeds": (1, False), "trials": (1, False), "bump_scale": (0, False),
-          "tol": (0, True), "trajectory.n": (1, False),
+_LOWER = {"seed": (0, False), "d": (0, False), "m": (1, False),
+          "epsilon": (0, True), "n_seeds": (1, False), "trials": (1, False),
+          "bump_scale": (0, False), "tol": (0, True), "trajectory.n": (1, False),
           "trajectory.transient": (0, False), "pairs.delta": (0, True),
-          "pairs.count": (1, False), "pairs.period_tol": (0, True),
+          "pairs.count": (1, False), "pairs.seed": (0, False),
+          "pairs.min_index_gap": (0, False), "pairs.period_tol": (0, True),
           "pairs.period_max": (1, False), "pairs.period_seeds": (1, False)}
 
 
@@ -100,7 +95,9 @@ def _delay_count(config: dict) -> int:
 
 def _seed(config: dict, override) -> int:
     if override is not None:
-        return int(override)
+        if override < 0:
+            raise ConfigError(f"option '--seed' must be >= 0, got {override}")
+        return override
     if "seed" not in config:
         raise ConfigError("config field 'seed' is missing (all runs are seeded)")
     return _number(config, "seed", int)
@@ -157,7 +154,7 @@ def cmd_simulate(config, out: Path, seed, quiet, import_path=None) -> int:
     sys_ = _system(config)
     if import_path is not None:
         try:
-            states = np.loadtxt(import_path, delimiter=",", skiprows=1, ndmin=2)
+            states = delay.read_delay_csv(import_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot import trajectory CSV: {exc}")
         if not np.all(np.isfinite(states)):

@@ -41,6 +41,12 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
+def _check_dim(pts: np.ndarray, k: int) -> None:
+    """Raise unless the states have at least the ``k`` axes an observable reads."""
+    if pts.shape[1] < k:
+        raise ValueError(f"observable needs ambient dimension >= {k}, got {pts.shape[1]}")
+
+
 class Observable(Registered, tag_key="variant"):
     """Base class; subclasses implement `_values` on (n, k) batches."""
 
@@ -60,17 +66,6 @@ class Observable(Registered, tag_key="variant"):
     def lipschitz(self) -> float:
         """Upper bound on the Lipschitz constant w.r.t. the Euclidean metric."""
         raise NotImplementedError
-
-    def expected_dim(self) -> int | None:
-        """Ambient dimension this observable requires, or None if any."""
-        return None
-
-    def _check_dim(self, pts: np.ndarray) -> None:
-        k = self.expected_dim()
-        if k is not None and pts.shape[1] < k:
-            raise ValueError(
-                f"observable needs ambient dimension >= {k}, got {pts.shape[1]}"
-            )
 
 
 @dataclass(frozen=True)
@@ -99,14 +94,11 @@ class Coordinate(Observable, name="coordinate"):
     hi: float = 1.0
 
     def __post_init__(self):
-        if self.hi <= self.lo:
-            raise ValueError("coordinate rescale needs hi > lo")
-
-    def expected_dim(self):
-        return self.index + 1
+        if self.index < 0 or self.hi <= self.lo:
+            raise ValueError("coordinate observable needs index >= 0 and hi > lo")
 
     def _values(self, pts):
-        self._check_dim(pts)
+        _check_dim(pts, self.index + 1)
         vals = (pts[:, self.index] - self.lo) / (self.hi - self.lo)
         return np.clip(vals, 0.0, 1.0)
 
@@ -131,17 +123,14 @@ class TrigPolynomial(Observable, name="trig"):
         if not 0.0 <= self.amplitude <= 0.5:
             raise ValueError("amplitude must lie in [0, 0.5]")
         object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
-
-    def expected_dim(self):
-        if not self.terms:
-            return None
-        return max(int(t[2]) for t in self.terms) + 1
+        if any(int(t[2]) < 0 for t in self.terms):
+            raise ValueError("trig term axes must be >= 0")
 
     def _mass(self) -> float:
         return sum(abs(t[0]) for t in self.terms)
 
     def _values(self, pts):
-        self._check_dim(pts)
+        _check_dim(pts, max((int(t[2]) + 1 for t in self.terms), default=0))
         mass = self._mass()
         if mass == 0.0 or self.amplitude == 0.0:
             return np.full(pts.shape[0], 0.5)
@@ -196,11 +185,6 @@ class PiecewiseAnchor(Observable, name="anchors"):
             raise ValueError("anchor values must lie in [0, 1]")
         if not 0.0 <= self.base <= 1.0:
             raise ValueError("base value must lie in [0, 1]")
-
-    def expected_dim(self):
-        if not self.points:
-            return None
-        return len(self.points[0])
 
     def _values(self, pts):
         if not self.points:
@@ -275,10 +259,6 @@ class SumObservable(Observable, name="sum"):
         return np.clip(
             self.base._values(pts) + self.bump._values(pts) - self.offset, 0.0, 1.0
         )
-
-    def expected_dim(self):
-        dims = [d for d in (self.base.expected_dim(), self.bump.expected_dim()) if d]
-        return max(dims) if dims else None
 
     def lipschitz(self):
         return self.base.lipschitz() + self.bump.lipschitz()

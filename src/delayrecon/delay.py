@@ -11,7 +11,6 @@ from .systems import System, Trajectory
 __all__ = [
     "delay_count_for",
     "orbits",
-    "observe",
     "delay_vector",
     "delay_matrix",
     "periodic_extension",
@@ -43,20 +42,15 @@ def orbits(sys: System, points, m: int) -> np.ndarray:
     return np.stack(states, axis=1)
 
 
-def observe(h: Observable, orbit: np.ndarray) -> np.ndarray:
-    """h at every state of an ``(n, m, k)`` orbit array, as ``(n, m)``, from
-    one evaluation on the flattened states."""
-    return h.evaluate(orbit.reshape(-1, orbit.shape[2])).reshape(orbit.shape[:2])
-
-
 def delay_vector(h: Observable, sys: System, x, m: int) -> np.ndarray:
     """(h(x), h(Tx), ..., h(T^{m-1}x)) as a length-m array in [0, 1]."""
     return delay_vectors(h, sys, x, m)[0]
 
 
 def delay_vectors(h: Observable, sys: System, points, m: int) -> np.ndarray:
-    """Batch form of `delay_vector`: one row per input point."""
-    return observe(h, orbits(sys, points, m))
+    """Batch form of `delay_vector`: one row per input point, from one
+    evaluation of h on the flattened `orbits`."""
+    return h.evaluate(orbits(sys, points, m).reshape(-1, sys.ambient_dim)).reshape(-1, m)
 
 
 def delay_matrix(h: Observable, traj: Trajectory, m: int) -> np.ndarray:
@@ -109,4 +103,5 @@ def write_delay_csv(path, mat: np.ndarray) -> None:
 
 
 def read_delay_csv(path) -> np.ndarray:
+    """The rows of a CSV with one header line, as a 2-D float array."""
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -82,11 +82,6 @@ class PairSet:
     def __len__(self):
         return self.xs.shape[0]
 
-    def subset(self, idx) -> "PairSet":
-        idx = np.asarray(idx)
-        return PairSet(self.xs[idx], self.ys[idx], self.delta,
-                       tuple(self.tags[i] for i in idx), self.complete)
-
     def write_csv(self, path) -> None:
         k = self.xs.shape[1]
         header = [f"x{j}" for j in range(k)] + [f"y{j}" for j in range(k)] + ["tag"]
@@ -110,32 +105,31 @@ class CompatibilityReport:
     argmin_index: int
     per_pair: np.ndarray  # (n,) max-coordinate gap per pair
     m: int
-    tolerance: float = MARGIN_TOL
 
     @property
     def compatible(self) -> bool:
-        return self.margin > self.tolerance
+        return self.margin > MARGIN_TOL
 
     def to_dict(self) -> dict:
         return {
             "margin": self.margin,
             "argmin_pair": self.argmin_index,
             "m": self.m,
-            "tolerance": self.tolerance,
+            "tolerance": MARGIN_TOL,
             "compatible": self.compatible,
         }
 
 
 def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
                  periodic_points=None, seed: int = 0,
-                 period_tol: float = 1e-6, max_tries: int = 200,
                  min_index_gap: int = 0) -> PairSet:
     """Uniformly sample delta-separated pairs from a point cloud.
 
     Pairs are tagged C1/C2/C3 by matching members against the supplied
-    periodic points (from `find_periodic`) at ``period_tol``.  Deterministic
-    for a fixed seed.  If ``count`` pairs cannot be realized the result is
-    shorter and flagged incomplete.
+    periodic points (from `find_periodic`) within 1e-6.  Deterministic for
+    a fixed seed.  If ``count`` pairs cannot be realized in 200 draws per
+    pair, the result is shorter and flagged incomplete.  ``sys`` is not
+    used.
 
     When the samples are consecutive trajectory states, members drawn at
     nearby indices share forward orbit points exactly; ``min_index_gap``
@@ -149,7 +143,7 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     blocked = np.zeros(n, dtype=bool)  # within min_index_gap of a used index
-    for _ in range(max_tries * count):
+    for _ in range(200 * count):
         if len(xs) >= count:
             break
         i, j = rng.integers(0, n, size=2)
@@ -168,23 +162,22 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
     periodic = np.zeros(2 * len(xs), dtype=bool)
     if periodic_points is not None and len(periodic_points):
         near, _, _ = close_pairs(np.concatenate([xs, ys]), np.atleast_2d(
-            np.asarray([p for p, _ in periodic_points], dtype=float)), period_tol)
+            np.asarray([p for p, _ in periodic_points], dtype=float)), 1e-6)
         periodic[near] = True
     px, py = np.split(periodic, 2)
     tags = np.where(px & py, "C2", np.where(px | py, "C3", "C1"))
     return PairSet(xs, ys, delta, tuple(tags.tolist()), complete=len(xs) >= count)
 
 
-def compatibility_margin(h: Observable, sys: System, K: PairSet, m: int,
-                         tolerance: float = MARGIN_TOL) -> CompatibilityReport:
+def compatibility_margin(h: Observable, sys: System, K: PairSet,
+                         m: int) -> CompatibilityReport:
     """Min over pairs of the max over the m delay coordinates of
     |h(T^n x) - h(T^n y)|."""
     vx, vy = np.split(delay_vectors(h, sys, np.concatenate([K.xs, K.ys]), m), 2)
     per_pair = np.max(np.abs(vx - vy), axis=1)
     argmin = int(np.argmin(per_pair))
     return CompatibilityReport(margin=float(per_pair[argmin]),
-                               argmin_index=argmin, per_pair=per_pair, m=m,
-                               tolerance=tolerance)
+                               argmin_index=argmin, per_pair=per_pair, m=m)
 
 
 def openness_radius(report: CompatibilityReport) -> float:
@@ -221,10 +214,7 @@ def _check_cover_bound(class_pts: np.ndarray, t: int, n_label: int,
 
 def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
                           sys: System, d: int, seed: int = 0,
-                          tol: float = MARGIN_TOL,
-                          period_tol: float = 1e-9,
-                          class_samples: dict[int, np.ndarray] | None = None,
-                          max_rounds: int = 60
+                          class_samples: dict[int, np.ndarray] | None = None
                           ) -> tuple[SumObservable, CompatibilityReport]:
     """Construct f within eps of ``h_base`` whose (2d+1)-delay map separates
     every pair of K; returns f and the margin report that verified it.
@@ -250,6 +240,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     if d < 0:
         raise ValueError("d must be nonnegative")
     m = 2 * d + 1
+    period_tol = 1e-9  # members, periods and orbit points closer than this coincide
     members = np.concatenate([K.xs, K.ys], axis=0)
     into = first_found(members, period_tol)
     reps = members[into == np.arange(len(into))]
@@ -276,7 +267,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     in_segment = np.arange(segments.shape[1])[None, :] <= t_of[:, None]
     orbit_pts = segments[in_segment]
     orbit_owner = [tuple(o) for o in np.argwhere(in_segment).tolist()]
-    close = close_pairs(orbit_pts, r=max(period_tol, 1e-12))[:2]
+    close = close_pairs(orbit_pts, r=period_tol)[:2]
     conflicts = [(orbit_owner[i], orbit_owner[j]) for i, j in zip(*close)
                  if orbit_owner[i][0] != orbit_owner[j][0]]
     if conflicts:
@@ -309,7 +300,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
             "a pair's members coincide at the working tolerance")
     probe = np.concatenate([orbit_pts, members])
 
-    for _ in range(max_rounds):
+    for _ in range(60):
         targets = np.clip(base_along + rng.uniform(-amp, amp, size=base_along.size),
                           0.0, 1.0)
         gaps = np.abs(targets[ext[x_anchor]] - targets[ext[y_anchor]]).max(axis=1)
@@ -321,26 +312,25 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
 
         # Mandatory self-verification on the actual observable: the margin,
         # the sampled sup-distance, and the certified bound on it.
-        report = compatibility_margin(f, sys, K, m, tolerance=tol)
+        report = compatibility_margin(f, sys, K, m)
         dist = sup_distance(f, h_base, probe)
-        if report.margin > tol and dist < eps and bump.max_deviation() < eps:
+        if report.compatible and dist < eps and bump.max_deviation() < eps:
             return f, report
     raise PerturbationError(
-        f"general-position retries exhausted after {max_rounds} rounds")
+        "general-position retries exhausted after 60 rounds")
 
 
 # --- empirical density ----------------------------------------------------
 
 def random_trig_bump(rng: np.random.Generator, ambient_dim: int,
-                     bump_scale: float, n_terms: int = 4,
-                     max_freq: int = BUMP_MAX_FREQ) -> TrigPolynomial:
-    """Random trigonometric bump with sup-norm at most ``bump_scale``,
-    centered at 1/2 so it acts as a signed perturbation under SumObservable
-    with offset 1/2."""
+                     bump_scale: float) -> TrigPolynomial:
+    """Random trigonometric bump of four terms with frequencies up to
+    `BUMP_MAX_FREQ` and sup-norm at most ``bump_scale``, centered at 1/2 so
+    it acts as a signed perturbation under SumObservable with offset 1/2."""
     terms = []
-    for _ in range(n_terms):
+    for _ in range(4):
         coef = float(rng.normal())
-        freq = int(rng.integers(1, max_freq + 1))
+        freq = int(rng.integers(1, BUMP_MAX_FREQ + 1))
         axis = int(rng.integers(0, ambient_dim))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         terms.append((coef, freq, axis, phase))
@@ -382,12 +372,11 @@ def _trial_gaps(sys: System, K: PairSet, m: int, trials: int, bump_scale: float,
 
 def genericity_monte_carlo(sys: System, K: PairSet, m: int, trials: int,
                            bump_scale: float, seed: int = 0,
-                           base: Observable | None = None,
-                           tol: float = MARGIN_TOL) -> float:
+                           base: Observable | None = None) -> float:
     """Fraction of random bump perturbations of the base observable whose
-    delay map separates every pair of K at the working tolerance."""
+    delay map separates every pair of K by more than `MARGIN_TOL`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     gaps = _trial_gaps(sys, K, m, trials, bump_scale, seed,
                        Constant(0.5) if base is None else base)
-    return np.count_nonzero(gaps > tol) / trials
+    return np.count_nonzero(gaps > MARGIN_TOL) / trials

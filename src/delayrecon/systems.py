@@ -159,7 +159,6 @@ class System(Registered, tag_key="kind"):
 
     ambient_dim: int
     injective: bool = True
-    known_dim: int | None = None
     lipschitz_L: float | None = None
     torus: bool = False
 
@@ -182,14 +181,16 @@ class System(Registered, tag_key="kind"):
     def _step_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.stack(self._map(*pts.T), axis=1)
 
-    def check_domain(self, pts: np.ndarray, slack: float = 1e-9) -> None:
+    def check_domain(self, pts: np.ndarray) -> None:
+        """Raise `DomainError` unless every row of ``pts`` lies in the domain
+        box, widened by 1e-9 on each face for rounding."""
         box = self.domain
         if pts.shape[1] != self.ambient_dim:
             raise DomainError(
                 f"{self.system_id}: state dimension {pts.shape[1]} != {self.ambient_dim}"
             )
-        lo = box[:, 0] - slack
-        hi = box[:, 1] + slack
+        lo = box[:, 0] - 1e-9
+        hi = box[:, 1] + 1e-9
         if np.any(pts < lo) or np.any(pts > hi):
             raise DomainError(f"{self.system_id}: state outside domain box")
 
@@ -228,7 +229,6 @@ class Henon(System, name="henon"):
     b: float = 0.3
 
     ambient_dim = 2
-    known_dim = 1
 
     @property
     def injective(self):
@@ -257,7 +257,6 @@ class CatMap(System, name="catmap"):
     """Arnold cat map on the 2-torus: (x, y) -> (x + y, x + 2y) mod 1."""
 
     ambient_dim = 2
-    known_dim = 2
     torus = True
 
     @property
@@ -279,7 +278,6 @@ class CircleRotation(System, name="rotation"):
     alpha: float
 
     ambient_dim = 1
-    known_dim = 1
     torus = True
 
     @property
@@ -313,8 +311,6 @@ class Odometer(System, name="odometer"):
 
     base: int = 3
     digits: int = 6
-
-    known_dim = 0
 
     def __post_init__(self):
         if self.base < 2 or not 1 <= self.digits <= MAX_ODOMETER_DIGITS:
@@ -609,13 +605,13 @@ def yorke_threshold(L: float, d: int) -> float:
     return math.pi / (L * d)
 
 
-def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None,
-                      tol: float = 1e-6) -> dict:
+def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None) -> dict:
     """Certify that a sampled flow has no periodic orbits of order <= 2d.
 
     Equilibria of the vector field are period-1 points of every time-t map
-    and are excluded by an explicit scan: seeds where the field nearly
-    vanishes are reported separately rather than silently certified.
+    and are excluded by an explicit scan: Newton from the seeds stops at
+    field norm 1e-6, and the zeros it finds are reported separately rather
+    than silently certified.
     """
     if not isinstance(sys, SampledFlow):
         raise TypeError("yorke_certificate applies to sampled flows only")
@@ -625,6 +621,7 @@ def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None,
     if equilibrium_seeds is not None:
         f = VECTOR_FIELDS[sys.field_id]["field"]
         box = sys.domain
+        tol = 1e-6
         # Newton on the vector field so equilibria between grid seeds
         # are found, not just seeds that happen to land on one.
         x, ok = _newton(f, _as_batch(equilibrium_seeds), fd=1e-7, maxiter=30,

@@ -124,17 +124,16 @@ def sample_resolution(samples) -> tuple[float, np.ndarray]:
     return spacing, linkage_components(samples, _resolution_gap(spacing))
 
 
-def mesh_cover(samples, scale: float, anchor=None) -> tuple[np.ndarray, np.ndarray]:
+def mesh_cover(samples, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-open mesh boxes of side ``scale`` occupied by at least one sample,
     as a one-hot cover: each sample with the id of its box, ids in
     lexicographic cell order.
 
-    The grid is anchored at the sample bounding-box corner (or an explicit
-    anchor) for reproducibility.
+    The grid is anchored at the sample bounding-box corner for
+    reproducibility.
     """
     pts = _pts(samples)
-    origin = pts.min(axis=0) if anchor is None else np.asarray(anchor, dtype=float)
-    return np.arange(len(pts)), _row_ids(_grid_index(pts, origin, scale))
+    return np.arange(len(pts)), _row_ids(_grid_index(pts, pts.min(axis=0), scale))
 
 
 # --- order-minimizing refinement -----------------------------------------
@@ -216,26 +215,24 @@ def _kuhn_attempt(parents, pts: np.ndarray, star_scale: float):
             np.concatenate([star_id, star_id.max(initial=-1) + 1 + piece]))
 
 
-def refine_order(parents, scale: float, samples, spacing: float, labels,
-                 budget: int = 4) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+def refine_order(parents, scale: float, samples, spacing: float,
+                 labels) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """Search for a low-order refinement of the parent cover on the samples.
 
     ``parents`` is the parent cover's ``(sample, element)`` index pairs and
     ``scale`` its characteristic scale; ``spacing`` and ``labels`` are the
     samples' `sample_resolution`, which does not depend on the scale, so a
-    caller refining one sample set at several scales computes it once.  Components of the sample set that are disconnected
-    at four times that spacing, padded by half that distance, are isolated
-    into disjoint elements (order 0) whenever each fits inside a parent
-    element; otherwise connected regions are covered by Kuhn-triangulation
-    stars, which meet at most dim+1 at a point.  Splitting below the
-    sampling resolution is never attempted: gaps that small are
-    indistinguishable from finite-sample artifacts.  Returns
-    ``(cover, order)`` for the best refinement found within ``budget``
-    attempts: its ``(sample, element)`` index pairs, element ids 0..m-1,
-    and its order.
+    caller refining one sample set at several scales computes it once.
+    Components of the sample set that are disconnected at four times that
+    spacing, padded by half that distance, are isolated into disjoint
+    elements (order 0) whenever each fits inside a parent element; otherwise
+    connected regions are covered by Kuhn-triangulation stars, which meet at
+    most dim+1 at a point, at up to three shrinking star scales.  Splitting
+    below the sampling resolution is never attempted: gaps that small are
+    indistinguishable from finite-sample artifacts.  Returns ``(cover,
+    order)`` for the best refinement found: its ``(sample, element)`` index
+    pairs, element ids 0..m-1, and its order.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     pts = _pts(samples)
     n = pts.shape[0]
     if len(labels) != n:
@@ -251,7 +248,7 @@ def refine_order(parents, scale: float, samples, spacing: float, labels,
 
     dim = pts.shape[1]
     best = None
-    for attempt in range(max(1, budget - 1)):
+    for attempt in range(3):
         star_scale = scale / (4.0 * math.sqrt(dim) * (1 + attempt))
         if star_scale < g0 / 2.0 and attempt > 0:
             break
@@ -288,7 +285,7 @@ class DimensionEstimate:
         }
 
 
-def covering_dimension_estimate(samples, scales, budget: int = 4) -> DimensionEstimate:
+def covering_dimension_estimate(samples, scales) -> DimensionEstimate:
     """Heuristic upper bound on the Lebesgue covering dimension of the
     sampled space: for each scale, build a mesh cover and minimize the
     order of a refinement; report the max over scales."""
@@ -304,7 +301,7 @@ def covering_dimension_estimate(samples, scales, budget: int = 4) -> DimensionEs
         if s < 8.0 * spacing:
             notes.append(f"scale {s:g} below sampling resolution; dropped")
             continue
-        _, order = refine_order(mesh_cover(pts, s), s, pts, spacing, labels, budget)
+        _, order = refine_order(mesh_cover(pts, s), s, pts, spacing, labels)
         orders.append(order)
         used.append(s)
     if not orders:
@@ -321,7 +318,10 @@ def covering_dimension_estimate(samples, scales, budget: int = 4) -> DimensionEs
     )
 
 
-def _box_counts(pts: np.ndarray, scales, anchor: np.ndarray) -> list[int]:
+def _box_counts(pts: np.ndarray, scales) -> list[int]:
+    """Occupied cells of the grid anchored at the bounding-box corner, per
+    scale."""
+    anchor = pts.min(axis=0)
     extent = pts.max(axis=0) - anchor
     counts = []
     for s in scales:
@@ -340,7 +340,7 @@ def _fit_slope(scales, counts) -> tuple[float, float]:
     return float(coef[0]), residual
 
 
-def box_counting(samples, scales, anchor=None) -> DimensionEstimate:
+def box_counting(samples, scales) -> DimensionEstimate:
     """Grid-occupancy box-counting dimension: least-squares slope of
     log N(eps) against log(1/eps) over the given scales."""
     pts = _pts(samples)
@@ -349,10 +349,7 @@ def box_counting(samples, scales, anchor=None) -> DimensionEstimate:
         raise ValueError("box counting needs at least 3 scales")
     if max(scales) / min(scales) < 10 ** 1.5:
         raise ValueError("box-counting scales should span at least 1.5 decades")
-    if anchor is None:
-        anchor = pts.min(axis=0)
-    anchor = np.asarray(anchor, dtype=float)
-    counts = _box_counts(pts, scales, anchor)
+    counts = _box_counts(pts, scales)
     if len(set(counts)) == 1:
         return DimensionEstimate(
             value=0.0, scales_used=scales, counts=counts,
@@ -386,7 +383,7 @@ def _detected_set_dimension(points: np.ndarray, n_seeds: int) -> float:
         s /= 2.0
     if len(scales) < 3:
         return 0
-    counts = _box_counts(points, scales, points.min(axis=0))
+    counts = _box_counts(points, scales)
     if len(set(counts)) == 1:
         return 0
     slope, _ = _fit_slope(scales, counts)
@@ -420,16 +417,15 @@ def grid_seeds(sys: System, n_seeds: int) -> np.ndarray:
 
 
 def hypothesis_check(sys: System, d: int, n_seeds: int = 400,
-                     tol: float = 1e-9, seeds=None) -> HypothesisReport:
+                     tol: float = 1e-9) -> HypothesisReport:
     """Check the periodic-set smallness condition for a 2d+1 delay count:
     the detected set of points with minimal period <= n must have dimension
     below n/2 for every n up to 2d.  One `find_periodic` pass up to 2d,
-    filtered by minimal period, gives the detected set for every n."""
+    filtered by minimal period, gives the detected set for every n; the
+    seeds are the `grid_seeds` of the domain box."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    if seeds is None:
-        seeds = grid_seeds(sys, n_seeds)
-    seeds = np.asarray(seeds, dtype=float)
+    seeds = grid_seeds(sys, n_seeds)
     found = find_periodic(sys, n_max=2 * d, tol=tol, seeds=seeds) if d else []
     per_n = []
     ok = True

@@ -327,6 +327,13 @@ class TestErrors:
         cfg = write_config(tmp_path, base_config)
         assert run("simulate", cfg, tmp_path, extra=["--seed", "4"]) == 0
 
+    def test_negative_seed_flag_named(self, tmp_path, base_config, capsys):
+        cfg = write_config(tmp_path, base_config)
+        assert run("simulate", cfg, tmp_path / "out", extra=["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "'--seed' must be >= 0" in err and "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_missing_field_named_in_message(self, tmp_path, base_config,
                                             capsys):
         del base_config["trajectory"]
@@ -374,6 +381,8 @@ class TestErrors:
         ("genericity", "bump_scale", -0.1),
         ("genericity", "bump_scale", float("nan")),
         ("genericity", "trials", 0),
+        ("embed", "observable", {"variant": "coordinate", "index": -1}),
+        ("embed", "observable", {"variant": "trig", "terms": [[1.0, 1, -2, 0.0]]}),
     ])
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):
@@ -443,6 +452,9 @@ class TestErrors:
         ("margin", "pairs.period_tol", -1.0),
         ("margin", "pairs.period_max", 0),
         ("margin", "pairs.period_seeds", 0),
+        ("simulate", "seed", -1),
+        ("margin", "pairs.seed", -3),
+        ("perturb", "pairs.min_index_gap", -2),
     ])
     def test_out_of_range_named_before_any_stage(self, tmp_path, base_config,
                                                  capsys, cmd, field, value):

@@ -15,6 +15,7 @@ import delayrecon as dr
 from delayrecon.topology import (
     UncoveredSampleError,
     _grid_index,
+    _kuhn_attempt,
     box_counting,
     cover_order,
     covering_dimension_estimate,
@@ -148,7 +149,7 @@ def _ref_kuhn_attempt(parent_mask, pts, star_scale):
     return elements, int(counts.max()) - 1
 
 
-def reference_refine_order(parents, scale, samples, budget=4):
+def reference_refine_order(parents, scale, samples):
     pts = np.asarray(samples, dtype=float).reshape(len(samples), -1)
     parent_mask = dense(parents, len(pts))
     g0 = max(4.0 * nn_spacing(pts), 1e-12)
@@ -156,7 +157,7 @@ def reference_refine_order(parents, scale, samples, budget=4):
     if best is not None and best[1] == 0:
         return best
     dim = pts.shape[1]
-    for attempt in range(max(1, budget - 1)):
+    for attempt in range(3):
         star_scale = scale / (4.0 * math.sqrt(dim) * (1 + attempt))
         if star_scale < g0 / 2.0 and attempt > 0:
             break
@@ -268,21 +269,18 @@ class TestMeshCover:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3),
-           scale=st.sampled_from([0.25, 0.1, 1.0 / 3.0, 2.0]),
-           anchored=st.booleans())
-    def test_one_hot_and_equal_to_cell_rule(self, data, dim, scale, anchored):
-        # Some coordinates sit exactly on multiples of the scale, that is on
-        # cell boundaries of the grid anchored at 0.
+           scale=st.sampled_from([0.25, 0.1, 1.0 / 3.0, 2.0]))
+    def test_one_hot_and_equal_to_cell_rule(self, data, dim, scale):
+        # Some coordinates sit exactly on multiples of the scale, so also
+        # relative to pts.min: on cell boundaries of the grid.
         coord = st.one_of(st.integers(-8, 8).map(lambda k: k * scale),
                           st.floats(-2.0, 2.0))
         pts = np.array(data.draw(st.lists(st.tuples(*[coord] * dim),
                                           min_size=1, max_size=40)), dtype=float)
-        anchor = np.full(dim, -3.0) if anchored else None
-        cov = mesh_cover(pts, scale, anchor=anchor)
+        cov = mesh_cover(pts, scale)
         assert all(x.dtype == np.int64 for x in cov)
         assert np.array_equal(np.bincount(cov[0], minlength=len(pts)), np.ones(len(pts)))
-        origin = pts.min(axis=0) if anchor is None else anchor
-        ref = reference_mesh_membership(pts, scale, origin)
+        ref = reference_mesh_membership(pts, scale, pts.min(axis=0))
         assert np.array_equal(dense(cov, len(pts)), ref)
 
 
@@ -375,10 +373,10 @@ class TestReferenceRefinement:
     equal orders, and equal element sample sets."""
 
     @staticmethod
-    def same_refinement(parents, scale, pts, budget=4):
+    def same_refinement(parents, scale, pts):
         membership, order = refine_order(pairs(parents), scale, pts,
-                                         *sample_resolution(pts), budget=budget)
-        elements, ref_order = reference_refine_order(parents, scale, pts, budget=budget)
+                                         *sample_resolution(pts))
+        elements, ref_order = reference_refine_order(parents, scale, pts)
         assert order == ref_order
         assert column_sets(membership) == reference_sample_sets(elements, parents, pts)
         return order
@@ -414,14 +412,19 @@ class TestReferenceRefinement:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_overlapping_ball_and_box_parents(self, seed):
-        # At budget 1 the one star attempt uses the largest stars, most of
-        # which straddle several overlapping parents.
+        # The first star attempt uses the largest stars, most of which
+        # straddle several overlapping parents; it is compared on its own
+        # too, since refine_order may go on to smaller stars.
         rng = np.random.default_rng(seed)
         pts = (rng.uniform(0, 1, (300, 2)) if seed % 2 else
                rng.normal(0, 1, (300, 3)))
         parents, scale = overlapping_parents(pts, rng)
-        for budget in (1, 4):
-            self.same_refinement(parents, scale, pts, budget)
+        star_scale = scale / (4.0 * math.sqrt(pts.shape[1]))
+        cover = _kuhn_attempt(pairs(parents), pts, star_scale)
+        elements, ref_order = _ref_kuhn_attempt(dense(parents, len(pts)), pts, star_scale)
+        assert cover_order(cover, len(pts)) == ref_order
+        assert column_sets(cover) == reference_sample_sets(elements, parents, pts)
+        self.same_refinement(parents, scale, pts)
 
 
 class TestKuhnVertexKeys:
