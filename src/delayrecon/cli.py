@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,9 @@ _LOWER = {"seed": (0, False), "d": (0, False), "m": (1, False),
 
 
 def _number(config: dict, key: str, kind, default=None):
-    """Value at the dotted path ``key`` converted to ``kind`` (int, float or
-    bool) and checked against its bound in `_LOWER`; a missing field takes
+    """Value at the dotted path ``key`` converted to ``kind`` (int, float,
+    bool, or ``tuple[float, ...]``, whose elements are named ``key.i`` in
+    errors) and checked against its bound in `_LOWER`; a missing field takes
     ``default``, or is an error when there is none."""
     value = convert(_field(config, key, default), kind, key)
     if key in _LOWER:
@@ -57,12 +59,6 @@ def _number(config: dict, key: str, kind, default=None):
             raise ConfigError(f"config field {key!r} must be "
                               f"{'>' if strict else '>='} {low}, got {value}")
     return value
-
-
-def _numbers(config: dict, key: str, kind, default=None) -> list:
-    """List at the dotted path ``key``, each element converted to ``kind``
-    and named ``key.i`` in errors."""
-    return list(convert(_field(config, key, default), tuple[kind, ...], key))
 
 
 def load_config(path) -> dict:
@@ -104,14 +100,11 @@ def _seed(config: dict, override) -> int:
 
 
 def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
-    x0 = np.asarray(_numbers(config, "trajectory.x0", float))
+    x0 = np.asarray(_number(config, "trajectory.x0", tuple[float, ...]))
     n = _number(config, "trajectory.n", int)
     transient = _number(config, "trajectory.transient", int, 0)
     traj = systems.iterate(sys_, x0, n + transient)
-    if transient:
-        traj = systems.Trajectory(states=traj.states[transient:],
-                                  system_id=traj.system_id)
-    return traj
+    return systems.Trajectory(traj.states[transient:], traj.system_id)
 
 
 def write_states_csv(path, states: np.ndarray) -> None:
@@ -228,12 +221,11 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
 def cmd_dimension(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     traj = _trajectory(config, sys_)
-    scales = _numbers(config, "scales", float)
+    scales = _number(config, "scales", tuple[float, ...])
     box = topology.box_counting(traj.states, scales)
-    cov_scales = _numbers(config, "covering_scales", float, scales[:2])
+    cov_scales = _number(config, "covering_scales", tuple[float, ...], scales[:2])
     cov = topology.covering_dimension_estimate(traj.states, cov_scales)
-    write_json(out / "dimension.json", {"box": box.to_dict(),
-                                        "covering": cov.to_dict()})
+    write_json(out / "dimension.json", {"box": asdict(box), "covering": asdict(cov)})
     if not quiet:
         print(f"dimension: box {box.value:.3f}, covering {cov.value}")
     return EXIT_OK
@@ -245,7 +237,7 @@ def cmd_hypothesis(config, out: Path, seed, quiet) -> int:
     report = topology.hypothesis_check(
         sys_, d, n_seeds=_number(config, "n_seeds", int, 400),
         tol=_number(config, "tol", float, 1e-9))
-    write_json(out / "hypothesis.json", report.to_dict())
+    write_json(out / "hypothesis.json", asdict(report))
     if not quiet:
         for entry in report.per_n:
             mark = "ok" if entry["ok"] else "FAIL"

@@ -89,12 +89,11 @@ class PairSet:
 
     @classmethod
     def read_csv(cls, path, delta: float) -> "PairSet":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh]
-        k = sum(1 for name in header if name.startswith("x"))
-        arr = np.asarray([[float(v) for v in row[:2 * k]] for row in rows])
-        return cls(arr[:, :k], arr[:, k:], delta, tuple(row[2 * k] for row in rows))
+        """The pairs of a file written by `write_csv`: x and y columns, then
+        the tag, read as `delay.read_delay_csv` reads its rows."""
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=str, ndmin=2)
+        xy = np.split(rows[:, :-1].astype(float), 2, axis=1)
+        return cls(*xy, delta, tuple(rows[:, -1].tolist()))
 
 
 @dataclass

@@ -17,7 +17,8 @@ with more axes go to the tree.  A nearest-neighbour query is rounds of that
 same routed pair query at a doubling radius, so it makes no backend choice
 of its own.  The greedy merge of near-duplicate rows, `first_found`, makes no
 pair query at all: a sort on the first axis and a sweep over the rows it
-cannot rule out, with the same distance formula and tie rule.
+cannot rule out, with the same distance formula and tie rule.  `median`,
+which `nn_distance` and `topology.nn_spacing` take, imports no ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -127,19 +128,6 @@ def _grid_within(a, b, r, grid=None):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _grid_pairs(a, b, r):
-    """The unsorted pairs of `close_pairs` on the grid, bucketing the larger
-    cloud; None when the grid would examine more than `GRID_LIMIT`
-    candidates."""
-    swap = b is not None and len(a) > len(b)
-    q, p = (b, a) if swap else (a, b)
-    grid = _grid(q, p, r)
-    if _candidates(grid) > GRID_LIMIT:
-        return None
-    i, j, dist = _grid_within(q, p, r, grid)
-    return (j, i, dist) if swap else (i, j, dist)
-
-
 def _tree_pairs(a, b, r):
     """The unsorted pairs of `close_pairs` from cKDTree candidates at
     ``r * (1 + 1e-9)``."""
@@ -155,9 +143,17 @@ def _tree_pairs(a, b, r):
 
 
 def _pairs(a, b, r):
-    """The pairs of `close_pairs`, unsorted: the one grid-or-tree choice."""
-    pairs = _grid_pairs(a, b, r) if a.shape[1] <= 3 else None
-    return _tree_pairs(a, b, r) if pairs is None else pairs
+    """The pairs of `close_pairs`, unsorted: the one grid-or-tree choice.
+    Points with at most three axes go to the grid, bucketing the larger
+    cloud, unless it would examine more than `GRID_LIMIT` candidates."""
+    if a.shape[1] <= 3:
+        swap = b is not None and len(a) > len(b)
+        q, p = (b, a) if swap else (a, b)
+        grid = _grid(q, p, r)
+        if _candidates(grid) <= GRID_LIMIT:
+            i, j, dist = _grid_within(q, p, r, grid)
+            return (j, i, dist) if swap else (i, j, dist)
+    return _tree_pairs(a, b, r)
 
 
 def close_pairs(a, b=None, r: float = 0.0):
@@ -169,6 +165,15 @@ def close_pairs(a, b=None, r: float = 0.0):
     if len(a) == 0 or (b is not None and len(b) == 0):
         return _EMPTY
     return _by_pair(*_pairs(a, b, r))
+
+
+def median(x) -> float:
+    """Median of a nonempty 1-D array: the mean of its sorted one or two
+    middle values, bit for bit `np.median`, or NaN when it holds a NaN.  It
+    skips the ``numpy.ma`` import that `np.median` makes on first use."""
+    x = np.sort(x)
+    middle = x[(len(x) - 1) // 2:len(x) // 2 + 1]
+    return float("nan") if np.isnan(x[-1]) else float(np.mean(middle))
 
 
 def nn_distance(pts) -> np.ndarray:
@@ -195,7 +200,7 @@ def nn_distance(pts) -> np.ndarray:
     span = float(np.ptp(pts[:, :k], axis=0).max())
     gaps = np.diff(np.sort(pts[reps, 0]))
     gaps = gaps[gaps > span * 2.0 ** -40]
-    extent = float(np.median(gaps)) * len(gaps) if len(gaps) else span
+    extent = median(gaps) * len(gaps) if len(gaps) else span
     r = extent / (2.0 * len(reps) ** (1.0 / k)) or 1.0
     while todo.size and r < np.inf:
         # Unsorted: `_by_pair`'s sort arrays would add to the peak memory.

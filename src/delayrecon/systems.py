@@ -346,8 +346,7 @@ class Odometer(System, name="odometer"):
         return self.encode(digits)
 
 
-# Vector fields in component form, like ``System._map``; "field" is the
-# batch form on (n, k) arrays.
+# Vector fields in component form, like ``System._map``.
 def _harmonic(x, y):
     return y, -x
 
@@ -360,14 +359,12 @@ def _lorenz(x, y, z):
 VECTOR_FIELDS: dict[str, dict] = {
     "harmonic": {
         "components": _harmonic,
-        "field": lambda pts: np.stack(_harmonic(*pts.T), axis=1),
         "dim": 2,
         "domain": [[-2.0, 2.0], [-2.0, 2.0]],
         "lipschitz_L": 1.0,
     },
     "lorenz": {
         "components": _lorenz,
-        "field": lambda pts: np.stack(_lorenz(*pts.T), axis=1),
         "dim": 3,
         "domain": [[-30.0, 30.0], [-40.0, 40.0], [-10.0, 80.0]],
         # Rough bound for the Jacobian norm on the trapping box.
@@ -619,12 +616,13 @@ def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None) -> dict:
     certified = sys.dt < threshold
     equilibria: list[list[float]] = []
     if equilibrium_seeds is not None:
-        f = VECTOR_FIELDS[sys.field_id]["field"]
+        components = VECTOR_FIELDS[sys.field_id]["components"]
         box = sys.domain
         tol = 1e-6
         # Newton on the vector field so equilibria between grid seeds
         # are found, not just seeds that happen to land on one.
-        x, ok = _newton(f, _as_batch(equilibrium_seeds), fd=1e-7, maxiter=30,
+        x, ok = _newton(lambda pts: np.stack(components(*pts.T), axis=1),
+                        _as_batch(equilibrium_seeds), fd=1e-7, maxiter=30,
                         step_cap=1e3, stop_tol=tol, accept_tol=tol)
         x = x[ok & np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=1)]
         zeros = list(x[first_found(x, 100 * tol) == np.arange(x.shape[0])])

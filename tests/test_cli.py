@@ -168,6 +168,9 @@ class TestDimension:
         report = json.loads((tmp_path / "dimension.json").read_text())
         assert 1.0 < report["box"]["value"] < 1.5  # strange-attractor range
         assert report["covering"]["method"] == "covering-heuristic"
+        keys = {"method", "value", "scales", "counts", "residual", "heuristic", "notes"}
+        assert set(report) == {"box", "covering"}
+        assert set(report["box"]) == set(report["covering"]) == keys
 
 
 class TestHypothesis:
@@ -177,6 +180,7 @@ class TestHypothesis:
         assert run("hypothesis", cfg, tmp_path) == 0
         report = json.loads((tmp_path / "hypothesis.json").read_text())
         assert report["ok"]
+        assert set(report) == {"ok", "per_n", "low_confidence"}
 
     def test_failure_gives_two(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1,
@@ -230,13 +234,15 @@ class TestGenericity:
 
 def scipy_modules_after(tmp_path, command, config):
     """Run ``command`` on ``config`` in a fresh interpreter; returns the scipy
-    modules loaded after ``import delayrecon.cli``, the exit code, and the
-    scipy modules loaded after the run."""
+    modules and ``numpy.ma`` (which `np.median` imports) if loaded after
+    ``import delayrecon.cli``, the exit code, and the same modules loaded
+    after the run."""
     cfg = write_config(tmp_path, config)
     script = (
         "import json, sys\n"
         "import delayrecon.cli\n"
-        "def loaded(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+        "def loaded(): return [m for m in sys.modules\n"
+        "                      if m.startswith('scipy') or m == 'numpy.ma']\n"
         "after_import = loaded()\n"
         "code = delayrecon.cli.main([sys.argv[1], '--config', sys.argv[2],\n"
         "                            '--out', sys.argv[3], '--quiet'])\n"
@@ -420,6 +426,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: config field 'system' invalid: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd,digits", [
+        ("hypothesis", 17), ("hypothesis", 30), ("hypothesis", MAX_ODOMETER_DIGITS),
+        ("margin", 30)])
+    def test_seed_grid_over_cap_rejected(self, tmp_path, base_config, capsys, cmd,
+                                         digits):
+        # At least two seeds per axis make 2**digits seeds, whatever n_seeds
+        # and pairs.period_seeds ask for; rejected before the grid is built.
+        base_config.update(system={"kind": "odometer", "digits": digits}, n_seeds=100,
+                           trajectory={"x0": [0.0] * digits, "n": 50},
+                           pairs={"delta": 0.5, "count": 5, "detect_periodic": True})
+        out = tmp_path / "out"
+        assert run(cmd, write_config(tmp_path, base_config), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed grid of 2**{digits} states")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("cmd,field,value", [
         ("hypothesis", "n_seeds", -5),

@@ -147,6 +147,11 @@ class TestPairSet:
         assert np.array_equal(back.xs, henon_pairs.xs)
         assert np.array_equal(back.ys, henon_pairs.ys)
         assert back.tags == henon_pairs.tags
+        # One pair of 1-D states is one row of three columns.
+        PairSet(np.array([[0.25]]), np.array([[0.75]]), 0.5, ("C3",)).write_csv(path)
+        back = PairSet.read_csv(path, delta=0.5)
+        assert (back.xs.tolist(), back.ys.tolist(), back.tags) == ([[0.25]], [[0.75]],
+                                                                   ("C3",))
 
 
 class TestSamplePairs:

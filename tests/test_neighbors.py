@@ -17,10 +17,10 @@ from hypothesis.extra import numpy as hnp
 from delayrecon import neighbors
 from delayrecon.neighbors import (
     _by_pair,
-    _grid_pairs,
     _grid_within,
     _tree_pairs,
     close_pairs,
+    median,
     nn_distance,
 )
 
@@ -66,7 +66,7 @@ def brute_nn(pts):
 
 
 def grid(a, b, r):
-    return _by_pair(*_grid_pairs(a, b, r))
+    return _by_pair(*_grid_within(a, b, r))
 
 
 def tree(a, b, r):
@@ -87,6 +87,8 @@ def test_cross_pairs_agree(cloud, data):
     on_grid = grid(a, b, r)
     assert_same(on_grid, tree(a, b, r))
     assert_same(on_grid, brute_pairs(a, b, r))
+    # The routed query, which on the grid buckets the larger cloud.
+    assert_same(on_grid, close_pairs(a, b, r))
 
 
 @settings(deadline=None)
@@ -104,6 +106,16 @@ def test_self_pairs_agree(cloud):
 def test_nn_distance_agrees(cloud):
     pts, _ = cloud
     assert np.array_equal(nn_distance(pts), brute_nn(pts))
+
+
+@given(hnp.arrays(float, st.integers(1, 30),
+                  elements=st.floats(allow_infinity=True, allow_nan=True)))
+def test_median_is_numpy_median(x):
+    # -inf and inf in the middle give NaN; two huge middle values overflow.
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = median(x), np.median(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got) or np.signbit(got) == np.signbit(want)
 
 
 def test_lattice_ties_are_kept_by_both():

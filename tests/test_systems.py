@@ -194,8 +194,15 @@ def reference_find_periodic(sys_, n_max, tol, seeds):
     return list(reference_passes(sys_, n_max, tol, seeds))[-1]
 
 
+def batch_field(field_id):
+    """The vector field ``field_id`` on (n, k) arrays, from its component
+    form, as `yorke_certificate` stacks it."""
+    components = VECTOR_FIELDS[field_id]["components"]
+    return lambda pts: np.stack(components(*pts.T), axis=1)
+
+
 def reference_equilibria(sys_, seeds, tol=1e-6):
-    f = VECTOR_FIELDS[sys_.field_id]["field"]
+    f = batch_field(sys_.field_id)
     box = sys_.domain
     k = sys_.ambient_dim
     zeros = []
@@ -377,7 +384,7 @@ class TestOrbitLoop:
         assert batch.tobytes() == singles.tobytes()
         assert batch.tobytes() == reference_step(sys_, pts).tobytes()
         if isinstance(sys_, dr.SampledFlow):
-            field = VECTOR_FIELDS[sys_.field_id]["field"](pts)
+            field = batch_field(sys_.field_id)(pts)
             assert field.tobytes() == REFERENCE_FIELDS[sys_.field_id](pts).tobytes()
 
     @pytest.mark.parametrize("sys_,x0,n", [
@@ -436,7 +443,8 @@ class TestLipschitz:
 
         box = np.array(spec["domain"])
         for x in np.random.default_rng(2).uniform(box[:, 0], box[:, 1], (20, 3)):
-            assert np.allclose(self.jacobian(spec["field"], x), jac(*x), atol=1e-8)
+            assert np.allclose(self.jacobian(batch_field("lorenz"), x), jac(*x),
+                               atol=1e-8)
         # Every squared entry is convex in one coordinate, so the Frobenius
         # norm is largest at a corner of the box.
         bound = max(np.linalg.norm(jac(*c)) for c in itertools.product(*spec["domain"]))
@@ -446,8 +454,9 @@ class TestLipschitz:
 
     def test_harmonic_constant_is_exact_norm(self):
         spec = VECTOR_FIELDS["harmonic"]
-        jac = spec["field"](np.eye(2)).T  # a linear field: columns are images
-        assert np.allclose(self.jacobian(spec["field"], np.array([0.3, -1.1])), jac)
+        field = batch_field("harmonic")
+        jac = field(np.eye(2)).T  # a linear field: columns are images
+        assert np.allclose(self.jacobian(field, np.array([0.3, -1.1])), jac)
         assert np.array_equal(jac.T @ jac, np.eye(2))  # orthogonal: norm exactly 1
         assert spec["lipschitz_L"] == 1.0
 
@@ -471,8 +480,7 @@ class TestSampledFlow:
         assert err_f < err_c / 8.0
 
     def test_lorenz_field_values(self):
-        f = VECTOR_FIELDS["lorenz"]["field"]
-        out = f(np.array([[1.0, 2.0, 3.0]]))[0]
+        out = batch_field("lorenz")(np.array([[1.0, 2.0, 3.0]]))[0]
         assert out == pytest.approx([10.0, 23.0, -6.0])
 
     def test_unknown_field_rejected(self):
@@ -581,7 +589,9 @@ class TestBatchedEngine:
         assert got[0][0] == pytest.approx([0.75, 0.5])
 
     def test_hypothesis_check_uses_one_pass(self, monkeypatch):
-        cat = dr.CatMap()
+        # The points of minimal period q <= n from one pass up to 2d are the
+        # points find_periodic(n_max=n) finds, bit for bit: no point of a
+        # set for period n is one that only a later pass converged to.
         calls = []
 
         def recording(*args, **kwargs):
@@ -589,16 +599,22 @@ class TestBatchedEngine:
             return calls[-1][1]
 
         monkeypatch.setattr(topology, "find_periodic", recording)
-        report = topology.hypothesis_check(cat, 3)
-        [(n_max, hits)] = calls
-        assert n_max == 6
-        counts = [entry["detected_count"] for entry in report.per_n]
-        assert counts == [1, 5, 20, 60, 180, 455]
-        refs = reference_passes(cat, 6, 1e-9, grid_seeds(cat, 400))
-        for n, (entry, ref) in enumerate(zip(report.per_n, refs), start=1):
-            assert same_hits([(x, q) for x, q in hits if q <= n], ref)
-            points = np.array([x for x, _ in ref])
-            assert entry["detected_dim"] == _detected_set_dimension(points, 400)
+        for sys_, d, counts in [(dr.CatMap(), 3, [1, 5, 20, 60, 180, 455]),
+                                (dr.Henon(), 2, [2, 4, 4, 8]),
+                                (dr.CircleRotation(0.25), 2, [0, 0, 0, 400])]:
+            calls.clear()
+            report = topology.hypothesis_check(sys_, d)
+            [(n_max, hits)] = calls
+            assert n_max == 2 * d
+            assert [entry["detected_count"] for entry in report.per_n] == counts
+            seeds = grid_seeds(sys_, 400)
+            refs = reference_passes(sys_, 2 * d, 1e-9, seeds)
+            for n, (entry, ref) in enumerate(zip(report.per_n, refs), start=1):
+                below = [(x, q) for x, q in hits if q <= n]
+                assert same_hits(below, ref)
+                assert same_hits(below, dr.find_periodic(sys_, n, 1e-9, seeds))
+                points = np.array([x for x, _ in ref]).reshape(-1, sys_.ambient_dim)
+                assert entry["detected_dim"] == _detected_set_dimension(points, 400)
 
     def test_merge_makes_no_pair_query(self, monkeypatch):
         # The cat map's candidates hold tight clusters of up to 164 copies of

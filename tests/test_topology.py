@@ -2,7 +2,7 @@
 check."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +12,9 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 import delayrecon as dr
+from delayrecon.systems import MAX_ODOMETER_DIGITS
 from delayrecon.topology import (
+    MAX_GRID_SEEDS,
     UncoveredSampleError,
     _grid_index,
     _kuhn_attempt,
@@ -470,7 +472,7 @@ class TestCoveringEstimate:
     def test_subresolution_scales_dropped(self):
         pts = np.linspace(0, 1, 20)[:, None]
         est = covering_dimension_estimate(pts, [0.5, 1e-4])
-        assert est.scales_used == [0.5]
+        assert est.scales == [0.5]
         assert est.notes
 
     def test_all_scales_too_fine_rejected(self):
@@ -502,16 +504,17 @@ class TestBoxCounting:
         pts = np.repeat([[0.3, 0.4]], 10, axis=0)
         est = box_counting(pts, [0.1, 0.01, 0.001])
         assert est.value == 0.0
-        assert math.isinf(est.fit_residual)
+        assert math.isinf(est.residual)
+        assert est.notes == ["degenerate fit: all occupancy counts equal"]
 
     def test_scale_span_enforced(self):
         pts = np.linspace(0, 1, 50)[:, None]
         with pytest.raises(ValueError):
             box_counting(pts, [0.5, 0.4, 0.3])
 
-    def test_to_dict_round_trips_fields(self):
+    def test_asdict_round_trips_fields(self):
         pts = np.linspace(0, 1, 100)[:, None]
-        d = box_counting(pts, [2.0 ** -j for j in range(2, 8)]).to_dict()
+        d = asdict(box_counting(pts, [2.0 ** -j for j in range(2, 8)]))
         assert d["method"] == "box-counting"
         assert len(d["scales"]) == len(d["counts"])
 
@@ -558,3 +561,13 @@ class TestGridSeeds:
     def test_deterministic(self):
         assert np.array_equal(grid_seeds(dr.CatMap(), 123),
                               grid_seeds(dr.CatMap(), 123))
+
+    def test_grid_above_cap_rejected(self):
+        # At least two seeds per axis: 16 odometer digits give the largest
+        # grid allowed, 17 one twice that, whatever n_seeds asks for.
+        assert grid_seeds(dr.Odometer(digits=16), 100).shape == (MAX_GRID_SEEDS, 16)
+        for digits in (17, 30, MAX_ODOMETER_DIGITS):
+            with pytest.raises(ValueError, match=f"grid of 2\\*\\*{digits} states"):
+                grid_seeds(dr.Odometer(digits=digits), 100)
+        with pytest.raises(ValueError, match="grid of 41\\*\\*3 states"):
+            grid_seeds(dr.SampledFlow("lorenz", dt=0.02), 70_000)
