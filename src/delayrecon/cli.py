@@ -99,10 +99,20 @@ def _seed(config: dict, override) -> int:
     return _number(config, "seed", int)
 
 
+# States one run may iterate, trajectory.n + transient.  `simulate` of 10**6
+# states takes 5.5 s and 49 MB peak RSS on the Henon map and 21 s and 58 MB
+# on Lorenz (dt 0.02) (2-vCPU x86 VM): room for the 4e4-state covering runs,
+# while a typo such as 10**12 would take months or terabytes.
+MAX_STATES = 10**6
+
+
 def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
     x0 = np.asarray(_number(config, "trajectory.x0", tuple[float, ...]))
     n = _number(config, "trajectory.n", int)
     transient = _number(config, "trajectory.transient", int, 0)
+    if n + transient > MAX_STATES:
+        raise ConfigError(f"config fields 'trajectory.n' + 'trajectory.transient' "
+                          f"exceed MAX_STATES = {MAX_STATES}")
     traj = systems.iterate(sys_, x0, n + transient)
     return systems.Trajectory(traj.states[transient:], traj.system_id)
 

@@ -135,9 +135,13 @@ class TrigPolynomial(Observable, name="trig"):
         if mass == 0.0 or self.amplitude == 0.0:
             return np.full(pts.shape[0], 0.5)
         raw = np.zeros(pts.shape[0])
-        for coef, freq, axis, phase in self.terms:
-            raw += coef * np.cos(2.0 * math.pi * freq * pts[:, int(axis)] + phase)
-        return 0.5 + self.amplitude * raw / mass
+        with np.errstate(all="ignore"):  # an overflowing term is caught below
+            for coef, freq, axis, phase in self.terms:
+                raw += coef * np.cos(2.0 * math.pi * freq * pts[:, int(axis)] + phase)
+            vals = 0.5 + self.amplitude * raw / mass
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("trig observable overflows on these states")
+        return vals
 
     def lipschitz(self):
         mass = self._mass()

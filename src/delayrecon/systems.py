@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -45,14 +45,15 @@ class ConfigError(ValueError):
     """A config value that does not fit its field, named by dotted path."""
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
 def convert(value, tp, path: str):
     """``value``, read from JSON, as type ``tp``: int, float, bool, str, a
     fixed or ``...`` tuple of these, or a `Registered` base.  A value that
     does not fit raises `ConfigError` naming it by its dotted ``path``; an
-    int accepts an integral float such as ``2.0``, and a bool is no number."""
+    int accepts an integral float such as ``2.0``, a float is finite, and a
+    bool is no number."""
     if isinstance(tp, type) and issubclass(tp, Registered):
         return tp.from_dict(value, path)
     if typing.get_origin(tp) is tuple:
@@ -72,7 +73,9 @@ def convert(value, tp, path: str):
     elif not (isinstance(value, bool) or tp is int and isinstance(value, float)
               and not value.is_integer()):
         try:
-            return tp(value)
+            value = tp(value)
+            if tp is int or math.isfinite(value):
+                return value
         except (TypeError, ValueError, OverflowError):
             pass
     raise ConfigError(f"config field {path!r} must be {_KINDS[tp]}, got {value!r}")
@@ -85,9 +88,8 @@ class Registered:
     A base declares its tag key, ``class System(Registered, tag_key="kind")``,
     and each concrete dataclass below it registers its tag once,
     ``class Henon(System, name="henon")``.  The dataclass fields, in
-    declaration order and with their annotated types, are the JSON keys;
-    ``field(metadata={"key": ...})`` renames one, and defaults come from the
-    dataclass.
+    declaration order and with their annotated types, are the JSON keys,
+    and defaults come from the dataclass.
     """
 
     tag_key: ClassVar[str]
@@ -105,7 +107,7 @@ class Registered:
 
     def to_dict(self) -> dict:
         return {self.tag_key: self.name} | {
-            key: _plain(getattr(self, attr)) for attr, key, _, _ in _schema(type(self))}
+            key: _plain(getattr(self, key)) for key, _, _ in _schema(type(self))}
 
     @classmethod
     def from_dict(cls, payload, path: str | None = None):
@@ -121,9 +123,9 @@ class Registered:
                               f"{sorted(cls.registry)}, got {tag!r}")
         sub = cls.registry[tag]
         kwargs = {}
-        for attr, key, tp, required in _schema(sub):
+        for key, tp, required in _schema(sub):
             if key in payload:
-                kwargs[attr] = convert(payload[key], tp, f"{path}.{key}")
+                kwargs[key] = convert(payload[key], tp, f"{path}.{key}")
             elif required:
                 raise ConfigError(f"config field '{path}.{key}' is missing")
         try:
@@ -133,11 +135,10 @@ class Registered:
 
 
 @functools.cache
-def _schema(cls: type) -> tuple[tuple[str, str, object, bool], ...]:
-    """(attribute, JSON key, type, required) for each dataclass field."""
+def _schema(cls: type) -> tuple[tuple[str, object, bool], ...]:
+    """(name, type, required) for each dataclass field."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.metadata.get("key", f.name), hints[f.name],
-                  f.default is MISSING and f.default_factory is MISSING)
+    return tuple((f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
                  for f in fields(cls))
 
 
@@ -155,9 +156,16 @@ def _as_batch(x) -> np.ndarray:
 
 
 class System(Registered, tag_key="kind"):
-    """Base class for discrete-time systems on a box in R^k."""
+    """Base class for discrete-time systems on a box in R^k.
 
-    ambient_dim: int
+    A system is its dataclass fields, its ``box`` of per-axis ``(lo, hi)``
+    bounds and its ``_map``: the map on one state given as coordinates,
+    written with ``+ - * %`` and NumPy ufuncs on the arguments, so the same
+    code runs on Python floats (`iterate`) and on NumPy columns
+    (`step_many`).  Everything else is derived here.
+    """
+
+    box: tuple[tuple[float, float], ...]
     injective: bool = True
     lipschitz_L: float | None = None
     torus: bool = False
@@ -165,33 +173,28 @@ class System(Registered, tag_key="kind"):
     @property
     def domain(self) -> np.ndarray:
         """(k, 2) array of per-axis [lo, hi] bounds."""
-        raise NotImplementedError
+        return np.array(self.box)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.box)
 
     @property
     def system_id(self) -> str:
-        raise NotImplementedError
-
-    def _map(self, *coords) -> tuple:
-        """The map on one state given as coordinates.  Elementwise systems
-        override it with ``+ - * %`` on the arguments, so the same code runs
-        on Python floats and on NumPy columns; the default is the one-row
-        call through ``_step_batch``.  A subclass overrides one of the two."""
-        return tuple(self._step_batch(np.array([coords]))[0])
-
-    def _step_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack(self._map(*pts.T), axis=1)
+        """The tag, then ``key=value`` for each field, as in
+        ``henon(a=1.4,b=0.3)``; just the tag when there are no fields."""
+        _, *items = self.to_dict().items()
+        return f"{self.name}({','.join(f'{k}={v}' for k, v in items)})" if items else self.name
 
     def check_domain(self, pts: np.ndarray) -> None:
         """Raise `DomainError` unless every row of ``pts`` lies in the domain
-        box, widened by 1e-9 on each face for rounding."""
+        box, widened by 1e-9 on each face for rounding; NaN lies in no box."""
         box = self.domain
         if pts.shape[1] != self.ambient_dim:
             raise DomainError(
                 f"{self.system_id}: state dimension {pts.shape[1]} != {self.ambient_dim}"
             )
-        lo = box[:, 0] - 1e-9
-        hi = box[:, 1] + 1e-9
-        if np.any(pts < lo) or np.any(pts > hi):
+        if not (np.all(pts >= box[:, 0] - 1e-9) and np.all(pts <= box[:, 1] + 1e-9)):
             raise DomainError(f"{self.system_id}: state outside domain box")
 
     def step_many(self, pts, check: bool = True) -> np.ndarray:
@@ -199,6 +202,10 @@ class System(Registered, tag_key="kind"):
         if check:
             self.check_domain(pts)
         return self._step_batch(pts)
+
+    def _step_batch(self, pts: np.ndarray) -> np.ndarray:
+        """`_map` on the columns of ``pts``, unchecked."""
+        return np.stack(self._map(*pts.T), axis=1)
 
     def step(self, x) -> np.ndarray:
         """One application of the system map to a single state."""
@@ -228,19 +235,11 @@ class Henon(System, name="henon"):
     a: float = 1.4
     b: float = 0.3
 
-    ambient_dim = 2
+    box = ((-3.0, 3.0), (-3.0, 3.0))
 
     @property
     def injective(self):
         return self.b != 0.0
-
-    @property
-    def domain(self):
-        return np.array([[-3.0, 3.0], [-3.0, 3.0]])
-
-    @property
-    def system_id(self):
-        return f"henon(a={self.a},b={self.b})"
 
     def _map(self, x, y):
         return 1.0 - self.a * (x * x) + y, self.b * x
@@ -256,16 +255,8 @@ class Henon(System, name="henon"):
 class CatMap(System, name="catmap"):
     """Arnold cat map on the 2-torus: (x, y) -> (x + y, x + 2y) mod 1."""
 
-    ambient_dim = 2
+    box = ((0.0, 1.0), (0.0, 1.0))
     torus = True
-
-    @property
-    def domain(self):
-        return np.array([[0.0, 1.0], [0.0, 1.0]])
-
-    @property
-    def system_id(self):
-        return "catmap"
 
     def _map(self, x, y):
         return (x + y) % 1.0, (x + 2.0 * y) % 1.0
@@ -277,16 +268,8 @@ class CircleRotation(System, name="rotation"):
 
     alpha: float
 
-    ambient_dim = 1
+    box = ((0.0, 1.0),)
     torus = True
-
-    @property
-    def domain(self):
-        return np.array([[0.0, 1.0]])
-
-    @property
-    def system_id(self):
-        return f"rotation(alpha={self.alpha})"
 
     def _map(self, x):
         return ((x + self.alpha) % 1.0,)
@@ -313,37 +296,27 @@ class Odometer(System, name="odometer"):
     digits: int = 6
 
     def __post_init__(self):
-        if self.base < 2 or not 1 <= self.digits <= MAX_ODOMETER_DIGITS:
-            raise ValueError(f"odometer needs base >= 2 and 1 <= digits <= "
+        # `_map` adds one to a digit as a float, exact only up to base = 2**53.
+        if not 2 <= self.base <= 2 ** 53 or not 1 <= self.digits <= MAX_ODOMETER_DIGITS:
+            raise ValueError(f"odometer needs 2 <= base <= 2**53 and 1 <= digits <= "
                              f"{MAX_ODOMETER_DIGITS}")
 
     @property
-    def ambient_dim(self):
-        return self.digits
+    def box(self):
+        return ((0.0, 1.0),) * self.digits
 
-    @property
-    def domain(self):
-        return np.array([[0.0, 1.0]] * self.digits)
-
-    @property
-    def system_id(self):
-        return f"odometer(base={self.base},digits={self.digits})"
-
-    def encode(self, digit_rows: np.ndarray) -> np.ndarray:
-        return digit_rows.astype(float) / (self.base - 1)
-
-    def decode(self, pts: np.ndarray) -> np.ndarray:
-        return np.rint(pts * (self.base - 1)).astype(int)
-
-    def _step_batch(self, pts):
-        # Add one with carry: raise the first digit below base-1, zero those before it.
-        digits = self.decode(pts)
-        below = digits < self.base - 1
-        first = np.where(below.any(axis=1), below.argmax(axis=1), self.digits)
-        digits[np.arange(self.digits)[None, :] < first[:, None]] = 0
-        rows = np.flatnonzero(first < self.digits)
-        digits[rows, first[rows]] += 1
-        return self.encode(digits)
+    def _map(self, *xs):
+        # Add one with carry: a carried digit that passes base - 1 becomes 0
+        # and carries on.  Once no state carries, the digits left are only
+        # rounded (+ 0.0 turns a rounded -0.0 into the digit 0).
+        top, carry, out = self.base - 1, True, []
+        for j, x in enumerate(xs):
+            digit = np.rint(x * top) + carry
+            carry = carry & (digit > top)
+            out.append(digit * ~carry / top)
+            if not carry.any():
+                return (*out, *(np.rint(np.array(xs[j + 1:]) * top) / top + 0.0))
+        return tuple(out)
 
 
 # Vector fields in component form, like ``System._map``.
@@ -359,14 +332,12 @@ def _lorenz(x, y, z):
 VECTOR_FIELDS: dict[str, dict] = {
     "harmonic": {
         "components": _harmonic,
-        "dim": 2,
-        "domain": [[-2.0, 2.0], [-2.0, 2.0]],
+        "domain": ((-2.0, 2.0), (-2.0, 2.0)),
         "lipschitz_L": 1.0,
     },
     "lorenz": {
         "components": _lorenz,
-        "dim": 3,
-        "domain": [[-30.0, 30.0], [-40.0, 40.0], [-10.0, 80.0]],
+        "domain": ((-30.0, 30.0), (-40.0, 40.0), (-10.0, 80.0)),
         # Rough bound for the Jacobian norm on the trapping box.
         "lipschitz_L": 120.0,
     },
@@ -384,13 +355,13 @@ MAX_RK4_SUBSTEPS = 10**5
 class SampledFlow(System, name="flow"):
     """Time-t map of an ODE flow, advanced by classical RK4 with fixed substep."""
 
-    field_id: str = field(metadata={"key": "field"})
+    field: str
     dt: float
     substep: float = 0.01
 
     def __post_init__(self):
-        if self.field_id not in VECTOR_FIELDS:
-            raise ValueError(f"unknown vector field {self.field_id!r}")
+        if self.field not in VECTOR_FIELDS:
+            raise ValueError(f"unknown vector field {self.field!r}")
         if self.dt <= 0.0 or self.substep <= 0.0:
             raise ValueError("dt and substep must be positive")
         if self.dt / self.substep > MAX_RK4_SUBSTEPS:
@@ -398,24 +369,16 @@ class SampledFlow(System, name="flow"):
         # The field and the step constants of `_map`, fixed per system.
         n_sub = max(1, math.ceil(self.dt / self.substep))
         h = self.dt / n_sub
-        object.__setattr__(self, "_rk4", (VECTOR_FIELDS[self.field_id]["components"],
+        object.__setattr__(self, "_rk4", (VECTOR_FIELDS[self.field]["components"],
                                           n_sub, 0.5 * h, h, h / 6.0))
 
     @property
-    def ambient_dim(self):
-        return VECTOR_FIELDS[self.field_id]["dim"]
+    def box(self):
+        return VECTOR_FIELDS[self.field]["domain"]
 
     @property
     def lipschitz_L(self):
-        return VECTOR_FIELDS[self.field_id]["lipschitz_L"]
-
-    @property
-    def domain(self):
-        return np.array(VECTOR_FIELDS[self.field_id]["domain"])
-
-    @property
-    def system_id(self):
-        return f"flow({self.field_id},dt={self.dt})"
+        return VECTOR_FIELDS[self.field]["lipschitz_L"]
 
     def _map(self, *s):
         f, n_sub, half, h, sixth = self._rk4
@@ -616,7 +579,7 @@ def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None) -> dict:
     certified = sys.dt < threshold
     equilibria: list[list[float]] = []
     if equilibrium_seeds is not None:
-        components = VECTOR_FIELDS[sys.field_id]["components"]
+        components = VECTOR_FIELDS[sys.field]["components"]
         box = sys.domain
         tol = 1e-6
         # Newton on the vector field so equilibria between grid seeds

@@ -55,8 +55,12 @@ def _grid_index(pts: np.ndarray, origin, scale: float) -> np.ndarray:
     """Cell of each point on the grid of side ``scale`` anchored at
     ``origin``.  The nudge guards against samples sitting exactly on cell
     boundaries, where float rounding would split one occupied cell into
-    two."""
-    return np.floor((pts - np.asarray(origin)) / scale + 1e-9).astype(np.int64)
+    two.  A scale that puts more than 2**52 cells between ``origin`` and a
+    point, where float cell coordinates stop being exact, is an error."""
+    cells = (pts - np.asarray(origin)) / scale
+    if np.abs(cells).max(initial=0.0) > 2 ** 52:
+        raise ValueError(f"scale {scale:g} puts more than 2**52 grid cells across the samples")
+    return np.floor(cells + 1e-9).astype(np.int64)
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
@@ -316,10 +320,10 @@ def _box_counts(pts: np.ndarray, scales) -> list[int]:
     extent = pts.max(axis=0) - anchor
     counts = []
     for s in scales:
+        idx = _grid_index(pts, anchor, s)
         # Points on the outer bounding-box face fold into the last cell.
         ncells = np.maximum(1, np.ceil(extent / s - 1e-9)).astype(np.int64)
-        idx = np.clip(_grid_index(pts, anchor, s), 0, ncells - 1)
-        counts.append(int(_row_ids(idx).max()) + 1)
+        counts.append(int(_row_ids(np.clip(idx, 0, ncells - 1)).max()) + 1)
     return counts
 
 
@@ -342,6 +346,8 @@ def box_counting(samples, scales) -> DimensionEstimate:
     scales = [float(s) for s in scales]
     if len(scales) < 3:
         raise ValueError("box counting needs at least 3 scales")
+    if not min(scales) > 0.0:
+        raise ValueError("box-counting scales must be positive")
     if max(scales) / min(scales) < 10 ** 1.5:
         raise ValueError("box-counting scales should span at least 1.5 decades")
     counts = _box_counts(pts, scales)
@@ -403,6 +409,11 @@ def grid_seeds(sys: System, n_seeds: int) -> np.ndarray:
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     k = sys.ambient_dim
+    # Past 2**k * MAX_GRID_SEEDS the root rounds to over twice the cap's, so
+    # the integer, which may not fit a float, is compared before the root.
+    if n_seeds > 2 ** k * MAX_GRID_SEEDS:
+        raise ValueError(f"n_seeds above 2**{k} * MAX_GRID_SEEDS asks for a seed grid "
+                         f"of more than MAX_GRID_SEEDS = {MAX_GRID_SEEDS} states")
     per_axis = max(2, int(round(n_seeds ** (1.0 / k))))
     if per_axis ** k > MAX_GRID_SEEDS:
         raise ValueError(f"seed grid of {per_axis}**{k} states (at least 2 per "

@@ -118,7 +118,7 @@ def test_criterion_4_dimension_economy():
     odo = dr.Odometer(base=3, digits=6)
     digit_rows = np.array([[(v // 3 ** j) % 3 for j in range(6)]
                            for v in range(3 ** 6)])
-    states = odo.encode(digit_rows)
+    states = digit_rows / (odo.base - 1)
     K2 = sample_pairs(states, delta=0.4, count=1000, sys=odo, seed=11)
     assert len(K2) == 1000
     hits = 0

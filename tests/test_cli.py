@@ -389,6 +389,10 @@ class TestErrors:
         ("genericity", "trials", 0),
         ("embed", "observable", {"variant": "coordinate", "index": -1}),
         ("embed", "observable", {"variant": "trig", "terms": [[1.0, 1, -2, 0.0]]}),
+        ("simulate", "trajectory.x0.0", float("nan")),
+        ("perturb", "epsilon", float("inf")),
+        ("perturb", "epsilon", float("-inf")),
+        ("dimension", "scales.0", float("inf")),
     ])
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):
@@ -494,6 +498,41 @@ class TestErrors:
         assert f"config field {field!r} must be" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd,field,value,message", [
+        ("dimension", "scales", [1e-20, 1e-21, 1e-22],
+         "scale 1e-20 puts more than 2**52 grid cells across the samples"),
+        ("dimension", "scales", [1.0, 0.1, 0.0], "box-counting scales must be positive"),
+        ("hypothesis", "n_seeds", 10 ** 400, "n_seeds above 2**2 * MAX_GRID_SEEDS"),
+        ("margin", "pairs.period_seeds", 10 ** 400, "n_seeds above 2**2 * MAX_GRID_SEEDS"),
+        ("simulate", "system", {"kind": "odometer", "base": 10 ** 400},
+         "config field 'system' invalid: odometer needs 2 <= base <= 2**53"),
+        ("embed", "trajectory.n", 10 ** 12,
+         f"config fields 'trajectory.n' + 'trajectory.transient' exceed MAX_STATES "
+         f"= {cli.MAX_STATES}"),
+        ("simulate", "trajectory.transient", 10 ** 400, "exceed MAX_STATES"),
+    ], ids=["scales-tiny", "scale-zero", "n_seeds-huge", "period_seeds-huge", "base-huge",
+            "n-huge", "transient-huge"])
+    def test_oversized_values_rejected(self, tmp_path, base_config, capsys, cmd, field,
+                                       value, message):
+        # Each exits before its stage allocates: without the state budget,
+        # n = 10**12 asks for terabytes.
+        base_config.update(covering_scales=[1.0, 0.5],
+                           pairs={"delta": 0.01, "count": 10, "detect_periodic": True})
+        outer, _, leaf = field.rpartition(".")
+        (base_config[outer] if outer else base_config)[leaf] = value
+        out = tmp_path / "out"
+        assert run(cmd, write_config(tmp_path, base_config), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert list(out.iterdir()) == []
+
+    def test_state_budget_is_inclusive(self, tmp_path, base_config, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STATES", 900)
+        assert run("simulate", write_config(tmp_path, base_config), tmp_path) == 0
+        base_config["trajectory"]["n"] = 801
+        assert run("simulate", write_config(tmp_path, base_config), tmp_path) == 1
 
     def test_unknown_observable_variant(self, tmp_path, base_config, capsys):
         base_config["observable"] = {"variant": "wavelet"}

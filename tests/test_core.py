@@ -85,6 +85,18 @@ class TestTrigPolynomial:
         assert h(np.array([0.7])) == 0.5
         assert h.lipschitz() == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("terms,x", [
+        (((1.0, 1e308, 0, 0.0),), 1.0),  # 2*pi*f overflows, and inf * 0 is NaN at 0
+        (((1.0, 1e308, 0, 0.0),), 0.0),
+        (((1.0, 1e307, 0, 0.0),), 3.0),  # 2*pi*f is finite, times 3 it is not
+        (((1e308, 1.0, 0, 0.0), (1e308, 2.0, 0, 0.0)), 0.0),  # the mass overflows
+    ])
+    def test_overflow_is_an_error_not_nan(self, terms, x):
+        h = TrigPolynomial(terms=terms, amplitude=0.4)
+        with pytest.raises(ValueError, match="trig observable overflows"):
+            h.evaluate(np.array([[0.5], [x]]))
+
     def test_amplitude_bounds(self):
         with pytest.raises(ValueError):
             TrigPolynomial(terms=((1.0, 1, 0, 0.0),), amplitude=0.6)

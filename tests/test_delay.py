@@ -56,7 +56,7 @@ def parity_samples(name):
         sys = dr.SampledFlow("lorenz", dt=0.02)
         return sys, dr.iterate(sys, [1.0, 1.0, 20.0], 700).states[200:]
     sys = dr.Odometer(digits=3)
-    return sys, sys.encode(rng.integers(0, 3, (200, 3)))
+    return sys, rng.integers(0, 3, (200, 3)) / (sys.base - 1)
 
 
 def parity_observable(variant, sys, samples):

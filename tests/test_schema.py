@@ -48,7 +48,7 @@ INSTANCES = {
     CatMap: st.just(CatMap()),
     CircleRotation: st.builds(CircleRotation, alpha=real),
     Odometer: st.builds(Odometer, base=st.integers(2, 9), digits=st.integers(1, 9)),
-    SampledFlow: st.builds(SampledFlow, field_id=st.sampled_from(sorted(VECTOR_FIELDS)),
+    SampledFlow: st.builds(SampledFlow, field=st.sampled_from(sorted(VECTOR_FIELDS)),
                            dt=positive, substep=positive),
     Constant: constants,
     Coordinate: coordinates,
@@ -99,6 +99,15 @@ class TestConvert:
         with pytest.raises(ConfigError, match="'x' must be"):
             convert(True, kind, "x")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                       "inf", "nan", 10 ** 400])
+    def test_float_is_finite(self, value):
+        with pytest.raises(ConfigError, match="'x' must be a finite number, got"):
+            convert(value, float, "x")
+        with pytest.raises(ConfigError, match=r"'xs\.1' must be a finite number"):
+            convert([0.5, value], tuple[float, ...], "xs")
+        assert convert(1e308, float, "x") == 1e308
+
     def test_bool_and_str_take_their_own_type_only(self):
         assert convert(False, bool, "flag") is False
         with pytest.raises(ConfigError, match="true or false"):
@@ -144,9 +153,10 @@ SYSTEMS = {
     "flow": ({"kind": "flow", "field": "harmonic", "dt": 0.5, "substep": 0.1},
              [1.0, 0.0]),
 }
-# Replacement values: null, a string, lists, bools, non-integral and
-# out-of-range numbers.
-BAD_VALUES = [None, "x", [], [0.5], True, False, 2.5, -0.5, -1, 0]
+# Replacement values: null, a string, lists, bools, non-integral,
+# out-of-range, non-finite and huge numbers.
+BAD_VALUES = [None, "x", [], [0.5], True, False, 2.5, -0.5, -1, 0,
+              float("inf"), float("-inf"), float("nan"), 1e308, -1e308, 10 ** 400]
 
 
 def observables(k: int) -> dict:

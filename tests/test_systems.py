@@ -40,15 +40,25 @@ CAT_CUMULATIVE = (1, 5, 20, 60)
 
 # --- reference implementations: the per-seed loops the batched code replaced
 
+def scaled(odo, digit_rows):
+    """Odometer states from rows of digits: digit / (base - 1)."""
+    return np.asarray(digit_rows) / (odo.base - 1)
+
+
+def digits_of(odo, pts):
+    """The digits of odometer states, the inverse of `scaled`."""
+    return np.rint(pts * (odo.base - 1)).astype(int)
+
+
 def reference_odometer_step(odo, pts):
-    digits = odo.decode(pts)
+    digits = digits_of(odo, pts)
     for i in range(digits.shape[0]):
         for j in range(odo.digits):
             digits[i, j] += 1
             if digits[i, j] < odo.base:
                 break
             digits[i, j] = 0
-    return odo.encode(digits)
+    return scaled(odo, digits)
 
 
 def reference_harmonic(pts):
@@ -83,7 +93,7 @@ def reference_step(sys_, pts):
         return (pts + sys_.alpha) % 1.0
     if isinstance(sys_, dr.Odometer):
         return reference_odometer_step(sys_, pts)
-    f = REFERENCE_FIELDS[sys_.field_id]
+    f = REFERENCE_FIELDS[sys_.field]
     n_sub = max(1, math.ceil(sys_.dt / sys_.substep))
     h = sys_.dt / n_sub
     out = pts.copy()
@@ -99,7 +109,7 @@ def reference_step(sys_, pts):
 def reference_flow_map(flow, *s):
     """The component-form RK4 that `SampledFlow._map` replaced: field
     lookup and step constants on every call, generator arguments."""
-    f = VECTOR_FIELDS[flow.field_id]["components"]
+    f = VECTOR_FIELDS[flow.field]["components"]
     n_sub = max(1, math.ceil(flow.dt / flow.substep))
     h = flow.dt / n_sub
     for _ in range(n_sub):
@@ -194,15 +204,15 @@ def reference_find_periodic(sys_, n_max, tol, seeds):
     return list(reference_passes(sys_, n_max, tol, seeds))[-1]
 
 
-def batch_field(field_id):
-    """The vector field ``field_id`` on (n, k) arrays, from its component
+def batch_field(field):
+    """The vector field ``field`` on (n, k) arrays, from its component
     form, as `yorke_certificate` stacks it."""
-    components = VECTOR_FIELDS[field_id]["components"]
+    components = VECTOR_FIELDS[field]["components"]
     return lambda pts: np.stack(components(*pts.T), axis=1)
 
 
 def reference_equilibria(sys_, seeds, tol=1e-6):
-    f = batch_field(sys_.field_id)
+    f = batch_field(sys_.field)
     box = sys_.domain
     k = sys_.ambient_dim
     zeros = []
@@ -249,8 +259,7 @@ class HalfDrift(System):
     Jacobian of T^p - id is singular, and contracts to (0.75, 0.5) on
     x >= 0.5, where Newton converges."""
 
-    ambient_dim = 2
-    domain = np.array([[0.0, 1.0], [0.0, 1.0]])
+    box = ((0.0, 1.0), (0.0, 1.0))
     system_id = "half-drift"
 
     def _step_batch(self, pts):
@@ -281,17 +290,47 @@ class TestStepFormulas:
     def test_odometer_add_with_carry(self):
         odo = dr.Odometer(base=3, digits=4)
         # state (2,2,0,0) scaled by 1/(base-1); adding one carries twice
-        x = odo.encode(np.array([[2, 2, 0, 0]]))[0]
-        y = odo.decode(odo.step(x)[None, :])[0]
+        x = scaled(odo, [2, 2, 0, 0])
+        y = digits_of(odo, odo.step(x))
         assert list(y) == [0, 0, 1, 0]
 
-    @pytest.mark.parametrize("base,digits", [(3, 4), (2, 5)])
+    @pytest.mark.parametrize("base,digits", [(3, 4), (2, 5), (3, 6), (5, 4), (10, 3)])
     def test_odometer_matches_carry_loop_on_every_state(self, base, digits):
+        # Every digit state, then half-way ties, off-grid states in the
+        # widened box and a -1e-10 row; in batch and on Python floats, bit
+        # for bit (the sign of zero included).
         odo = dr.Odometer(base=base, digits=digits)
+        rng = np.random.default_rng(base)
         rows = np.array([[(v // base ** j) % base for j in range(digits)]
                          for v in range(base ** digits)])
-        pts = odo.encode(rows)
-        assert np.array_equal(odo.step_many(pts), reference_odometer_step(odo, pts))
+        pts = np.concatenate([
+            scaled(odo, rows), scaled(odo, rng.integers(0, base - 1, (200, digits)) + 0.5),
+            rng.uniform(-1e-9, 1.0 + 1e-9, (200, digits)), np.full((1, digits), -1e-10)])
+        want = reference_odometer_step(odo, pts)
+        assert odo.step_many(pts).tobytes() == want.tobytes()
+        singles = np.array([odo._map(*row) for row in pts.tolist()])
+        assert singles.tobytes() == want.tobytes()
+
+    def test_odometer_digit_past_top_matches_carry_loop(self):
+        # With base - 1 = 1e9 the box's 1e-9 slack holds digits that round
+        # to base: a carried one becomes 0, one the carry does not reach
+        # stays, and neither carries on by itself.
+        odo = dr.Odometer(base=10 ** 9 + 1, digits=3)
+        pts = np.array([[0.5, 1.0 + 1e-9, 0.0], [1.0 + 1e-9, 1.0, 0.25],
+                        [1.0 + 1e-9, 0.5, 1.0 + 1e-9]])
+        want = reference_odometer_step(odo, pts)
+        assert np.array([odo._map(*row) for row in pts.tolist()]).tobytes() == want.tobytes()
+        assert odo.step_many(pts).tobytes() == want.tobytes()
+
+    def test_odometer_base_bounded_by_exact_floats(self):
+        # `_map` adds one to a digit as a float: at base 2**53 the top digit
+        # plus one is still exact, so the carry is seen.
+        odo = dr.Odometer(base=2 ** 53, digits=3)
+        top = 2 ** 53 - 1
+        assert list(digits_of(odo, odo.step(scaled(odo, [top, top - 1, 5])))) == [0, top, 5]
+        for base in (2 ** 53 + 1, 10 ** 400, 1):
+            with pytest.raises(ValueError, match="odometer needs 2 <= base <= 2\\*\\*53"):
+                dr.Odometer(base=base)
 
     def test_odometer_full_cycle_length(self):
         odo = dr.Odometer(base=3, digits=3)
@@ -305,6 +344,14 @@ class TestStepFormulas:
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
             dr.Henon().step(np.array([10.0, 0.0]))
+
+    def test_nan_lies_in_no_box(self):
+        for sys_, x in [(dr.Henon(), [math.nan, 0.1]), (dr.CatMap(), [0.1, math.nan]),
+                        (dr.Odometer(digits=2), [math.nan, 0.0])]:
+            with pytest.raises(DomainError, match="state outside domain box"):
+                dr.iterate(sys_, x, 5)
+            with pytest.raises(DomainError, match="state outside domain box"):
+                sys_.step_many(np.array([[0.1] * len(x), x]))
 
     def test_dimension_enforced(self):
         with pytest.raises(DomainError):
@@ -384,8 +431,8 @@ class TestOrbitLoop:
         assert batch.tobytes() == singles.tobytes()
         assert batch.tobytes() == reference_step(sys_, pts).tobytes()
         if isinstance(sys_, dr.SampledFlow):
-            field = batch_field(sys_.field_id)(pts)
-            assert field.tobytes() == REFERENCE_FIELDS[sys_.field_id](pts).tobytes()
+            field = batch_field(sys_.field)(pts)
+            assert field.tobytes() == REFERENCE_FIELDS[sys_.field](pts).tobytes()
 
     @pytest.mark.parametrize("sys_,x0,n", [
         (dr.Henon(), [10.0, 0.0], 5),
@@ -696,6 +743,25 @@ class TestSerialization:
         assert back.system_id == sys_.system_id
         x = np.full(sys_.ambient_dim, 0.1)
         assert np.array_equal(back.step(x), sys_.step(x))
+
+    def test_id_is_tag_and_fields(self):
+        assert [sys_.system_id for sys_ in (
+            dr.Henon(), dr.CatMap(), dr.CircleRotation(0.1), dr.Odometer(),
+            dr.SampledFlow("lorenz", dt=0.02))] == [
+            "henon(a=1.4,b=0.3)", "catmap", "rotation(alpha=0.1)",
+            "odometer(base=3,digits=6)", "flow(field=lorenz,dt=0.02,substep=0.01)"]
+        # The substep changes the map, so it changes the id.
+        assert (dr.SampledFlow("lorenz", dt=0.02, substep=0.005).system_id
+                == "flow(field=lorenz,dt=0.02,substep=0.005)")
+
+    @pytest.mark.parametrize("sys_", [
+        dr.Henon(), dr.CatMap(), dr.CircleRotation(0.1), dr.Odometer(base=2, digits=4),
+        dr.SampledFlow("harmonic", dt=0.3), dr.SampledFlow("lorenz", dt=0.02)],
+        ids=lambda s: s.name)
+    def test_domain_and_dimension_come_from_the_box(self, sys_):
+        assert sys_.domain.tobytes() == np.array(sys_.box, dtype=float).tobytes()
+        assert sys_.domain.shape == (sys_.ambient_dim, 2)
+        assert sys_.ambient_dim == len(sys_.box)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -482,6 +482,24 @@ class TestCoveringEstimate:
 
 
 class TestBoxCounting:
+    def test_scale_past_exact_cells_rejected(self):
+        # 2000 distinct Henon states over an extent near 2.5: at 1e-20 the
+        # cell coordinates pass 2**52, where they stop being exact and the
+        # int64 cast is undefined; this read counts [180, 39, 5] once.
+        pts = dr.iterate(dr.Henon(), [0.1, 0.1], 2000).states
+        with pytest.raises(ValueError, match="scale 1e-20 puts more than 2\\*\\*52"):
+            box_counting(pts, [1e-20, 1e-21, 1e-22])
+        with pytest.raises(ValueError, match="scale 1e-20 puts"):
+            _grid_index(pts, pts.min(axis=0), 1e-20)
+        extent = (pts.max(axis=0) - pts.min(axis=0)).max()
+        assert _grid_index(pts, pts.min(axis=0), extent / 2 ** 52).max() <= 2 ** 52
+        assert _grid_index(pts[:0], np.zeros(2), 1e-300).shape == (0, 2)
+
+    @pytest.mark.parametrize("scales", [[1.0, 0.1, 0.0], [1.0, 0.1, -0.01], [0.0, 0.0, 0.0]])
+    def test_nonpositive_scale_rejected(self, scales):
+        with pytest.raises(ValueError, match="scales must be positive"):
+            box_counting(np.zeros((5, 2)), scales)
+
     def test_interval_slope_one(self):
         pts = np.linspace(0, 1, 500)[:, None]
         est = box_counting(pts, [2.0 ** -j for j in range(2, 8)])
@@ -571,3 +589,18 @@ class TestGridSeeds:
                 grid_seeds(dr.Odometer(digits=digits), 100)
         with pytest.raises(ValueError, match="grid of 41\\*\\*3 states"):
             grid_seeds(dr.SampledFlow("lorenz", dt=0.02), 70_000)
+
+    def test_huge_seed_count_rejected_before_the_root(self):
+        # 2**k * MAX_GRID_SEEDS is the largest count compared with the cap
+        # after its root; above it the count is rejected as an integer, so
+        # one too large for a float raises no OverflowError.
+        for sys_ in (dr.CatMap(), dr.CircleRotation(0.1), dr.SampledFlow("lorenz", dt=0.02)):
+            k = sys_.ambient_dim
+            with pytest.raises(ValueError, match="grid of .* exceeds MAX_GRID_SEEDS"):
+                grid_seeds(sys_, 2 ** k * MAX_GRID_SEEDS)
+            for n_seeds in (2 ** k * MAX_GRID_SEEDS + 1, 10 ** 400):
+                with pytest.raises(ValueError, match=f"n_seeds above 2\\*\\*{k} \\* MAX"):
+                    grid_seeds(sys_, n_seeds)
+        # The largest grids under the cap are still built.
+        assert grid_seeds(dr.CatMap(), 256 ** 2).shape == (MAX_GRID_SEEDS, 2)
+        assert grid_seeds(dr.CircleRotation(0.1), MAX_GRID_SEEDS).shape == (MAX_GRID_SEEDS, 1)
