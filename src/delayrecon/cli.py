@@ -47,17 +47,35 @@ _LOWER = {"seed": (0, False), "d": (0, False), "m": (1, False),
           "pairs.period_max": (1, False), "pairs.period_seeds": (1, False)}
 
 
+# Caps of the counts that a run's work grows with, each timed with the other
+# fields at their defaults or at the bench's values (2-vCPU x86 VM).
+# `hypothesis` at d = 20 takes 11.3 s on the harmonic flow (dt 0.5), the
+# slowest system, and 4.4 s on the cat map; its work grows as d**2.
+MAX_D = 20
+# `margin` at 5000 pairs takes 14 s on 10**4 Henon states, where the index
+# gap of d = 1 leaves about 990 pairs and all 200 draws per pair are made.
+MAX_PAIRS = 5000
+# `genericity` at 10**5 trials takes 12.6 s on the bench's 500 Henon pairs.
+MAX_TRIALS = 10**5
+# Upper bounds of integer config fields: a value above one is an error
+# naming the field.  A delay count and a period bound are those of `MAX_D`.
+_UPPER = {"d": MAX_D, "m": 2 * MAX_D + 1, "pairs.period_max": 2 * MAX_D,
+          "pairs.count": MAX_PAIRS, "trials": MAX_TRIALS}
+
+
 def _number(config: dict, key: str, kind, default=None):
     """Value at the dotted path ``key`` converted to ``kind`` (int, float,
     bool, or ``tuple[float, ...]``, whose elements are named ``key.i`` in
-    errors) and checked against its bound in `_LOWER`; a missing field takes
-    ``default``, or is an error when there is none."""
+    errors) and checked against its bounds in `_LOWER` and `_UPPER`; a
+    missing field takes ``default``, or is an error when there is none."""
     value = convert(_field(config, key, default), kind, key)
     if key in _LOWER:
         low, strict = _LOWER[key]
         if not (value > low if strict else value >= low):
             raise ConfigError(f"config field {key!r} must be "
                               f"{'>' if strict else '>='} {low}, got {value}")
+    if value > _UPPER.get(key, value):
+        raise ConfigError(f"config field {key!r} must be <= {_UPPER[key]}, got {value}")
     return value
 
 
@@ -127,22 +145,25 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _pairs(config: dict, sys_: systems.System, samples: np.ndarray,
-           seed: int) -> genericity.PairSet:
+def _pairs(config: dict, sys_: systems.System,
+           seed: int) -> tuple[systems.Trajectory, genericity.PairSet]:
+    """The run's trajectory and the pairs sampled from it; every pairs field
+    is read before the trajectory or a periodic point is computed."""
     delta = _number(config, "pairs.delta", float)
     count = _number(config, "pairs.count", int)
+    pair_seed = _number(config, "pairs.seed", int, seed)
+    default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
+    gap = _number(config, "pairs.min_index_gap", int, default_gap)
     periodic = None
     if _number(config, "pairs.detect_periodic", bool, False):
-        periodic = systems.find_periodic(
-            sys_, n_max=_number(config, "pairs.period_max", int, 4),
-            tol=_number(config, "pairs.period_tol", float, 1e-9),
-            seeds=topology.grid_seeds(
-                sys_, _number(config, "pairs.period_seeds", int, 100)))
-    default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
-    return genericity.sample_pairs(
-        samples, delta, count, sys=sys_, periodic_points=periodic,
-        seed=_number(config, "pairs.seed", int, seed),
-        min_index_gap=_number(config, "pairs.min_index_gap", int, default_gap))
+        n_max = _number(config, "pairs.period_max", int, 4)
+        tol = _number(config, "pairs.period_tol", float, 1e-9)
+        seeds = topology.grid_seeds(sys_, _number(config, "pairs.period_seeds", int, 100))
+        periodic = systems.find_periodic(sys_, n_max=n_max, tol=tol, seeds=seeds)
+    traj = _trajectory(config, sys_)
+    return traj, genericity.sample_pairs(
+        traj.states, delta, count, sys=sys_, periodic_points=periodic,
+        seed=pair_seed, min_index_gap=gap)
 
 
 def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:
@@ -160,8 +181,7 @@ def cmd_simulate(config, out: Path, seed, quiet, import_path=None) -> int:
             states = delay.read_delay_csv(import_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot import trajectory CSV: {exc}")
-        if not np.all(np.isfinite(states)):
-            raise ConfigError("imported trajectory contains non-finite values")
+        sys_.check_domain(states)  # NaN and infinities lie in no box
         traj = systems.Trajectory(states=states, system_id=sys_.system_id)
     else:
         traj = _trajectory(config, sys_)
@@ -187,8 +207,7 @@ def cmd_margin(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     h = _observable(config)
     m = _delay_count(config)
-    traj = _trajectory(config, sys_)
-    K = _pairs(config, sys_, traj.states, seed)
+    _, K = _pairs(config, sys_, seed)
     K.write_csv(out / "pairs.csv")
     report = genericity.compatibility_margin(h, sys_, K, m)
     write_json(out / "margin.json", report.to_dict() | _pair_accounting(config, K))
@@ -202,8 +221,7 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
     h = _observable(config)
     d = _number(config, "d", int)
     eps = _number(config, "epsilon", float)
-    traj = _trajectory(config, sys_)
-    K = _pairs(config, sys_, traj.states, seed)
+    traj, K = _pairs(config, sys_, seed)
     K.write_csv(out / "pairs.csv")
     try:
         f, report = genericity.perturb_to_compatible(h, eps, K, sys_, d, seed=seed)
@@ -279,8 +297,7 @@ def cmd_genericity(config, out: Path, seed, quiet) -> int:
     m = _delay_count(config)
     trials = _number(config, "trials", int)
     bump_scale = _number(config, "bump_scale", float)
-    traj = _trajectory(config, sys_)
-    K = _pairs(config, sys_, traj.states, seed)
+    _, K = _pairs(config, sys_, seed)
     frac = genericity.genericity_monte_carlo(sys_, K, m, trials, bump_scale,
                                              seed=seed, base=h)
     write_json(out / "genericity.json", {

@@ -25,7 +25,7 @@ from .core import (
 from .delay import delay_vectors, orbits, write_csv
 from .neighbors import close_pairs, first_found, nn_distance
 from .systems import System, detect_period
-from .topology import mesh_cover, refine_order, sample_resolution
+from .topology import refine_order, sample_resolution
 
 __all__ = [
     "PairSet",
@@ -202,8 +202,7 @@ def _check_cover_bound(class_pts: np.ndarray, t: int, n_label: int,
         return
     spacing, labels = sample_resolution(class_pts)
     scale = max(delta, 8.0 * (spacing or delta))
-    _, order = refine_order(mesh_cover(class_pts, scale), scale, class_pts, spacing,
-                            labels)
+    _, order = refine_order(class_pts, scale, labels)
     if not order < (t + 1) / 2.0:
         raise PerturbationError(
             f"cover-order bound fails for period class n={n_label}: achieved "

@@ -53,7 +53,7 @@ def convert(value, tp, path: str):
     fixed or ``...`` tuple of these, or a `Registered` base.  A value that
     does not fit raises `ConfigError` naming it by its dotted ``path``; an
     int accepts an integral float such as ``2.0``, a float is finite, and a
-    bool is no number."""
+    bool or a string is no number."""
     if isinstance(tp, type) and issubclass(tp, Registered):
         return tp.from_dict(value, path)
     if typing.get_origin(tp) is tuple:
@@ -70,7 +70,7 @@ def convert(value, tp, path: str):
     if tp in (bool, str):
         if isinstance(value, tp):
             return value
-    elif not (isinstance(value, bool) or tp is int and isinstance(value, float)
+    elif not (isinstance(value, (bool, str)) or tp is int and isinstance(value, float)
               and not value.is_integer()):
         try:
             value = tp(value)

@@ -2,17 +2,18 @@
 periodic-set dimension check behind the delay-count selection.
 
 The covering-dimension estimate is an explicit heuristic: minimizing the
-order over all refinements is uncomputable from samples, so each scale is
-handled by two constructive attempts (resolution-aware component
-splitting, and a Kuhn-triangulation star cover whose order equals the
-ambient grid dimension) and the best achieved order is reported with a
+order over all refinements is uncomputable from samples, so each scale's
+mesh cover is refined constructively (resolution-aware component
+splitting, else a Kuhn-triangulation star cover whose order is at most the
+ambient grid dimension) and the achieved order is reported with a
 ``heuristic`` flag.
 
-A cover, parent or refinement alike, is its ``(sample, element)`` index
-pairs: one pair for each sample an element contains, the sample-membership
-matrix in coordinate form.  The order of a cover is one ``bincount`` of its
-sample indices, and each product of two membership matrices is a join of
-their pairs on the sample index.  Nothing here imports scipy.
+A cover is its ``(sample, element)`` index pairs: one pair for each sample
+an element contains, the sample-membership matrix in coordinate form.  The
+order of a cover is one ``bincount`` of its sample indices.  A mesh cover
+puts each sample in one cell, so an element of a refinement is a (star,
+cell) or (component, cell) pair, keyed by one ``unique``.  Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
 
 
 def sample_resolution(samples) -> tuple[float, np.ndarray]:
-    """The scale-free inputs of `refine_order` for one sample set: its
-    `nn_spacing`, and its `linkage_components` at four times that spacing."""
+    """The scale-free inputs of the covering estimate for one sample set: its
+    `nn_spacing`, and its `linkage_components` at four times that spacing,
+    the labels `refine_order` takes."""
     spacing = nn_spacing(samples)
     return spacing, linkage_components(samples, _resolution_gap(spacing))
 
@@ -160,42 +162,19 @@ def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> np.nd
     return base[:, None, :] + np.cumsum(steps, axis=1)
 
 
-def _join(a, b):
-    """``(sample, element of a, element of b)`` for every sample in an
-    element of each cover: the entries of the product aᵀ·b of their
-    membership matrices before they are summed, from one sort on the
-    sample index."""
-    order = np.argsort(b[0], kind="stable")
-    count = np.bincount(b[0], minlength=a[0].max(initial=-1) + 1)
-    n = count[a[0]]
-    lo = (np.cumsum(count) - count)[a[0]]
-    rows = np.repeat(np.arange(len(n)), n)
-    pos = np.arange(len(rows)) + np.repeat(lo - np.cumsum(n) + n, n)
-    return a[0][rows], a[1][rows], b[1][order[pos]]
-
-
 def _overlaps(ea, eb, pair=False):
-    """The distinct ``(ea, eb)`` element pairs of a join, sorted, and the
-    number of samples each pair shares; with ``pair``, the index of each
-    join entry's pair instead."""
+    """The distinct ``(ea, eb)`` element pairs of samples in an element of
+    each cover, sorted, and the number of samples each pair shares; with
+    ``pair``, the index of each entry's pair instead."""
     radix = eb.max(initial=0) + 1
     keys, out = np.unique(ea * radix + eb, return_inverse=pair, return_counts=not pair)
     return keys // radix, keys % radix, out
 
 
-def _inside(members, parents) -> np.ndarray:
-    """Whether all samples of each element of ``members`` lie in one parent
-    element: some parent shares as many samples with it as it has."""
-    sizes = np.bincount(members[1])
-    element, _, shared = _overlaps(*_join(members, parents)[1:])
-    inside = np.zeros(len(sizes), dtype=bool)
-    inside[element[shared == sizes[element]]] = True
-    return inside
-
-
-def _kuhn_attempt(parents, pts: np.ndarray, star_scale: float):
-    """Kuhn-star refinement: lattice-triangulation vertex stars meet at most
-    dim+1 at a point; stars straddling parent elements are cut by them."""
+def _kuhn_attempt(pts: np.ndarray, cell: np.ndarray, star_scale: float):
+    """Kuhn-star refinement of the mesh partition ``cell`` (each sample's
+    cell id): lattice-triangulation vertex stars meet at most dim+1 at a
+    point, and each star is cut into one piece per cell it meets."""
     n, dim = pts.shape
     keys = kuhn_vertex_keys(pts, star_scale, pts.min(axis=0))
     stars = _row_ids(keys.reshape(-1, dim)).reshape(n, dim + 1)
@@ -209,60 +188,40 @@ def _kuhn_attempt(parents, pts: np.ndarray, star_scale: float):
     keep[a[inner]] = False
     sample, star = np.repeat(np.arange(n), dim + 1), stars.ravel()
     sample, star = sample[keep[star]], star[keep[star]]
-    whole = _inside((sample, star), parents)[star]
-    # A straddling star is cut into one piece per parent it meets: the
-    # star's samples in that parent.
-    cut, cut_star, cut_parent = _join((sample[~whole], star[~whole]), parents)
-    _, star_id = np.unique(star[whole], return_inverse=True)
-    piece = _overlaps(cut_star, cut_parent, pair=True)[2]
-    return (np.concatenate([sample[whole], cut]),
-            np.concatenate([star_id, star_id.max(initial=-1) + 1 + piece]))
+    return sample, _overlaps(star, cell[sample], pair=True)[2]
 
 
-def refine_order(parents, scale: float, samples, spacing: float,
+def refine_order(samples, scale: float,
                  labels) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-    """Search for a low-order refinement of the parent cover on the samples.
+    """Search for a low-order refinement of the samples' `mesh_cover` at
+    ``scale``.
 
-    ``parents`` is the parent cover's ``(sample, element)`` index pairs and
-    ``scale`` its characteristic scale; ``spacing`` and ``labels`` are the
-    samples' `sample_resolution`, which does not depend on the scale, so a
-    caller refining one sample set at several scales computes it once.
-    Components of the sample set that are disconnected at four times that
-    spacing, padded by half that distance, are isolated into disjoint
-    elements (order 0) whenever each fits inside a parent element; otherwise
-    connected regions are covered by Kuhn-triangulation stars, which meet at
-    most dim+1 at a point, at up to three shrinking star scales.  Splitting
+    ``labels`` are the samples' `linkage_components` from
+    `sample_resolution`, which does not depend on the scale, so a caller
+    refining one sample set at several scales computes them once.
+    Components of the sample set that are disconnected at four sample
+    spacings, padded by half that distance, are isolated into disjoint
+    elements (order 0) whenever each lies in one mesh cell; otherwise
+    connected regions are covered by Kuhn-triangulation stars of side
+    ``scale / (4 sqrt(dim))``, cut by the cells.  A sample lies in at most
+    dim+1 stars and in one cell, so that order is at most dim.  Splitting
     below the sampling resolution is never attempted: gaps that small are
     indistinguishable from finite-sample artifacts.  Returns ``(cover,
-    order)`` for the best refinement found: its ``(sample, element)`` index
-    pairs, element ids 0..m-1, and its order.
+    order)``: the refinement's ``(sample, element)`` index pairs, element
+    ids 0..m-1, and its order.
     """
     pts = _pts(samples)
-    n = pts.shape[0]
+    n, dim = pts.shape
     if len(labels) != n:
-        raise ValueError("parent cover and labels need one row per sample")
-    parents = tuple(np.asarray(x, dtype=np.int64) for x in parents)
-    cover_order(parents, n)  # raises if a sample lies in no parent element
-    g0 = _resolution_gap(spacing)
-
-    comps = (np.arange(n), np.asarray(labels, dtype=np.int64))
-    if _inside(comps, parents).all():
-        # Components are more than g0 apart and padded by g0/2: order 0.
-        return comps, 0
-
-    dim = pts.shape[1]
-    best = None
-    for attempt in range(3):
-        star_scale = scale / (4.0 * math.sqrt(dim) * (1 + attempt))
-        if star_scale < g0 / 2.0 and attempt > 0:
-            break
-        cover = _kuhn_attempt(parents, pts, star_scale)
-        order = cover_order(cover, n)
-        if best is None or order < best[1]:
-            best = (cover, order)
-        if best[1] <= dim:
-            break
-    return best
+        raise ValueError("labels need one row per sample")
+    labels = np.asarray(labels, dtype=np.int64)
+    cell = mesh_cover(pts, scale)[1]
+    if len(_overlaps(labels, cell)[0]) == np.count_nonzero(np.bincount(labels)):
+        # Each component meets one cell, and components are more than four
+        # spacings apart and padded by two: order 0.
+        return (np.arange(n), labels), 0
+    cover = _kuhn_attempt(pts, cell, scale / (4.0 * math.sqrt(dim)))
+    return cover, cover_order(cover, n)
 
 
 # --- dimension estimates --------------------------------------------------
@@ -296,7 +255,7 @@ def covering_dimension_estimate(samples, scales) -> DimensionEstimate:
         if s < 8.0 * spacing:
             notes.append(f"scale {s:g} below sampling resolution; dropped")
             continue
-        _, order = refine_order(mesh_cover(pts, s), s, pts, spacing, labels)
+        _, order = refine_order(pts, s, labels)
         orders.append(order)
         used.append(s)
     if not orders:

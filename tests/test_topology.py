@@ -203,34 +203,6 @@ def column_sets(cover):
     return {frozenset(sample[element == j].tolist()) for j in np.unique(element)}
 
 
-def ball_membership(pts, centers, radius):
-    """Closed balls of one radius: column j holds the samples within
-    ``radius`` of ``centers[j]``."""
-    return np.stack([np.linalg.norm(pts - c, axis=1) <= radius for c in centers], axis=1)
-
-
-def box_membership(pts, lo, hi):
-    """One closed axis-aligned box as a membership column."""
-    return np.all((pts >= lo) & (pts <= hi), axis=1)[:, None]
-
-
-def overlapping_parents(pts, rng, n_balls=60):
-    """Balls around random samples, with a radius that covers every sample,
-    plus two random sub-boxes: a cover whose elements overlap, as
-    ``(membership, scale)``.  Its scale, which sets the star size, exceeds
-    the radius, so stars straddle several parent elements."""
-    centers = pts[rng.choice(len(pts), size=min(n_balls, len(pts)), replace=False)]
-    reach, _ = cKDTree(centers).query(pts)
-    radius = float(reach.max()) * rng.uniform(1.0, 1.5) + 1e-9
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    boxes = []
-    for _ in range(2):
-        a, b = np.sort(rng.uniform(lo, hi, (2, pts.shape[1])), axis=0)
-        boxes.append(box_membership(pts, a, b))
-    parents = np.hstack([ball_membership(pts, centers, radius), *boxes])
-    return parents, radius * rng.uniform(4.0, 10.0)
-
-
 class TestCoverBasics:
     def test_order_counts_overlaps(self):
         # Intervals [-1, 1], [-0.5, 1.5] and [4, 6] on the samples 0.2 and 5.
@@ -318,16 +290,20 @@ class TestResolutionHelpers:
         assert labels[0] != labels[-1]
 
 
+def labels_of(pts):
+    """The component labels `refine_order` takes."""
+    return sample_resolution(pts)[1]
+
+
 class TestRefineOrder:
     def test_two_separated_points_get_disjoint_blobs(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        _, order = refine_order(mesh_cover(pts, 2.0), 2.0, pts, *sample_resolution(pts))
+        _, order = refine_order(pts, 2.0, labels_of(pts))
         assert order == 0
 
     def test_interval_refines_to_order_one(self):
         pts = np.linspace(0, 1, 400)[:, None]
-        membership, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts,
-                                         *sample_resolution(pts))
+        membership, order = refine_order(pts, 0.5, labels_of(pts))
         assert order == 1
         assert np.all(np.bincount(membership[0], minlength=len(pts)) > 0)
         assert np.all(np.bincount(membership[1]) > 0)
@@ -335,49 +311,42 @@ class TestRefineOrder:
     def test_square_refines_to_order_two(self):
         g = np.linspace(0, 1, 40)
         pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        _, order = refine_order(mesh_cover(pts, 0.5), 0.5, pts, *sample_resolution(pts))
+        _, order = refine_order(pts, 0.5, labels_of(pts))
         assert order == 2
 
     def test_parent_rows_must_match_and_cover_samples(self):
+        # The parent is the samples' own mesh, so only the labels can
+        # mismatch them.
         pts = np.linspace(0, 1, 10)[:, None]
         with pytest.raises(ValueError, match="one row per sample"):
-            refine_order(mesh_cover(pts[:5], 0.5), 0.5, pts, *sample_resolution(pts))
-        with pytest.raises(ValueError, match="one row per sample"):
-            refine_order(mesh_cover(pts, 0.5), 0.5, pts, nn_spacing(pts),
-                         linkage_components(pts[:5], 0.1))
-        uncovered = np.ones((10, 1), dtype=bool)
-        uncovered[3] = False
-        with pytest.raises(UncoveredSampleError):
-            refine_order(pairs(uncovered), 0.5, pts, *sample_resolution(pts))
+            refine_order(pts, 0.5, linkage_components(pts[:5], 0.1))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
-           dim=st.integers(1, 3), n_balls=st.integers(1, 6))
-    def test_refinement_properties(self, seed, n, dim, n_balls):
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(0, 1, (n, dim))
-        centers = pts[rng.choice(n, size=min(n_balls, n), replace=False)]
-        reach, _ = cKDTree(centers).query(pts)
-        radius = float(reach.max()) * rng.uniform(1.0, 2.0) + 1e-9
-        inside = ball_membership(pts, centers, radius)
-        scale = radius * rng.uniform(0.5, 6.0)
-        membership, order = refine_order(pairs(inside), scale, pts, *sample_resolution(pts))
+           dim=st.integers(1, 3), scale=st.floats(0.05, 1.0))
+    def test_refinement_properties(self, seed, n, dim, scale):
+        pts = np.random.default_rng(seed).uniform(0, 1, (n, dim))
+        membership, order = refine_order(pts, scale, labels_of(pts))
         rows = dense(membership, n)
         assert rows.any(axis=1).all()  # every sample is covered
         assert rows.any(axis=0).all()  # no element is empty
-        for col in rows.T:  # every element lies inside some parent element
-            assert inside[col].all(axis=0).any()
+        cell = mesh_cover(pts, scale)[1]
+        for col in rows.T:  # every element lies inside one mesh cell
+            assert len(set(cell[col])) == 1
         assert order == rows.sum(axis=1).max() - 1
+        assert order <= dim
 
 
 class TestReferenceRefinement:
-    """The sample-membership refinement against the element-class one:
-    equal orders, and equal element sample sets."""
+    """The sample-membership refinement against the element-class one on
+    mesh parents: equal orders, and equal element sample sets.  The
+    reference still tries up to three star scales, so equality also shows
+    that the first is never improved on."""
 
     @staticmethod
-    def same_refinement(parents, scale, pts):
-        membership, order = refine_order(pairs(parents), scale, pts,
-                                         *sample_resolution(pts))
+    def same_refinement(pts, scale):
+        membership, order = refine_order(pts, scale, labels_of(pts))
+        parents = mesh_cover(pts, scale)
         elements, ref_order = reference_refine_order(parents, scale, pts)
         assert order == ref_order
         assert column_sets(membership) == reference_sample_sets(elements, parents, pts)
@@ -404,29 +373,29 @@ class TestReferenceRefinement:
     def test_mesh_parents(self, name):
         pts, scales = self.point_sets()[name]
         for s in scales:
-            self.same_refinement(mesh_cover(pts, s), s, pts)
+            self.same_refinement(pts, s)
 
     def test_attractor_states(self):
         flow = dr.SampledFlow("lorenz", dt=0.02, substep=0.01)
         pts = dr.iterate(flow, np.array([1.0, 1.0, 20.0]), 1500).states[500:]
-        assert [self.same_refinement(mesh_cover(pts, s), s, pts)
-                for s in (16.0, 8.0)] == [3, 3]
+        assert [self.same_refinement(pts, s) for s in (16.0, 8.0)] == [3, 3]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_overlapping_ball_and_box_parents(self, seed):
-        # The first star attempt uses the largest stars, most of which
-        # straddle several overlapping parents; it is compared on its own
-        # too, since refine_order may go on to smaller stars.
+        # A uniform box cloud or a normal ball cloud, whose overlapping
+        # Kuhn stars straddle the mesh cells at a random scale; the star
+        # attempt is compared on its own too, whatever the components do.
         rng = np.random.default_rng(seed)
         pts = (rng.uniform(0, 1, (300, 2)) if seed % 2 else
                rng.normal(0, 1, (300, 3)))
-        parents, scale = overlapping_parents(pts, rng)
+        scale = float(np.ptp(pts, axis=0).max()) * rng.uniform(0.1, 0.5)
+        parents = mesh_cover(pts, scale)
         star_scale = scale / (4.0 * math.sqrt(pts.shape[1]))
-        cover = _kuhn_attempt(pairs(parents), pts, star_scale)
+        cover = _kuhn_attempt(pts, parents[1], star_scale)
         elements, ref_order = _ref_kuhn_attempt(dense(parents, len(pts)), pts, star_scale)
         assert cover_order(cover, len(pts)) == ref_order
         assert column_sets(cover) == reference_sample_sets(elements, parents, pts)
-        self.same_refinement(parents, scale, pts)
+        self.same_refinement(pts, scale)
 
 
 class TestKuhnVertexKeys:
