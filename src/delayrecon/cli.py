@@ -148,19 +148,19 @@ def write_json(path, payload: dict) -> None:
 def _pairs(config: dict, sys_: systems.System,
            seed: int) -> tuple[systems.Trajectory, genericity.PairSet]:
     """The run's trajectory and the pairs sampled from it; every pairs field
-    is read before the trajectory or a periodic point is computed."""
+    is read before the trajectory is computed."""
     delta = _number(config, "pairs.delta", float)
     count = _number(config, "pairs.count", int)
     pair_seed = _number(config, "pairs.seed", int, seed)
     default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
     gap = _number(config, "pairs.min_index_gap", int, default_gap)
-    periodic = None
-    if _number(config, "pairs.detect_periodic", bool, False):
+    detect = _number(config, "pairs.detect_periodic", bool, False)
+    if detect:
         n_max = _number(config, "pairs.period_max", int, 4)
         tol = _number(config, "pairs.period_tol", float, 1e-9)
         seeds = topology.grid_seeds(sys_, _number(config, "pairs.period_seeds", int, 100))
-        periodic = systems.find_periodic(sys_, n_max=n_max, tol=tol, seeds=seeds)
     traj = _trajectory(config, sys_)
+    periodic = systems.find_periodic(sys_, n_max=n_max, tol=tol, seeds=seeds) if detect else None
     return traj, genericity.sample_pairs(
         traj.states, delta, count, sys=sys_, periodic_points=periodic,
         seed=pair_seed, min_index_gap=gap)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import delayrecon as dr
-from delayrecon import cli
+from delayrecon import cli, systems, topology
 from delayrecon.delay import read_delay_csv
 from delayrecon.genericity import MARGIN_TOL
 from delayrecon.systems import MAX_ODOMETER_DIGITS
@@ -76,6 +76,21 @@ class TestSimulate:
         cfg = write_config(tmp_path, base_config)
         assert run("simulate", cfg, tmp_path,
                    extra=["--import", str(bad)]) == 1
+
+    @pytest.mark.parametrize("rows,message", [
+        ("s0,s1,s2\n0.1,0.1,0.1\n0.2,0.2,0.2\n", "state dimension 3 != 2"),
+        ("s0,s1\n0.1,0.1\n10,0.2\n", "state outside domain box"),
+        ("s0,s1\n0.1,nan\n", "state outside domain box"),
+    ], ids=["three-columns", "outside-box", "nan"])
+    def test_import_checked_against_the_system(self, tmp_path, base_config, capsys,
+                                               rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(rows)
+        out = tmp_path / "out"
+        assert run("simulate", write_config(tmp_path, base_config), out,
+                   extra=["--import", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: henon(a=1.4,b=0.3): {message}\n"
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestEmbed:
@@ -393,6 +408,9 @@ class TestErrors:
         ("perturb", "epsilon", float("inf")),
         ("perturb", "epsilon", float("-inf")),
         ("dimension", "scales.0", float("inf")),
+        ("perturb", "epsilon", "0.05"),
+        ("perturb", "pairs.delta", "0.01"),
+        ("margin", "pairs.count", "10"),
     ])
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):
@@ -527,6 +545,46 @@ class TestErrors:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err and "Warning" not in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd,field,value", [
+        ("margin", "pairs.count", cli.MAX_PAIRS + 1),
+        ("perturb", "pairs.count", 10 ** 5),
+        ("hypothesis", "d", 10 ** 6),
+        ("genericity", "trials", 10 ** 12),
+        ("yorke", "d", 10 ** 9),
+        ("embed", "m", 2 * cli.MAX_D + 2),
+        ("margin", "pairs.period_max", 10 ** 400),
+    ])
+    def test_work_caps_named_before_any_stage(self, tmp_path, base_config, capsys,
+                                              monkeypatch, cmd, field, value):
+        # Without the caps these hang or allocate terabytes, so no stage may
+        # run: each one fails the test if it is reached.
+        def reached(*args, **kwargs):
+            raise AssertionError("a stage ran before the cap was checked")
+        for module, name in ((systems, "iterate"), (systems, "find_periodic"),
+                             (systems, "yorke_certificate"), (topology, "grid_seeds"),
+                             (topology, "hypothesis_check")):
+            monkeypatch.setattr(module, name, reached)
+        base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
+                           pairs={"delta": 0.01, "count": 10, "detect_periodic": True})
+        if cmd == "yorke":
+            base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
+        outer, _, leaf = field.rpartition(".")
+        (base_config[outer] if outer else base_config)[leaf] = value
+        out = tmp_path / "out"
+        assert run(cmd, write_config(tmp_path, base_config), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {field!r} must be <= ")
+        assert list(out.iterdir()) == []
+
+    def test_work_caps_are_inclusive(self):
+        for key, cap in cli._UPPER.items():
+            *outer, leaf = key.split(".")
+            config = {outer[0]: {leaf: cap}} if outer else {leaf: cap}
+            assert cli._number(config, key, int) == cap
+            (config[outer[0]] if outer else config)[leaf] = cap + 1
+            with pytest.raises(systems.ConfigError, match=f"'{key}' must be <= {cap}, got"):
+                cli._number(config, key, int)
 
     def test_state_budget_is_inclusive(self, tmp_path, base_config, monkeypatch):
         monkeypatch.setattr(cli, "MAX_STATES", 900)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,11 @@ class TestConvert:
             convert([0.5, value], tuple[float, ...], "xs")
         assert convert(1e308, float, "x") == 1e308
 
+    @pytest.mark.parametrize("kind,value", [(float, "0.05"), (int, " 7 "), (int, "7")])
+    def test_number_given_as_string_rejected(self, kind, value):
+        with pytest.raises(ConfigError, match=f"'x' must be .*, got {value!r}"):
+            convert(value, kind, "x")
+
     def test_bool_and_str_take_their_own_type_only(self):
         assert convert(False, bool, "flag") is False
         with pytest.raises(ConfigError, match="true or false"):
@@ -153,9 +159,9 @@ SYSTEMS = {
     "flow": ({"kind": "flow", "field": "harmonic", "dt": 0.5, "substep": 0.1},
              [1.0, 0.0]),
 }
-# Replacement values: null, a string, lists, bools, non-integral,
-# out-of-range, non-finite and huge numbers.
-BAD_VALUES = [None, "x", [], [0.5], True, False, 2.5, -0.5, -1, 0,
+# Replacement values: null, strings, numbers given as strings, lists,
+# bools, non-integral, out-of-range, non-finite and huge numbers.
+BAD_VALUES = [None, "x", "0.5", "7", [], [0.5], True, False, 2.5, -0.5, -1, 0,
               float("inf"), float("-inf"), float("nan"), 1e308, -1e308, 10 ** 400]
 
 
@@ -174,11 +180,28 @@ def observables(k: int) -> dict:
     }
 
 
-def make_config(system: str, variant: str) -> dict:
+PAIRS = {"delta": 0.01, "count": 3, "detect_periodic": True, "period_max": 2,
+         "period_seeds": 4}
+# The fields each command reads beyond the seed, d, system, observable and
+# trajectory, at small values.
+COMMAND_FIELDS = {
+    "simulate": {}, "embed": {},
+    "margin": {"pairs": PAIRS},
+    "perturb": {"epsilon": 0.05, "pairs": PAIRS},
+    "genericity": {"trials": 3, "bump_scale": 0.1, "pairs": PAIRS},
+    "dimension": {"scales": [1.0, 0.1, 0.01], "covering_scales": [8.0, 4.0]},
+    "hypothesis": {"n_seeds": 4, "tol": 1e-9},
+    "yorke": {"n_seeds": 4, "tol": 1e-6},
+}
+
+
+def make_config(system: str, variant: str, cmd: str = "embed") -> dict:
+    """A fresh copy of a small valid config of ``cmd``."""
     payload, x0 = SYSTEMS[system]
-    return {"seed": 3, "d": 1, "system": payload,
-            "observable": observables(len(x0))[variant],
-            "trajectory": {"x0": x0, "n": 12, "transient": 2}}
+    return json.loads(json.dumps({"seed": 3, "d": 1, "system": payload,
+                                  "observable": observables(len(x0))[variant],
+                                  "trajectory": {"x0": x0, "n": 12, "transient": 2},
+                                  **COMMAND_FIELDS[cmd]}))
 
 
 def paths(node, prefix=()):
@@ -191,14 +214,17 @@ def paths(node, prefix=()):
 
 
 def run_main(cmd: str, config: dict) -> tuple[int, str]:
+    """Exit code and standard error of one run; a warning, which a run
+    outside pytest prints to standard error as it happens, comes first."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.json"
         with open(path, "w") as fh:
             json.dump(config, fh)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main([cmd, "--config", path, "--out", tmp, "--quiet"])
-    return code, err.getvalue()
+    return code, "".join(f"{w.category.__name__}: {w.message}\n" for w in caught) + err.getvalue()
 
 
 def test_examples_cover_the_registry():
@@ -212,13 +238,23 @@ def test_examples_run(system, variant):
     assert run_main("embed", make_config(system, variant)) == (0, "")
 
 
-@settings(max_examples=150, deadline=None)
-@given(cmd=st.sampled_from(["simulate", "embed"]),
+@pytest.mark.parametrize("cmd", sorted(COMMAND_FIELDS))
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_command_examples_run(cmd, system):
+    # yorke runs on flows only; the hypothesis and yorke checks may fail.
+    if cmd == "yorke" and system != "flow":
+        return
+    code, err = run_main(cmd, make_config(system, "trig", cmd))
+    assert code in (0, 2) and err == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(cmd=st.sampled_from(sorted(COMMAND_FIELDS)),
        system=st.sampled_from(sorted(SYSTEMS)),
        variant=st.sampled_from(sorted(observables(1))),
        data=st.data())
 def test_fuzzed_config_exits_cleanly(cmd, system, variant, data):
-    config = json.loads(json.dumps(make_config(system, variant)))
+    config = make_config("flow" if cmd == "yorke" else system, variant, cmd)
     *outer, leaf = data.draw(st.sampled_from(sorted(paths(config), key=str)))
     target = config
     for key in outer:
