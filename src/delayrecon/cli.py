@@ -74,7 +74,7 @@ def _number(config: dict, key: str, kind, default=None):
         if not (value > low if strict else value >= low):
             raise ConfigError(f"config field {key!r} must be "
                               f"{'>' if strict else '>='} {low}, got {value}")
-    if value > _UPPER.get(key, value):
+    if key in _UPPER and value > _UPPER[key]:
         raise ConfigError(f"config field {key!r} must be <= {_UPPER[key]}, got {value}")
     return value
 

@@ -163,9 +163,9 @@ def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> np.nd
 
 
 def _overlaps(ea, eb, pair=False):
-    """The distinct ``(ea, eb)`` element pairs of samples in an element of
-    each cover, sorted, and the number of samples each pair shares; with
-    ``pair``, the index of each entry's pair instead."""
+    """The distinct pairs ``(ea[i], eb[i])`` of two element ids given per
+    entry, sorted, and the number of entries with each; with ``pair``, the
+    index of each entry's pair instead."""
     radix = eb.max(initial=0) + 1
     keys, out = np.unique(ea * radix + eb, return_inverse=pair, return_counts=not pair)
     return keys // radix, keys % radix, out

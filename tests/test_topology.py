@@ -41,18 +41,14 @@ LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)  # 0.6309...
 
 def pairs(cover):
     """A cover as ``(sample, element)`` index pairs, from a dense or sparse
-    membership matrix; index pairs pass through."""
-    if isinstance(cover, tuple):
-        return cover
+    membership matrix."""
     return np.nonzero(cover.toarray() if sparse.issparse(cover) else np.asarray(cover))
 
 
-def dense(parents, n):
-    """A parent cover of ``n`` samples as a dense bool membership matrix."""
-    if not isinstance(parents, tuple):
-        return np.asarray(parents, bool)
-    mask = np.zeros((n, parents[1].max() + 1), dtype=bool)
-    mask[parents] = True
+def dense(cover, n):
+    """A cover of ``n`` samples as a dense bool membership matrix."""
+    mask = np.zeros((n, cover[1].max() + 1), dtype=bool)
+    mask[cover] = True
     return mask
 
 
