@@ -3,6 +3,8 @@
 Every neighbour query of the package goes through this module, so there is
 one distance formula, ``sqrt`` of the summed squared coordinate differences
 in NumPy, and one tie rule: a pair is close when that distance is ``<= r``.
+`np.add.reduce` adds a row's squares in axis order below 8 axes and
+pairwise from 8, so `_within` sums them axis by axis below 8 axes only.
 
 Two backends give bitwise-identical results.  Small queries bucket points
 on a NumPy grid; large ones use ``scipy.spatial.cKDTree``, imported only
@@ -15,10 +17,13 @@ The grid buckets on at most the first three axes, which bounds nothing when
 those axes take few values (a 64-digit odometer has 8 cells), so points
 with more axes go to the tree.  A nearest-neighbour query is rounds of that
 same routed pair query at a doubling radius, so it makes no backend choice
-of its own.  The greedy merge of near-duplicate rows, `first_found`, makes no
-pair query at all: a sort on the first axis and a sweep over the rows it
-cannot rule out, with the same distance formula and tie rule.  `median`,
-which `nn_distance` and `topology.nn_spacing` take, imports no ``numpy.ma``.
+of its own.  A grid self-query walks the centre offset and the forward
+half of the others, each pair once, while `_candidates` counts all ``3**k``
+offsets, as `GRID_LIMIT` was measured.  The greedy merge of near-duplicate
+rows, `first_found`, makes no pair query at all: a sort on the first axis
+and a sweep over the rows it cannot rule out, with the same distance formula
+and tie rule.  `median`, which `nn_distance` and `topology.nn_spacing` take,
+imports no ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,18 @@ def _within(a, b, i, j, r):
     bounded however many candidates there are."""
     dist = np.empty(len(i))
     for s in range(0, len(i), _CHUNK):
-        dist[s:s + _CHUNK] = _norm(a[i[s:s + _CHUNK]], b[j[s:s + _CHUNK]])
+        ii, jj, out = i[s:s + _CHUNK], j[s:s + _CHUNK], dist[s:s + _CHUNK]
+        if a.shape[1] >= 8:
+            # `np.add.reduce` sums 8 or more terms pairwise, not in axis order.
+            out[:] = _norm(a[ii], b[jj])
+            continue
+        out[:] = 0.0
+        for ax in range(a.shape[1]):
+            d = a[:, ax][ii]
+            d -= b[:, ax][jj]
+            d *= d
+            out += d
+        np.sqrt(out, out=out)
     keep = dist <= r
     return i[keep], j[keep], dist[keep]
 
@@ -117,13 +133,18 @@ def _grid_within(a, b, r, grid=None):
     pts = a if b is None else b
     qorder, border, qcount, first, hits = _grid(a, b, r) if grid is None else grid
     # One neighbour offset at a time, which bounds the candidates in memory.
+    # A self-query walks the centre offset (i < j) and the offsets after it,
+    # the mirror images of those before it, as (min, max) pairs.
+    centre = len(first) // 2
     parts = []
-    for start, n_in in zip(first, hits):
-        start, n_in = np.repeat(start, qcount), np.repeat(n_in, qcount)
+    for o in range(centre if b is None else 0, len(first)):
+        start, n_in = np.repeat(first[o], qcount), np.repeat(hits[o], qcount)
         i = np.repeat(qorder, n_in)
         j = border[np.repeat(start - np.cumsum(n_in) + n_in, n_in) + np.arange(len(i))]
-        if b is None:
+        if b is None and o == centre:
             i, j = i[i < j], j[i < j]
+        elif b is None:
+            i, j = np.minimum(i, j), np.maximum(i, j)
         parts.append(_within(a, pts, i, j, r))
     return tuple(np.concatenate(p) for p in zip(*parts))
 

@@ -344,16 +344,37 @@ VECTOR_FIELDS: dict[str, dict] = {
 }
 
 
-# RK4 substeps per step, ceil(dt / substep).  Each costs about 4-7 us per
+# RK4 substeps per step, ceil(dt / substep).  Each costs about 1.2-1.7 us per
 # state in plain floats (Lorenz, 2-vCPU x86 VM), so the cap is under a
 # second per state step; a larger ratio is a typo in dt or substep that
 # would hang the run.
 MAX_RK4_SUBSTEPS = 10**5
 
 
+@functools.cache
+def _rk4_code(k: int):
+    """``def step(x0, ..., x{k-1})``: the component loop's RK4 step on k axes,
+    the same float operations in the same order, as straight-line code
+    compiled once per k; its globals give the field ``f`` and the step
+    constants ``n_sub``, ``half``, ``h`` and ``sixth``."""
+    def axes(term: str) -> str:
+        return "".join(term.replace("#", str(i)) + ", " for i in range(k))
+
+    return compile(
+        f"def step({axes('x#')}):\n"
+        "    for _ in range(n_sub):\n"
+        f"        {axes('a#')}= f({axes('x#')})\n"
+        f"        {axes('b#')}= f({axes('x# + half * a#')})\n"
+        f"        {axes('c#')}= f({axes('x# + half * b#')})\n"
+        f"        {axes('d#')}= f({axes('x# + h * c#')})\n"
+        f"        {axes('x#')}= {axes('x# + sixth * (a# + 2.0 * b# + 2.0 * c# + d#)')}\n"
+        f"    return {axes('x#')}\n", f"<rk4 step, {k} axes>", "exec")
+
+
 @dataclass(frozen=True)
 class SampledFlow(System, name="flow"):
-    """Time-t map of an ODE flow, advanced by classical RK4 with fixed substep."""
+    """Time-t map of an ODE flow, advanced by classical RK4 with fixed
+    substep; ``_map`` is the generated step of `_rk4_code`."""
 
     field: str
     dt: float
@@ -366,11 +387,16 @@ class SampledFlow(System, name="flow"):
             raise ValueError("dt and substep must be positive")
         if self.dt / self.substep > MAX_RK4_SUBSTEPS:
             raise ValueError(f"dt / substep exceeds {MAX_RK4_SUBSTEPS} RK4 substeps per step")
-        # The field and the step constants of `_map`, fixed per system.
         n_sub = max(1, math.ceil(self.dt / self.substep))
         h = self.dt / n_sub
-        object.__setattr__(self, "_rk4", (VECTOR_FIELDS[self.field]["components"],
-                                          n_sub, 0.5 * h, h, h / 6.0))
+        scope = {"f": VECTOR_FIELDS[self.field]["components"], "n_sub": n_sub,
+                 "half": 0.5 * h, "h": h, "sixth": h / 6.0}
+        exec(_rk4_code(len(self.box)), scope)
+        object.__setattr__(self, "_map", scope["step"])
+
+    def __reduce__(self):
+        # The generated step has no importable name.
+        return type(self), (self.field, self.dt, self.substep)
 
     @property
     def box(self):
@@ -379,17 +405,6 @@ class SampledFlow(System, name="flow"):
     @property
     def lipschitz_L(self):
         return VECTOR_FIELDS[self.field]["lipschitz_L"]
-
-    def _map(self, *s):
-        f, n_sub, half, h, sixth = self._rk4
-        for _ in range(n_sub):
-            k1 = f(*s)
-            k2 = f(*[a + half * b for a, b in zip(s, k1)])
-            k3 = f(*[a + half * b for a, b in zip(s, k2)])
-            k4 = f(*[a + h * b for a, b in zip(s, k3)])
-            s = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
-        return tuple(s)
 
 
 @dataclass(frozen=True)
@@ -432,6 +447,8 @@ def iterate(sys: System, x0, n: int) -> Trajectory:
 
 # --- periodic points ------------------------------------------------------
 
+# An escaping iterate overflows; its row fails as non-finite, so no warning.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _newton(residual, x0: np.ndarray, fd: float, maxiter: int, step_cap: float,
             stop_tol: float, accept_tol: float, project=None) -> tuple[np.ndarray, np.ndarray]:
     """Newton on residual(x) = 0 from every row of x0 at once, with a
@@ -528,7 +545,8 @@ def find_periodic(sys: System, n_max: int, tol: float, seeds) -> list[tuple[np.n
             return sys.wrap_displacement(sys.step_n(x, p, check=False) - x)
 
         x = seeds.copy()
-        keep = np.linalg.norm(residual(seeds), axis=1) <= tol
+        with np.errstate(over="ignore", invalid="ignore"):  # an escaping seed fails
+            keep = np.linalg.norm(residual(seeds), axis=1) <= tol
         miss = np.flatnonzero(~keep)
         x[miss], keep[miss] = _newton(
             residual, seeds[miss], fd=max(1e-7, tol), maxiter=40, step_cap=1.0,

@@ -208,6 +208,18 @@ class TestHypothesis:
         assert report["per_n"][0]["n"] == 1
 
 
+    def test_escaping_newton_rows_write_no_warning(self, tmp_path):
+        # At d = 10 seed orbits and Newton iterates of the Henon map escape
+        # and overflow; their rows fail as non-finite, which is no warning.
+        cfg = write_config(tmp_path, {"seed": 1, "system": HENON, "d": 10,
+                                      "n_seeds": 400})
+        proc = subprocess.run(
+            [sys.executable, "-m", "delayrecon.cli", "hypothesis", "--config", cfg,
+             "--out", str(tmp_path), "--quiet"],
+            capture_output=True, text=True, env=package_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestYorke:
     def test_certified_flow(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -247,6 +259,13 @@ class TestGenericity:
         assert report["fraction"] >= 0.95
 
 
+def package_env():
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(dr.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 def scipy_modules_after(tmp_path, command, config):
     """Run ``command`` on ``config`` in a fresh interpreter; returns the scipy
     modules and ``numpy.ma`` (which `np.median` imports) if loaded after
@@ -262,11 +281,8 @@ def scipy_modules_after(tmp_path, command, config):
         "code = delayrecon.cli.main([sys.argv[1], '--config', sys.argv[2],\n"
         "                            '--out', sys.argv[3], '--quiet'])\n"
         "print(json.dumps([after_import, code, loaded()]))\n")
-    src = str(Path(dr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-c", script, command, cfg, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

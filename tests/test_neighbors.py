@@ -18,7 +18,9 @@ from delayrecon import neighbors
 from delayrecon.neighbors import (
     _by_pair,
     _grid_within,
+    _norm,
     _tree_pairs,
+    _within,
     close_pairs,
     median,
     nn_distance,
@@ -27,11 +29,13 @@ from delayrecon.neighbors import (
 
 @st.composite
 def clouds(draw, min_size=1, k=None):
-    """(points, r): a random or lattice cloud in 1, 2, 3 or 6 dimensions with
-    some rows repeated; on a lattice, r is a lattice distance, so pairs sit
-    exactly at r."""
+    """(points, r): a random or lattice cloud in 1, 2, 3, 6, 8 or 13
+    dimensions with some rows repeated; on a lattice, r is a lattice
+    distance, so pairs sit exactly at r.  Lattice sums are exact in any
+    order, so only random clouds show the order of a sum of 8 or more
+    squares."""
     if k is None:
-        k = draw(st.sampled_from([1, 2, 3, 6]))
+        k = draw(st.sampled_from([1, 2, 3, 6, 8, 13]))
     n = draw(st.integers(min_size, 40))
     if draw(st.booleans()):
         step = draw(st.sampled_from([0.1, 0.25, 1.0]))
@@ -116,6 +120,19 @@ def test_median_is_numpy_median(x):
         got, want = median(x), np.median(x)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got) or np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_within_is_the_norm_bit_for_bit(k):
+    # Summing squares axis by axis is `np.add.reduce`'s order below 8 axes
+    # only; from 8 it sums pairwise.  Random floats round differently in the
+    # two orders, and the candidates span a chunk boundary.
+    rng = np.random.default_rng(k)
+    a, b = rng.uniform(-1, 1, (300, k)), rng.uniform(-1, 1, (200, k))
+    n = neighbors._CHUNK + 1000
+    i, j = rng.integers(0, 300, n), rng.integers(0, 200, n)
+    _, _, dist = _within(a, b, i, j, np.inf)
+    assert dist.tobytes() == _norm(a[i], b[j]).tobytes()
 
 
 def test_lattice_ties_are_kept_by_both():

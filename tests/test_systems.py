@@ -3,6 +3,7 @@ bound for flows."""
 
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -538,6 +539,9 @@ class TestSampledFlow:
         (dr.SampledFlow("lorenz", dt=0.02, substep=0.01), [1.0, 1.0, 20.0]),
         (dr.SampledFlow("lorenz", dt=0.05, substep=0.015), [-3.0, 4.0, 25.0]),
         (dr.SampledFlow("harmonic", dt=0.3, substep=0.07), [0.5, -0.2]),
+        # One substep, and many.
+        (dr.SampledFlow("harmonic", dt=0.005, substep=0.01), [0.5, -0.2]),
+        (dr.SampledFlow("lorenz", dt=0.1, substep=0.003), [1.0, 1.0, 20.0]),
     ])
     def test_rk4_bitwise_equal_to_component_loop(self, flow, x0):
         # On Python floats, the path `iterate` takes ...
@@ -549,6 +553,12 @@ class TestSampledFlow:
         # ... and on NumPy columns, the path of `step_many`.
         cols = reference_flow_map(flow, *states.T)
         assert np.array_equal(flow.step_many(states), np.stack(cols, axis=1))
+
+    def test_pickles_by_its_fields(self):
+        flow = dr.SampledFlow("lorenz", dt=0.05, substep=0.015)
+        again = pickle.loads(pickle.dumps(flow))
+        assert again == flow
+        assert again.step([1.0, 1.0, 20.0]).tobytes() == flow.step([1.0, 1.0, 20.0]).tobytes()
 
     def test_size_caps_admit_their_bound(self):
         # Construction only: neither the domain nor an orbit is built.
