@@ -49,8 +49,9 @@ _LOWER = {"seed": (0, False), "d": (0, False), "m": (1, False),
 
 # Caps of the counts that a run's work grows with, each timed with the other
 # fields at their defaults or at the bench's values (2-vCPU x86 VM).
-# `hypothesis` at d = 20 takes 11.3 s on the harmonic flow (dt 0.5), the
-# slowest system, and 4.4 s on the cat map; its work grows as d**2.
+# `hypothesis` at d = 20 takes 10.7-11.3 s on the harmonic flow (dt 0.5) and
+# 4.0-4.4 s on the cat map; its work grows as d**2.  Lorenz at dt 0.5 is
+# slower (see `MAX_HYPOTHESIS_WORK`).
 MAX_D = 20
 # `margin` at 5000 pairs takes 14 s on 10**4 Henon states, where the index
 # gap of d = 1 leaves about 990 pairs and all 200 draws per pair are made.
@@ -61,6 +62,22 @@ MAX_TRIALS = 10**5
 # naming the field.  A delay count and a period bound are those of `MAX_D`.
 _UPPER = {"d": MAX_D, "m": 2 * MAX_D + 1, "pairs.period_max": 2 * MAX_D,
           "pairs.count": MAX_PAIRS, "trials": MAX_TRIALS}
+# Budgets of the products of counts that grow a run's work together, where
+# the caps above bound each count alone, timed at the budget on the built-in
+# systems like the caps.
+# `hypothesis` runs Newton from each seed of its grid at every period p <= 2d,
+# through p map steps, so its work grows as seeds x d**2.  At the budget, the
+# 400 seeds at d = 20 timed for `MAX_D`, a map takes at most 14.5 s (the cat
+# map, 6400 seeds at d = 5) and the harmonic flow (dt 0.5) 10.7 s.  A flow's
+# step costs its RK4 substeps, which no budget counts: Lorenz (dt 0.5, 50
+# substeps) takes 54 s at d = 20 from the smallest grid, 8 seeds.
+MAX_HYPOTHESIS_WORK = 400 * MAX_D ** 2
+# `genericity` evaluates each trial's bump on the 2 x pairs x m orbit states,
+# so its work grows as pairs.count x m x trials.  At the budget, the bench's
+# 500 pairs at m = 3 with `MAX_TRIALS`, the slowest run takes 14.6 s (a
+# 6-digit odometer; Henon 11.8 s, Lorenz 13.9 s); 5000 pairs take 7.1 s at
+# m = 3 and at most 3.5 s at m = 41.
+MAX_GENERICITY_WORK = 500 * 3 * MAX_TRIALS
 
 
 def _number(config: dict, key: str, kind, default=None):
@@ -77,6 +94,15 @@ def _number(config: dict, key: str, kind, default=None):
     if key in _UPPER and value > _UPPER[key]:
         raise ConfigError(f"config field {key!r} must be <= {_UPPER[key]}, got {value}")
     return value
+
+
+def _named(key: str, call, *args):
+    """``call(*args)``, with a `ValueError` it raises named as an error of
+    the config field ``key``, in the form of `Registered.from_dict`."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(f"config field {key!r} invalid: {exc}") from None
 
 
 def load_config(path) -> dict:
@@ -131,6 +157,7 @@ def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
     if n + transient > MAX_STATES:
         raise ConfigError(f"config fields 'trajectory.n' + 'trajectory.transient' "
                           f"exceed MAX_STATES = {MAX_STATES}")
+    _named("trajectory.x0", sys_.check_domain, x0[None, :])
     traj = systems.iterate(sys_, x0, n + transient)
     return systems.Trajectory(traj.states[transient:], traj.system_id)
 
@@ -250,9 +277,10 @@ def cmd_dimension(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     traj = _trajectory(config, sys_)
     scales = _number(config, "scales", tuple[float, ...])
-    box = topology.box_counting(traj.states, scales)
+    box = _named("scales", topology.box_counting, traj.states, scales)
     cov_scales = _number(config, "covering_scales", tuple[float, ...], scales[:2])
-    cov = topology.covering_dimension_estimate(traj.states, cov_scales)
+    cov = _named("covering_scales", topology.covering_dimension_estimate, traj.states,
+                 cov_scales)
     write_json(out / "dimension.json", {"box": asdict(box), "covering": asdict(cov)})
     if not quiet:
         print(f"dimension: box {box.value:.3f}, covering {cov.value}")
@@ -262,9 +290,13 @@ def cmd_dimension(config, out: Path, seed, quiet) -> int:
 def cmd_hypothesis(config, out: Path, seed, quiet) -> int:
     sys_ = _system(config)
     d = _number(config, "d", int)
-    report = topology.hypothesis_check(
-        sys_, d, n_seeds=_number(config, "n_seeds", int, 400),
-        tol=_number(config, "tol", float, 1e-9))
+    n_seeds = _number(config, "n_seeds", int, 400)
+    tol = _number(config, "tol", float, 1e-9)
+    seeds = topology.seed_grid_side(sys_, n_seeds) ** sys_.ambient_dim
+    if seeds * d ** 2 > MAX_HYPOTHESIS_WORK:
+        raise ConfigError(f"config fields 'n_seeds' and 'd' ask for {seeds} seeds x d**2 = "
+                          f"{seeds * d ** 2}, above MAX_HYPOTHESIS_WORK = {MAX_HYPOTHESIS_WORK}")
+    report = topology.hypothesis_check(sys_, d, n_seeds=n_seeds, tol=tol)
     write_json(out / "hypothesis.json", asdict(report))
     if not quiet:
         for entry in report.per_n:
@@ -279,6 +311,7 @@ def cmd_yorke(config, out: Path, seed, quiet) -> int:
     if not isinstance(sys_, systems.SampledFlow):
         raise ConfigError("config field 'system' must be a sampled flow for yorke")
     d = _number(config, "d", int)
+    _named("d", systems.yorke_threshold, sys_.lipschitz_L, d)
     seeds = topology.grid_seeds(sys_, _number(config, "n_seeds", int, 1000))
     cert = systems.yorke_certificate(sys_, d, equilibrium_seeds=seeds)
     hits = systems.periodic_return_scan(sys_, 2 * d,
@@ -296,6 +329,10 @@ def cmd_genericity(config, out: Path, seed, quiet) -> int:
     h = _observable(config)
     m = _delay_count(config)
     trials = _number(config, "trials", int)
+    work = _number(config, "pairs.count", int) * m * trials
+    if work > MAX_GENERICITY_WORK:
+        raise ConfigError(f"config fields 'pairs.count', 'm' and 'trials' ask for pairs x m x "
+                          f"trials = {work}, above MAX_GENERICITY_WORK = {MAX_GENERICITY_WORK}")
     bump_scale = _number(config, "bump_scale", float)
     _, K = _pairs(config, sys_, seed)
     frac = genericity.genericity_monte_carlo(sys_, K, m, trials, bump_scale,

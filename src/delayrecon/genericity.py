@@ -5,6 +5,9 @@ compact set bounded away from the diagonal.  The margin of an observable
 on such a pair set is the min over pairs of the max per-delay-coordinate
 gap; a positive margin certifies that the delay map separates every pair,
 with quantitative slack that is stable under small sup-norm perturbations.
+
+The theorem's periodic-set hypothesis is checked once, by
+`topology.hypothesis_check`, not here.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .core import (
 from .delay import delay_vectors, orbits, write_csv
 from .neighbors import close_pairs, first_found, nn_distance
 from .systems import System, detect_period
-from .topology import refine_order, sample_resolution
 
 __all__ = [
     "PairSet",
@@ -44,8 +46,7 @@ BUMP_MAX_FREQ = 3  # highest term frequency of a `random_trig_bump`
 
 class PerturbationError(RuntimeError):
     """The perturbation construction could not be completed; the message
-    names the offending pairs or the period class whose cover-order bound
-    failed."""
+    says which step failed."""
 
 
 @dataclass(frozen=True)
@@ -192,27 +193,8 @@ def openness_radius(report: CompatibilityReport) -> float:
 
 # --- perturbation construction -------------------------------------------
 
-def _check_cover_bound(class_pts: np.ndarray, t: int, n_label: int,
-                       delta: float) -> None:
-    """Desk-scale analogue of the cover-order requirement ord < (t+1)/2 for
-    the period class: the class sample must admit a refinement of small
-    enough order at the working scale, the larger of ``delta`` and eight
-    sample spacings (eight ``delta`` when the spacing is 0)."""
-    if class_pts.shape[0] < 2:
-        return
-    spacing, labels = sample_resolution(class_pts)
-    scale = max(delta, 8.0 * (spacing or delta))
-    _, order = refine_order(class_pts, scale, labels)
-    if not order < (t + 1) / 2.0:
-        raise PerturbationError(
-            f"cover-order bound fails for period class n={n_label}: achieved "
-            f"order {order} >= {(t + 1) / 2.0:g} (periodic-set dimension too large)"
-        )
-
-
 def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
-                          sys: System, d: int, seed: int = 0,
-                          class_samples: dict[int, np.ndarray] | None = None
+                          sys: System, d: int, seed: int = 0
                           ) -> tuple[SumObservable, CompatibilityReport]:
     """Construct f within eps of ``h_base`` whose (2d+1)-delay map separates
     every pair of K; returns f and the margin report that verified it.
@@ -227,11 +209,6 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     before being returned: its margin, its sup-distance from ``h_base`` at
     the orbit points and pair members, and the certified bound
     ``bump.max_deviation()`` on that sup-distance over the whole space.
-
-    ``class_samples`` optionally maps a period (0 for the aperiodic class)
-    to a sampled neighborhood of that class, on which the cover-order
-    smallness requirement is checked; without it the anchors are finitely
-    many separated points, which always admit a disjoint cover.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -247,17 +224,6 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     # Orbit segment length per anchor: one cycle for periodic members.
     periods = detect_period(sys, reps, 2 * d if d > 0 else 1, period_tol)
     t_of = np.where(periods > 0, np.minimum(periods - 1, 2 * d), 2 * d)
-
-    # Cover-order smallness check per class.  The anchors themselves are
-    # finitely many separated points and always admit a disjoint cover, so
-    # the refinement heuristic only runs on classes for which the caller
-    # supplied a sampled neighborhood of the underlying periodic set.
-    if class_samples:
-        for label, sample in sorted(class_samples.items()):
-            pts = np.atleast_2d(np.asarray(sample, dtype=float))
-            pts = np.concatenate([reps[periods == label], pts], axis=0)
-            t = 2 * d if label == 0 else min(label - 1, 2 * d)
-            _check_cover_bound(pts, t, label if label else 2 * d + 1, K.delta)
 
     # Orbit points of all anchors from one batched orbit, anchor-major, with
     # cross-anchor disjointness at the working tolerance.

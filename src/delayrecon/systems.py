@@ -1,8 +1,13 @@
 """Built-in injective dynamical systems and periodic-point machinery.
 
 Maps are exposed through a uniform step interface; flows appear only as
-their fixed-step time-t maps (RK4 with a fixed substep).  Periodic points
-are located by seeded Newton refinement of the displacement T^p(x) - x.
+their fixed-step time-t maps (RK4 with a fixed substep).  Injectivity is
+checked, not declared: a system whose parameters can make its map
+non-injective rejects them when it is built (the Henon map needs b != 0),
+and the other built-in systems are injective on their states for every
+parameter.  Only flows carry a Lipschitz constant, the one
+`yorke_certificate` reads.  Periodic points are located by seeded Newton
+refinement of the displacement T^p(x) - x.
 """
 
 from __future__ import annotations
@@ -166,8 +171,6 @@ class System(Registered, tag_key="kind"):
     """
 
     box: tuple[tuple[float, float], ...]
-    injective: bool = True
-    lipschitz_L: float | None = None
     torus: bool = False
 
     @property
@@ -237,9 +240,10 @@ class Henon(System, name="henon"):
 
     box = ((-3.0, 3.0), (-3.0, 3.0))
 
-    @property
-    def injective(self):
-        return self.b != 0.0
+    def __post_init__(self):
+        # With b = 0, (x, y) and (-x, y) map to one point.
+        if self.b == 0.0:
+            raise ValueError("henon needs b != 0: with b = 0 the map is not injective")
 
     def _map(self, x, y):
         return 1.0 - self.a * (x * x) + y, self.b * x

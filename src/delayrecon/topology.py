@@ -361,10 +361,9 @@ class HypothesisReport:
 MAX_GRID_SEEDS = 2 ** 16
 
 
-def grid_seeds(sys: System, n_seeds: int) -> np.ndarray:
-    """Deterministic grid of seed states spanning the domain box interior,
-    ``round(n_seeds ** (1/k))`` per axis and at least 2; a grid of more than
-    `MAX_GRID_SEEDS` states is an error."""
+def seed_grid_side(sys: System, n_seeds: int) -> int:
+    """Seed states per axis of `grid_seeds`: ``round(n_seeds ** (1/k))`` and
+    at least 2; a grid of more than `MAX_GRID_SEEDS` states is an error."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     k = sys.ambient_dim
@@ -377,6 +376,13 @@ def grid_seeds(sys: System, n_seeds: int) -> np.ndarray:
     if per_axis ** k > MAX_GRID_SEEDS:
         raise ValueError(f"seed grid of {per_axis}**{k} states (at least 2 per "
                          f"axis) exceeds MAX_GRID_SEEDS = {MAX_GRID_SEEDS}")
+    return per_axis
+
+
+def grid_seeds(sys: System, n_seeds: int) -> np.ndarray:
+    """Deterministic grid of seed states spanning the domain box interior,
+    `seed_grid_side` states per axis."""
+    per_axis = seed_grid_side(sys, n_seeds)
     axes = [np.linspace(lo + 0.017 * (hi - lo), hi - 0.013 * (hi - lo), per_axis)
             for lo, hi in sys.domain]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -593,6 +593,37 @@ class TestErrors:
         assert err.startswith(f"error: config field {field!r} must be <= ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("cmd,fields,over,at", [
+        ("hypothesis", ("n_seeds", "d"), {"d": 20, "n_seeds": 21 ** 2},
+         {"d": 20, "n_seeds": 20 ** 2}),
+        ("hypothesis", ("n_seeds", "d"), {"d": 10, "n_seeds": 41 ** 2},
+         {"d": 10, "n_seeds": 40 ** 2}),
+        ("genericity", ("pairs.count", "m", "trials"),
+         {"pairs": {"delta": 0.01, "count": 501}, "trials": cli.MAX_TRIALS},
+         {"pairs": {"delta": 0.01, "count": 500}, "trials": cli.MAX_TRIALS}),
+        ("genericity", ("pairs.count", "m", "trials"),
+         {"d": 20, "pairs": {"delta": 0.01, "count": cli.MAX_PAIRS}, "trials": 732},
+         {"d": 20, "pairs": {"delta": 0.01, "count": cli.MAX_PAIRS}, "trials": 731}),
+    ], ids=["hypothesis-d20", "hypothesis-d10", "genericity-m3", "genericity-m41"])
+    def test_work_budgets_named_before_any_stage(self, tmp_path, base_config, capsys,
+                                                 monkeypatch, cmd, fields, over, at):
+        # Every factor is within its cap, but their product is over budget;
+        # at the budget, the first stage is reached.
+        def reached(*args, **kwargs):
+            raise AssertionError("a stage ran before the budget was checked")
+        for module, name in ((systems, "iterate"), (systems, "find_periodic"),
+                             (topology, "grid_seeds"), (topology, "hypothesis_check")):
+            monkeypatch.setattr(module, name, reached)
+        base_config.update(trials=20, bump_scale=0.1)
+        out = tmp_path / "out"
+        assert run(cmd, write_config(tmp_path, base_config | over), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config fields ")
+        assert all(repr(field) in err for field in fields)
+        assert list(out.iterdir()) == []
+        with pytest.raises(AssertionError, match="a stage ran"):
+            run(cmd, write_config(tmp_path, base_config | at), out)
+
     def test_work_caps_are_inclusive(self):
         for key, cap in cli._UPPER.items():
             *outer, leaf = key.split(".")
@@ -607,6 +638,33 @@ class TestErrors:
         assert run("simulate", write_config(tmp_path, base_config), tmp_path) == 0
         base_config["trajectory"]["n"] = 801
         assert run("simulate", write_config(tmp_path, base_config), tmp_path) == 1
+
+    @pytest.mark.parametrize("cmd,field,value,message", [
+        ("dimension", "scales", [1.0, 0.5, 0.1],
+         "box-counting scales should span at least 1.5 decades"),
+        ("dimension", "covering_scales", [0.5, 1.0],
+         "need at least two scales in descending order"),
+        ("dimension", "covering_scales", [1.0], "need at least two scales in descending order"),
+        ("dimension", "covering_scales", [1e-6, 1e-7], "all scales below sampling resolution"),
+        ("embed", "trajectory.x0", [0.1, 0.1, 0.3], "henon(a=1.4,b=0.3): state dimension 3 != 2"),
+        ("embed", "trajectory.x0", [10, 0.1], "henon(a=1.4,b=0.3): state outside domain box"),
+        ("yorke", "d", 0, "d must be >= 1"),
+    ], ids=["scales-span", "covering-ascending", "covering-one", "covering-unresolved",
+            "x0-dimension", "x0-outside", "yorke-d-zero"])
+    def test_library_error_names_its_field(self, tmp_path, base_config, capsys, cmd,
+                                           field, value, message):
+        # The library's message, named as `Registered.from_dict` names a
+        # system's, and no artifact is written first.
+        base_config.update(scales=[0.4, 0.2, 0.1, 0.05, 0.025, 0.0125],
+                           trajectory={"x0": [0.1, 0.1], "n": 2000})
+        if cmd == "yorke":
+            base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
+        outer, _, leaf = field.rpartition(".")
+        (base_config[outer] if outer else base_config)[leaf] = value
+        out = tmp_path / "out"
+        assert run(cmd, write_config(tmp_path, base_config), out) == 1
+        assert capsys.readouterr().err == f"error: config field {field!r} invalid: {message}\n"
+        assert list(out.iterdir()) == []
 
     def test_unknown_observable_variant(self, tmp_path, base_config, capsys):
         base_config["observable"] = {"variant": "wavelet"}

@@ -375,15 +375,6 @@ class TestPerturbation:
         with pytest.raises(PerturbationError):
             perturb_to_compatible(dr.Constant(0.5), 0.05, K, henon, d=1)
 
-    def test_dense_period_class_fails_cover_bound(self):
-        ident = dr.CircleRotation(0.0)
-        K = PairSet(np.array([[0.2], [0.4]]), np.array([[0.8], [0.95]]),
-                    delta=0.3, tags=("C2", "C2"))
-        dense = np.linspace(0.01, 0.99, 300)[:, None]
-        with pytest.raises(PerturbationError, match="n=1"):
-            perturb_to_compatible(dr.Constant(0.5), 0.05, K, ident, d=1,
-                                  seed=0, class_samples={1: dense})
-
     def test_shared_orbit_points_rejected(self, henon):
         x = np.array([0.1, 0.1])
         y = henon.step(x)  # y's orbit is x's orbit shifted by one

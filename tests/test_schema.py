@@ -45,7 +45,8 @@ coordinates = st.builds(lambda i, lo, width: Coordinate(i, lo, lo + width),
                         st.integers(0, 3), real, st.floats(0.01, 10.0))
 leaf_observables = st.one_of(constants, coordinates)
 INSTANCES = {
-    Henon: st.builds(Henon, a=real, b=real),
+    # With b = 0 the Henon map is not injective, and the constructor rejects it.
+    Henon: st.builds(Henon, a=real, b=real.filter(lambda b: b != 0.0)),
     CatMap: st.just(CatMap()),
     CircleRotation: st.builds(CircleRotation, alpha=real),
     Odometer: st.builds(Odometer, base=st.integers(2, 9), digits=st.integers(1, 9)),

@@ -2,6 +2,7 @@
 bound for flows."""
 
 import itertools
+import json
 import math
 import pickle
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayrecon as dr
-from delayrecon import neighbors, topology
+from delayrecon import cli, neighbors, topology
 from delayrecon.systems import (
     MAX_ODOMETER_DIGITS,
     MAX_RK4_SUBSTEPS,
@@ -284,9 +285,20 @@ class TestStepFormulas:
         for fp in fps:
             assert henon.step(fp) == pytest.approx(fp)
 
-    def test_henon_injective_flag(self):
-        assert dr.Henon().injective
-        assert not dr.Henon(b=0.0).injective
+    @pytest.mark.parametrize("b", [0.0, -0.0])
+    def test_henon_b_zero_rejected(self, tmp_path, capsys, b):
+        # With b = 0, (x, y) and (-x, y) have one image, so the map is not
+        # injective; a config with it exits 1 before any artifact.
+        with pytest.raises(ValueError, match="henon needs b != 0"):
+            dr.Henon(b=b)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "system": {"kind": "henon", "b": b},
+                                      "trajectory": {"x0": [0.1, 0.1], "n": 5}}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config field 'system' invalid: henon needs b != 0")
+        assert list(out.iterdir()) == []
 
     def test_odometer_add_with_carry(self):
         odo = dr.Odometer(base=3, digits=4)
