@@ -14,15 +14,12 @@ from .core import (
     SumObservable,
     TrigPolynomial,
     observable_from_dict,
-    observable_to_dict,
     sup_distance,
 )
 from .delay import (
     delay_count_for,
     delay_matrix,
-    delay_vector,
     delay_vectors,
-    periodic_extension,
 )
 from .genericity import (
     CompatibilityReport,
@@ -30,7 +27,6 @@ from .genericity import (
     PerturbationError,
     compatibility_margin,
     genericity_monte_carlo,
-    openness_radius,
     perturb_to_compatible,
     sample_pairs,
 )
@@ -46,7 +42,6 @@ from .systems import (
     iterate,
     periodic_return_scan,
     system_from_dict,
-    system_to_dict,
     yorke_certificate,
     yorke_threshold,
 )

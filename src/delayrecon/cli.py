@@ -43,15 +43,14 @@ _LOWER = {"seed": (0, False), "d": (0, False), "m": (1, False),
           "bump_scale": (0, False), "tol": (0, True), "trajectory.n": (1, False),
           "trajectory.transient": (0, False), "pairs.delta": (0, True),
           "pairs.count": (1, False), "pairs.seed": (0, False),
-          "pairs.min_index_gap": (0, False), "pairs.period_tol": (0, True),
-          "pairs.period_max": (1, False), "pairs.period_seeds": (1, False)}
+          "pairs.min_index_gap": (0, False)}
 
 
 # Caps of the counts that a run's work grows with, each timed with the other
 # fields at their defaults or at the bench's values (2-vCPU x86 VM).
-# `hypothesis` at d = 20 takes 10.7-11.3 s on the harmonic flow (dt 0.5) and
-# 4.0-4.4 s on the cat map; its work grows as d**2.  Lorenz at dt 0.5 is
-# slower (see `MAX_HYPOTHESIS_WORK`).
+# `hypothesis` at d = 20 takes 4.0-4.4 s on the cat map from 400 seeds; its
+# work grows as d**2, and on a flow with its substeps (see
+# `MAX_FLOW_HYPOTHESIS_WORK`).
 MAX_D = 20
 # `margin` at 5000 pairs takes 14 s on 10**4 Henon states, where the index
 # gap of d = 1 leaves about 990 pairs and all 200 draws per pair are made.
@@ -59,19 +58,34 @@ MAX_PAIRS = 5000
 # `genericity` at 10**5 trials takes 12.6 s on the bench's 500 Henon pairs.
 MAX_TRIALS = 10**5
 # Upper bounds of integer config fields: a value above one is an error
-# naming the field.  A delay count and a period bound are those of `MAX_D`.
-_UPPER = {"d": MAX_D, "m": 2 * MAX_D + 1, "pairs.period_max": 2 * MAX_D,
-          "pairs.count": MAX_PAIRS, "trials": MAX_TRIALS}
+# naming the field.  A delay count is that of `MAX_D`.
+_UPPER = {"d": MAX_D, "m": 2 * MAX_D + 1, "pairs.count": MAX_PAIRS, "trials": MAX_TRIALS}
 # Budgets of the products of counts that grow a run's work together, where
 # the caps above bound each count alone, timed at the budget on the built-in
 # systems like the caps.
 # `hypothesis` runs Newton from each seed of its grid at every period p <= 2d,
 # through p map steps, so its work grows as seeds x d**2.  At the budget, the
 # 400 seeds at d = 20 timed for `MAX_D`, a map takes at most 14.5 s (the cat
-# map, 6400 seeds at d = 5) and the harmonic flow (dt 0.5) 10.7 s.  A flow's
-# step costs its RK4 substeps, which no budget counts: Lorenz (dt 0.5, 50
-# substeps) takes 54 s at d = 20 from the smallest grid, 8 seeds.
+# map, 6400 seeds at d = 5).
 MAX_HYPOTHESIS_WORK = 400 * MAX_D ** 2
+# A flow's step is `substeps` RK4 substeps, and a substep on a batch costs
+# its 30-100 NumPy calls, about the arithmetic of `FLOW_CALL_ROWS` rows, on
+# top of its rows: Lorenz `hypothesis` at d = 5 and 20 substeps took 1.9 s
+# from 8 seeds, 3.2 s from 512 and 7.3 s from 4096 (in-process).  So a
+# flow's work counts seeds + `FLOW_CALL_ROWS` rows times its substeps.  A
+# map counts one substep, and no map within `MAX_HYPOTHESIS_WORK` reaches
+# the flow budget of `hypothesis`.
+FLOW_CALL_ROWS = 1024
+# At this budget, Lorenz `hypothesis` from 8 seeds takes 14.8 s at d = 2 (372
+# substeps), 13.6 s at d = 1 and 10.3 s at d = 5; 14.2 s from 27 seeds and
+# 10.5 s from 1000 at d = 5.  The harmonic flow's Newton converges at once
+# (under 1 s), and Lorenz at dt 0.5 and d = 20, which took 54 s, is over it.
+MAX_FLOW_HYPOTHESIS_WORK = FLOW_CALL_ROWS * 1500
+# `yorke` scans 2d steps of every seed for returns: (seeds + FLOW_CALL_ROWS)
+# x 2d x substeps.  At this budget, Lorenz takes 11.0 s at d = 20 from 8 seeds
+# (4961 substeps), 8.6 s from 1000 seeds and 9.2 s at d = 1 from 64000; the
+# harmonic flow at most 4.8 s.
+MAX_YORKE_WORK = FLOW_CALL_ROWS * 2 * 10**5
 # `genericity` evaluates each trial's bump on the 2 x pairs x m orbit states,
 # so its work grows as pairs.count x m x trials.  At the budget, the bench's
 # 500 pairs at m = 3 with `MAX_TRIALS`, the slowest run takes 14.6 s (a
@@ -94,6 +108,14 @@ def _number(config: dict, key: str, kind, default=None):
     if key in _UPPER and value > _UPPER[key]:
         raise ConfigError(f"config field {key!r} must be <= {_UPPER[key]}, got {value}")
     return value
+
+
+def _budget(fields: str, product: str, work: int, name: str, budget: int) -> None:
+    """Exit naming ``fields`` when the ``product`` of counts they ask for,
+    ``work``, is above the budget constant ``name``."""
+    if work > budget:
+        raise ConfigError(f"config fields {fields} ask for {product} = {work}, "
+                          f"above {name} = {budget}")
 
 
 def _named(key: str, call, *args):
@@ -148,6 +170,12 @@ def _seed(config: dict, override) -> int:
 # on Lorenz (dt 0.02) (2-vCPU x86 VM): room for the 4e4-state covering runs,
 # while a typo such as 10**12 would take months or terabytes.
 MAX_STATES = 10**6
+# States times RK4 substeps one run may iterate; a map's state counts one, so
+# only flows reach it.  At the budget, `simulate` of 10**6 Lorenz states at 5
+# substeps takes 10.2-12.2 s (harmonic 6.7 s), and of 50 states at 10**5
+# substeps 5.2-6.4 s, where 10**6 such states would take 40-55 hours.
+MAX_TRAJECTORY_SUBSTEPS = 5 * MAX_STATES
+_FLOW_STEP = "'system.dt' and 'system.substep'"
 
 
 def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
@@ -157,6 +185,8 @@ def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
     if n + transient > MAX_STATES:
         raise ConfigError(f"config fields 'trajectory.n' + 'trajectory.transient' "
                           f"exceed MAX_STATES = {MAX_STATES}")
+    _budget(f"'trajectory.n' + 'trajectory.transient', {_FLOW_STEP}", "states x RK4 substeps",
+            (n + transient) * sys_.substeps, "MAX_TRAJECTORY_SUBSTEPS", MAX_TRAJECTORY_SUBSTEPS)
     _named("trajectory.x0", sys_.check_domain, x0[None, :])
     traj = systems.iterate(sys_, x0, n + transient)
     return systems.Trajectory(traj.states[transient:], traj.system_id)
@@ -181,16 +211,9 @@ def _pairs(config: dict, sys_: systems.System,
     pair_seed = _number(config, "pairs.seed", int, seed)
     default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
     gap = _number(config, "pairs.min_index_gap", int, default_gap)
-    detect = _number(config, "pairs.detect_periodic", bool, False)
-    if detect:
-        n_max = _number(config, "pairs.period_max", int, 4)
-        tol = _number(config, "pairs.period_tol", float, 1e-9)
-        seeds = topology.grid_seeds(sys_, _number(config, "pairs.period_seeds", int, 100))
     traj = _trajectory(config, sys_)
-    periodic = systems.find_periodic(sys_, n_max=n_max, tol=tol, seeds=seeds) if detect else None
-    return traj, genericity.sample_pairs(
-        traj.states, delta, count, sys=sys_, periodic_points=periodic,
-        seed=pair_seed, min_index_gap=gap)
+    return traj, genericity.sample_pairs(traj.states, delta, count, sys=sys_,
+                                         seed=pair_seed, min_index_gap=gap)
 
 
 def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:
@@ -292,10 +315,13 @@ def cmd_hypothesis(config, out: Path, seed, quiet) -> int:
     d = _number(config, "d", int)
     n_seeds = _number(config, "n_seeds", int, 400)
     tol = _number(config, "tol", float, 1e-9)
-    seeds = topology.seed_grid_side(sys_, n_seeds) ** sys_.ambient_dim
-    if seeds * d ** 2 > MAX_HYPOTHESIS_WORK:
-        raise ConfigError(f"config fields 'n_seeds' and 'd' ask for {seeds} seeds x d**2 = "
-                          f"{seeds * d ** 2}, above MAX_HYPOTHESIS_WORK = {MAX_HYPOTHESIS_WORK}")
+    seeds = _named("n_seeds", topology.seed_grid_side, sys_, n_seeds) ** sys_.ambient_dim
+    _budget("'n_seeds' and 'd'", f"{seeds} seeds x d**2", seeds * d ** 2,
+            "MAX_HYPOTHESIS_WORK", MAX_HYPOTHESIS_WORK)
+    _budget(f"'n_seeds', 'd', {_FLOW_STEP}",
+            f"({seeds} seeds + FLOW_CALL_ROWS) x d**2 x RK4 substeps",
+            (seeds + FLOW_CALL_ROWS) * d ** 2 * sys_.substeps,
+            "MAX_FLOW_HYPOTHESIS_WORK", MAX_FLOW_HYPOTHESIS_WORK)
     report = topology.hypothesis_check(sys_, d, n_seeds=n_seeds, tol=tol)
     write_json(out / "hypothesis.json", asdict(report))
     if not quiet:
@@ -312,10 +338,15 @@ def cmd_yorke(config, out: Path, seed, quiet) -> int:
         raise ConfigError("config field 'system' must be a sampled flow for yorke")
     d = _number(config, "d", int)
     _named("d", systems.yorke_threshold, sys_.lipschitz_L, d)
-    seeds = topology.grid_seeds(sys_, _number(config, "n_seeds", int, 1000))
-    cert = systems.yorke_certificate(sys_, d, equilibrium_seeds=seeds)
-    hits = systems.periodic_return_scan(sys_, 2 * d,
-                                        _number(config, "tol", float, 1e-6), seeds)
+    n_seeds = _number(config, "n_seeds", int, 1000)
+    seeds = _named("n_seeds", topology.seed_grid_side, sys_, n_seeds) ** sys_.ambient_dim
+    _budget(f"'n_seeds', 'd', {_FLOW_STEP}",
+            f"({seeds} seeds + FLOW_CALL_ROWS) x 2d x RK4 substeps",
+            (seeds + FLOW_CALL_ROWS) * 2 * d * sys_.substeps, "MAX_YORKE_WORK", MAX_YORKE_WORK)
+    tol = _number(config, "tol", float, 1e-6)
+    grid = topology.grid_seeds(sys_, n_seeds)
+    cert = systems.yorke_certificate(sys_, d, equilibrium_seeds=grid)
+    hits = systems.periodic_return_scan(sys_, 2 * d, tol, grid)
     cert["scan_hits"] = [[list(map(float, x)), int(p)] for x, p in hits]
     write_json(out / "yorke.json", cert)
     if not quiet:
@@ -330,9 +361,8 @@ def cmd_genericity(config, out: Path, seed, quiet) -> int:
     m = _delay_count(config)
     trials = _number(config, "trials", int)
     work = _number(config, "pairs.count", int) * m * trials
-    if work > MAX_GENERICITY_WORK:
-        raise ConfigError(f"config fields 'pairs.count', 'm' and 'trials' ask for pairs x m x "
-                          f"trials = {work}, above MAX_GENERICITY_WORK = {MAX_GENERICITY_WORK}")
+    _budget("'pairs.count', 'm' and 'trials'", "pairs x m x trials", work,
+            "MAX_GENERICITY_WORK", MAX_GENERICITY_WORK)
     bump_scale = _number(config, "bump_scale", float)
     _, K = _pairs(config, sys_, seed)
     frac = genericity.genericity_monte_carlo(sys_, K, m, trials, bump_scale,

@@ -24,7 +24,6 @@ __all__ = [
     "PiecewiseAnchor",
     "SumObservable",
     "sup_distance",
-    "observable_to_dict",
     "observable_from_dict",
 ]
 
@@ -283,5 +282,4 @@ def sup_distance(a: Observable, b: Observable, samples) -> float:
 
 # --- JSON round-tripping -------------------------------------------------
 
-observable_to_dict = Observable.to_dict
 observable_from_dict = Observable.from_dict

@@ -1,5 +1,5 @@
-"""Delay observation maps: per-point vectors, sliding-window matrices,
-and periodic extensions of short delay vectors."""
+"""Delay observation maps: the delay vectors of given points and the
+sliding-window matrix along an orbit."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from .systems import System, Trajectory
 __all__ = [
     "delay_count_for",
     "orbits",
-    "delay_vector",
     "delay_matrix",
-    "periodic_extension",
     "write_delay_csv",
     "read_delay_csv",
 ]
@@ -42,14 +40,9 @@ def orbits(sys: System, points, m: int) -> np.ndarray:
     return np.stack(states, axis=1)
 
 
-def delay_vector(h: Observable, sys: System, x, m: int) -> np.ndarray:
-    """(h(x), h(Tx), ..., h(T^{m-1}x)) as a length-m array in [0, 1]."""
-    return delay_vectors(h, sys, x, m)[0]
-
-
 def delay_vectors(h: Observable, sys: System, points, m: int) -> np.ndarray:
-    """Batch form of `delay_vector`: one row per input point, from one
-    evaluation of h on the flattened `orbits`."""
+    """One row (h(x), h(Tx), ..., h(T^{m-1}x)) in [0, 1] per input point x,
+    from one evaluation of h on the flattened `orbits`."""
     return h.evaluate(orbits(sys, points, m).reshape(-1, sys.ambient_dim)).reshape(-1, m)
 
 
@@ -68,17 +61,6 @@ def delay_matrix(h: Observable, traj: Trajectory, m: int) -> np.ndarray:
     series = h.evaluate(traj.states)
     idx = np.arange(n - m + 1)[:, None] + np.arange(m)[None, :]
     return series[idx]
-
-
-def periodic_extension(base, m: int) -> np.ndarray:
-    """Extend a length-(t+1) delay vector periodically to length m:
-    entry k of the result is base[k mod (t+1)]."""
-    base = np.asarray(base, dtype=float)
-    if base.ndim != 1 or base.size < 1:
-        raise ValueError("base must be a nonempty 1-D vector")
-    if m < 1:
-        raise ValueError("target length must be >= 1")
-    return base[np.arange(m) % base.size]
 
 
 def write_csv(path, header, rows, tags=None) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "PerturbationError",
     "sample_pairs",
     "compatibility_margin",
-    "openness_radius",
     "perturb_to_compatible",
     "genericity_monte_carlo",
 ]
@@ -53,8 +52,10 @@ class PerturbationError(RuntimeError):
 class PairSet:
     """Finite surrogate for a compact off-diagonal pair set.
 
-    Every pair is separated by at least ``delta``; each pair carries a
-    class tag: C1 (both aperiodic), C2 (both periodic), C3 (mixed).
+    Every pair is separated by at least ``delta`` and carries a class tag,
+    C1 (both aperiodic), C2 (both periodic) or C3 (mixed).  `sample_pairs`
+    tags every pair C1; `perturb_to_compatible` reads no tag and classifies
+    each member itself with `detect_period`.
     """
 
     xs: np.ndarray  # (n, k)
@@ -121,15 +122,12 @@ class CompatibilityReport:
 
 
 def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
-                 periodic_points=None, seed: int = 0,
-                 min_index_gap: int = 0) -> PairSet:
+                 seed: int = 0, min_index_gap: int = 0) -> PairSet:
     """Uniformly sample delta-separated pairs from a point cloud.
 
-    Pairs are tagged C1/C2/C3 by matching members against the supplied
-    periodic points (from `find_periodic`) within 1e-6.  Deterministic for
-    a fixed seed.  If ``count`` pairs cannot be realized in 200 draws per
-    pair, the result is shorter and flagged incomplete.  ``sys`` is not
-    used.
+    Every pair is tagged C1.  Deterministic for a fixed seed.  If ``count``
+    pairs cannot be realized in 200 draws per pair, the result is shorter
+    and flagged incomplete.  ``sys`` is not used.
 
     When the samples are consecutive trajectory states, members drawn at
     nearby indices share forward orbit points exactly; ``min_index_gap``
@@ -158,15 +156,8 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
         ys.append(pts[j])
     if not xs:
         raise ValueError(f"no pair at separation {delta} could be sampled")
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    periodic = np.zeros(2 * len(xs), dtype=bool)
-    if periodic_points is not None and len(periodic_points):
-        near, _, _ = close_pairs(np.concatenate([xs, ys]), np.atleast_2d(
-            np.asarray([p for p, _ in periodic_points], dtype=float)), 1e-6)
-        periodic[near] = True
-    px, py = np.split(periodic, 2)
-    tags = np.where(px & py, "C2", np.where(px | py, "C3", "C1"))
-    return PairSet(xs, ys, delta, tuple(tags.tolist()), complete=len(xs) >= count)
+    return PairSet(np.asarray(xs), np.asarray(ys), delta, ("C1",) * len(xs),
+                   complete=len(xs) >= count)
 
 
 def compatibility_margin(h: Observable, sys: System, K: PairSet,
@@ -178,17 +169,6 @@ def compatibility_margin(h: Observable, sys: System, K: PairSet,
     argmin = int(np.argmin(per_pair))
     return CompatibilityReport(margin=float(per_pair[argmin]),
                                argmin_index=argmin, per_pair=per_pair, m=m)
-
-
-def openness_radius(report: CompatibilityReport) -> float:
-    """Sup-norm radius within which every perturbation stays compatible.
-
-    Any g with sup-distance below margin/3 of the measured observable has
-    margin at least margin/3 on the same pairs, by the triangle inequality.
-    """
-    if report.margin <= 0.0:
-        raise ValueError("openness radius requires a positive margin")
-    return report.margin / 3.0
 
 
 # --- perturbation construction -------------------------------------------
@@ -215,14 +195,14 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     if d < 0:
         raise ValueError("d must be nonnegative")
     m = 2 * d + 1
-    period_tol = 1e-9  # members, periods and orbit points closer than this coincide
+    tol = 1e-9  # members, periods and orbit points closer than this coincide
     members = np.concatenate([K.xs, K.ys], axis=0)
-    into = first_found(members, period_tol)
+    into = first_found(members, tol)
     reps = members[into == np.arange(len(into))]
     assign = np.unique(into, return_inverse=True)[1]
 
     # Orbit segment length per anchor: one cycle for periodic members.
-    periods = detect_period(sys, reps, 2 * d if d > 0 else 1, period_tol)
+    periods = detect_period(sys, reps, 2 * d if d > 0 else 1, tol)
     t_of = np.where(periods > 0, np.minimum(periods - 1, 2 * d), 2 * d)
 
     # Orbit points of all anchors from one batched orbit, anchor-major, with
@@ -231,7 +211,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     in_segment = np.arange(segments.shape[1])[None, :] <= t_of[:, None]
     orbit_pts = segments[in_segment]
     orbit_owner = [tuple(o) for o in np.argwhere(in_segment).tolist()]
-    close = close_pairs(orbit_pts, r=period_tol)[:2]
+    close = close_pairs(orbit_pts, r=tol)[:2]
     conflicts = [(orbit_owner[i], orbit_owner[j]) for i, j in zip(*close)
                  if orbit_owner[i][0] != orbit_owner[j][0]]
     if conflicts:
@@ -251,7 +231,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
 
     base_along = h_base.evaluate(orbit_pts)
     # Row a holds the positions in base_along of anchor a's delay values,
-    # extended periodically to length m as in `periodic_extension`.
+    # extended periodically to length m: entry k is orbit point k mod (t + 1).
     first = np.cumsum(t_of + 1) - (t_of + 1)
     ext = first[:, None] + np.arange(m)[None, :] % (t_of[:, None] + 1)
 

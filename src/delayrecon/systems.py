@@ -36,7 +36,6 @@ __all__ = [
     "periodic_return_scan",
     "yorke_threshold",
     "yorke_certificate",
-    "system_to_dict",
     "system_from_dict",
     "VECTOR_FIELDS",
 ]
@@ -172,6 +171,7 @@ class System(Registered, tag_key="kind"):
 
     box: tuple[tuple[float, float], ...]
     torus: bool = False
+    substeps: int = 1  # RK4 substeps per step; a map's step counts one
 
     @property
     def domain(self) -> np.ndarray:
@@ -392,6 +392,7 @@ class SampledFlow(System, name="flow"):
         if self.dt / self.substep > MAX_RK4_SUBSTEPS:
             raise ValueError(f"dt / substep exceeds {MAX_RK4_SUBSTEPS} RK4 substeps per step")
         n_sub = max(1, math.ceil(self.dt / self.substep))
+        object.__setattr__(self, "substeps", n_sub)
         h = self.dt / n_sub
         scope = {"f": VECTOR_FIELDS[self.field]["components"], "n_sub": n_sub,
                  "half": 0.5 * h, "h": h, "sixth": h / 6.0}
@@ -624,5 +625,4 @@ def yorke_certificate(sys: SampledFlow, d: int, equilibrium_seeds=None) -> dict:
 
 # --- JSON round-tripping --------------------------------------------------
 
-system_to_dict = System.to_dict
 system_from_dict = System.from_dict

@@ -2,6 +2,7 @@
 and byte-level determinism."""
 
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -29,6 +30,11 @@ OBJECTS = {
     "observable.bump": {"variant": "sum", "base": COORD,
                         "bump": {"variant": "constant", "value": 0.5}},
 }
+
+
+def flow(dt):
+    """The harmonic flow at ``dt``, in substeps of 1/8 (exact in binary)."""
+    return {"kind": "flow", "field": "harmonic", "dt": dt, "substep": 0.125}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -123,6 +129,17 @@ class TestMargin:
         assert report["margin"] > 0.0
         assert (tmp_path / "pairs.csv").exists()
 
+    def test_keys_no_command_reads_are_ignored(self, tmp_path, base_config):
+        # The pair keys of a periodic-point tagger that pairs.csv no longer
+        # has: a config that still carries them writes the same artifacts.
+        base_config["pairs"] = {"delta": 0.01, "count": 40}
+        assert run("margin", write_config(tmp_path, base_config), tmp_path / "a") == 0
+        base_config["pairs"].update(detect_periodic=True, period_max=4, period_tol=1e-9,
+                                    period_seeds=100)
+        assert run("margin", write_config(tmp_path, base_config), tmp_path / "b") == 0
+        for name in ("pairs.csv", "margin.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestPerturb:
     def test_success_and_config_round_trip(self, tmp_path, base_config):
@@ -152,6 +169,34 @@ class TestPerturb:
         assert report["sup_distance"] <= report["sup_distance_bound"] < 0.05
         assert (report["pairs_requested"], report["pairs_realised"],
                 report["pairs_complete"]) == (50, 50, True)
+
+
+def test_readme_example_runs_and_reads_every_key(tmp_path, monkeypatch):
+    # The README's example config, run as the README says: a field the docs
+    # show that the CLI no longer reads, or reads under another name, fails.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = json.loads(readme.split("```json\n")[1].split("```")[0])
+    read = set()
+    field = cli._field
+
+    def recording(config, key, default=None):
+        read.add(key)
+        return field(config, key, default)
+    monkeypatch.setattr(cli, "_field", recording)
+    out = tmp_path / "out"
+    assert run("perturb", write_config(tmp_path, config), out) == 0
+    assert {"perturbed_observable.json", "perturb_report.json",
+            "config_out.json"} <= {path.name for path in out.iterdir()}
+    for key, value in config.items():
+        if key in ("system", "observable"):
+            # An object's keys are its tag and the fields of its class.
+            base = systems.System if key == "system" else dr.Observable
+            cls = base.registry[value[base.tag_key]]
+            assert set(value) <= {base.tag_key} | {f.name for f in dataclasses.fields(cls)}
+        elif isinstance(value, dict):
+            assert {f"{key}.{sub}" for sub in value} <= read
+        else:
+            assert key in read
 
 
 class TestPairShortfall:
@@ -236,6 +281,17 @@ class TestYorke:
             "system": {"kind": "flow", "field": "harmonic", "dt": 3.5},
         })
         assert run("yorke", cfg, tmp_path) == 2
+
+    def test_tol_checked_before_the_seed_grid(self, tmp_path, capsys, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the seed grid was built before tol was checked")
+        monkeypatch.setattr(topology, "grid_seeds", reached)
+        cfg = write_config(tmp_path, {
+            "seed": 1, "d": 1, "tol": 0.0,
+            "system": {"kind": "flow", "field": "harmonic", "dt": 3.0},
+        })
+        assert run("yorke", cfg, tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: config field 'tol' must be > 0, got 0.0\n"
 
     def test_map_system_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "d": 1, "system": HENON})
@@ -395,9 +451,9 @@ class TestErrors:
         ("margin", "pairs", 5),
         ("margin", "pairs.delta", None),
         ("margin", "pairs.count", "x"),
-        ("margin", "pairs.period_max", None),
-        ("margin", "pairs.period_tol", "tiny"),
-        ("margin", "pairs.period_seeds", [100]),
+        ("yorke", "tol", "tiny"),
+        ("perturb", "epsilon", True),
+        ("dimension", "covering_scales", 5),
         ("margin", "pairs.seed", "abc"),
         ("margin", "pairs.min_index_gap", None),
         ("perturb", "pairs.count", None),
@@ -414,7 +470,7 @@ class TestErrors:
         ("simulate", "system.field", ["lorenz"]),
         ("embed", "observable.bump", 3),
         ("hypothesis", "d", True),
-        ("margin", "pairs.detect_periodic", "no"),
+        ("yorke", "d", "two"),
         ("genericity", "bump_scale", -0.1),
         ("genericity", "bump_scale", float("nan")),
         ("genericity", "trials", 0),
@@ -431,8 +487,7 @@ class TestErrors:
     def test_bad_scalar_named_without_traceback(self, tmp_path, base_config,
                                                 capsys, cmd, field, value):
         base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
-                           pairs={"delta": 0.01, "count": 10,
-                                  "detect_periodic": True},
+                           pairs={"delta": 0.01, "count": 10},
                            scales=[0.4, 0.2, 0.1, 0.05, 0.025, 0.0125],
                            covering_scales=[0.4, 0.2])
         if cmd == "yorke":
@@ -466,19 +521,17 @@ class TestErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cmd,digits", [
-        ("hypothesis", 17), ("hypothesis", 30), ("hypothesis", MAX_ODOMETER_DIGITS),
-        ("margin", 30)])
+        ("hypothesis", 17), ("hypothesis", 30), ("hypothesis", MAX_ODOMETER_DIGITS)])
     def test_seed_grid_over_cap_rejected(self, tmp_path, base_config, capsys, cmd,
                                          digits):
         # At least two seeds per axis make 2**digits seeds, whatever n_seeds
-        # and pairs.period_seeds ask for; rejected before the grid is built.
-        base_config.update(system={"kind": "odometer", "digits": digits}, n_seeds=100,
-                           trajectory={"x0": [0.0] * digits, "n": 50},
-                           pairs={"delta": 0.5, "count": 5, "detect_periodic": True})
+        # asks for; rejected before the grid is built, naming n_seeds.
+        base_config.update(system={"kind": "odometer", "digits": digits}, n_seeds=100)
         out = tmp_path / "out"
         assert run(cmd, write_config(tmp_path, base_config), out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: seed grid of 2**{digits} states")
+        assert err.startswith(f"error: config field 'n_seeds' invalid: "
+                              f"seed grid of 2**{digits} states")
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
@@ -510,9 +563,6 @@ class TestErrors:
         ("simulate", "trajectory.n", 0),
         ("simulate", "trajectory.transient", -5),
         ("hypothesis", "tol", 0.0),
-        ("margin", "pairs.period_tol", -1.0),
-        ("margin", "pairs.period_max", 0),
-        ("margin", "pairs.period_seeds", 0),
         ("simulate", "seed", -1),
         ("margin", "pairs.seed", -3),
         ("perturb", "pairs.min_index_gap", -2),
@@ -520,9 +570,8 @@ class TestErrors:
     def test_out_of_range_named_before_any_stage(self, tmp_path, base_config,
                                                  capsys, cmd, field, value):
         # Checked when the field is read, so no artifact is written first.
-        # The pairs.period_* fields are read only with detect_periodic.
         base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
-                           pairs={"delta": 0.01, "count": 10, "detect_periodic": True})
+                           pairs={"delta": 0.01, "count": 10})
         outer, _, leaf = field.rpartition(".")
         (base_config[outer] if outer else base_config)[leaf] = value
         cfg = write_config(tmp_path, base_config)
@@ -538,21 +587,20 @@ class TestErrors:
          "scale 1e-20 puts more than 2**52 grid cells across the samples"),
         ("dimension", "scales", [1.0, 0.1, 0.0], "box-counting scales must be positive"),
         ("hypothesis", "n_seeds", 10 ** 400, "n_seeds above 2**2 * MAX_GRID_SEEDS"),
-        ("margin", "pairs.period_seeds", 10 ** 400, "n_seeds above 2**2 * MAX_GRID_SEEDS"),
         ("simulate", "system", {"kind": "odometer", "base": 10 ** 400},
          "config field 'system' invalid: odometer needs 2 <= base <= 2**53"),
         ("embed", "trajectory.n", 10 ** 12,
          f"config fields 'trajectory.n' + 'trajectory.transient' exceed MAX_STATES "
          f"= {cli.MAX_STATES}"),
         ("simulate", "trajectory.transient", 10 ** 400, "exceed MAX_STATES"),
-    ], ids=["scales-tiny", "scale-zero", "n_seeds-huge", "period_seeds-huge", "base-huge",
-            "n-huge", "transient-huge"])
+    ], ids=["scales-tiny", "scale-zero", "n_seeds-huge", "base-huge", "n-huge",
+            "transient-huge"])
     def test_oversized_values_rejected(self, tmp_path, base_config, capsys, cmd, field,
                                        value, message):
         # Each exits before its stage allocates: without the state budget,
         # n = 10**12 asks for terabytes.
         base_config.update(covering_scales=[1.0, 0.5],
-                           pairs={"delta": 0.01, "count": 10, "detect_periodic": True})
+                           pairs={"delta": 0.01, "count": 10})
         outer, _, leaf = field.rpartition(".")
         (base_config[outer] if outer else base_config)[leaf] = value
         out = tmp_path / "out"
@@ -569,7 +617,6 @@ class TestErrors:
         ("genericity", "trials", 10 ** 12),
         ("yorke", "d", 10 ** 9),
         ("embed", "m", 2 * cli.MAX_D + 2),
-        ("margin", "pairs.period_max", 10 ** 400),
     ])
     def test_work_caps_named_before_any_stage(self, tmp_path, base_config, capsys,
                                               monkeypatch, cmd, field, value):
@@ -582,7 +629,7 @@ class TestErrors:
                              (topology, "hypothesis_check")):
             monkeypatch.setattr(module, name, reached)
         base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
-                           pairs={"delta": 0.01, "count": 10, "detect_periodic": True})
+                           pairs={"delta": 0.01, "count": 10})
         if cmd == "yorke":
             base_config["system"] = {"kind": "flow", "field": "harmonic", "dt": 3.0}
         outer, _, leaf = field.rpartition(".")
@@ -604,7 +651,18 @@ class TestErrors:
         ("genericity", ("pairs.count", "m", "trials"),
          {"d": 20, "pairs": {"delta": 0.01, "count": cli.MAX_PAIRS}, "trials": 732},
          {"d": 20, "pairs": {"delta": 0.01, "count": cli.MAX_PAIRS}, "trials": 731}),
-    ], ids=["hypothesis-d20", "hypothesis-d10", "genericity-m3", "genericity-m41"])
+        # A flow's step is dt / substep = 8, 30 and 2500 RK4 substeps here.
+        ("simulate", ("trajectory.n", "trajectory.transient", "system.dt", "system.substep"),
+         {"system": flow(1.0), "trajectory": {"x0": [0.1, 0.1], "n": 625_001}},
+         {"system": flow(1.0), "trajectory": {"x0": [0.1, 0.1], "n": 625_000}}),
+        ("hypothesis", ("n_seeds", "d", "system.dt", "system.substep"),
+         {"system": flow(3.75), "d": 5, "n_seeds": 33 ** 2},
+         {"system": flow(3.75), "d": 5, "n_seeds": 32 ** 2}),
+        ("yorke", ("n_seeds", "d", "system.dt", "system.substep"),
+         {"system": flow(312.5), "d": 20, "n_seeds": 33 ** 2},
+         {"system": flow(312.5), "d": 20, "n_seeds": 32 ** 2}),
+    ], ids=["hypothesis-d20", "hypothesis-d10", "genericity-m3", "genericity-m41",
+            "trajectory-flow", "hypothesis-flow", "yorke-flow"])
     def test_work_budgets_named_before_any_stage(self, tmp_path, base_config, capsys,
                                                  monkeypatch, cmd, fields, over, at):
         # Every factor is within its cap, but their product is over budget;
@@ -612,7 +670,8 @@ class TestErrors:
         def reached(*args, **kwargs):
             raise AssertionError("a stage ran before the budget was checked")
         for module, name in ((systems, "iterate"), (systems, "find_periodic"),
-                             (topology, "grid_seeds"), (topology, "hypothesis_check")):
+                             (systems, "yorke_certificate"), (topology, "grid_seeds"),
+                             (topology, "hypothesis_check")):
             monkeypatch.setattr(module, name, reached)
         base_config.update(trials=20, bump_scale=0.1)
         out = tmp_path / "out"

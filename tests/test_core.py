@@ -13,7 +13,6 @@ from delayrecon import (
     SumObservable,
     TrigPolynomial,
     observable_from_dict,
-    observable_to_dict,
     sup_distance,
 )
 
@@ -244,7 +243,7 @@ class TestSerialization:
         ],
     )
     def test_round_trip_preserves_values(self, obs):
-        back = observable_from_dict(observable_to_dict(obs))
+        back = observable_from_dict(obs.to_dict())
         pts = random_states(200, 2, -1.0, 1.0)
         assert np.array_equal(obs.evaluate(pts), back.evaluate(pts))
 

@@ -8,10 +8,8 @@ import delayrecon as dr
 from delayrecon.delay import (
     delay_count_for,
     delay_matrix,
-    delay_vector,
     delay_vectors,
     orbits,
-    periodic_extension,
     read_delay_csv,
     write_delay_csv,
 )
@@ -88,7 +86,7 @@ class TestDelayVector:
     def test_entries_follow_the_orbit(self, henon):
         h = dr.Coordinate(0, -1.5, 1.5)
         x = np.array([0.1, 0.1])
-        vec = delay_vector(h, henon, x, 4)
+        vec = delay_vectors(h, henon, x, 4)[0]
         cur = x
         for k in range(4):
             assert vec[k] == h(cur)
@@ -99,16 +97,16 @@ class TestDelayVector:
         pts = henon_samples[:25]
         batch = delay_vectors(h, henon, pts, 5)
         for i, p in enumerate(pts):
-            assert np.array_equal(batch[i], delay_vector(h, henon, p, 5))
+            assert np.array_equal(batch[i], delay_vectors(h, henon, p, 5)[0])
 
     def test_m_one_is_plain_evaluation(self, henon):
         h = dr.Coordinate(0, -1.5, 1.5)
         x = np.array([0.3, 0.05])
-        assert delay_vector(h, henon, x, 1)[0] == h(x)
+        assert delay_vectors(h, henon, x, 1)[0, 0] == h(x)
 
     def test_bad_m_rejected(self, henon):
         with pytest.raises(ValueError):
-            delay_vector(dr.Constant(0.5), henon, np.zeros(2), 0)
+            delay_vectors(dr.Constant(0.5), henon, np.zeros(2), 0)
 
 
 class TestDelayMatrix:
@@ -133,23 +131,6 @@ class TestDelayMatrix:
         traj = dr.Trajectory(states=henon_samples[:3], system_id="x")
         with pytest.raises(ValueError):
             delay_matrix(dr.Constant(0.1), traj, 5)
-
-
-class TestPeriodicExtension:
-    def test_wraps_modulo_cycle_length(self):
-        base = np.array([0.1, 0.7])
-        assert np.array_equal(periodic_extension(base, 5),
-                              [0.1, 0.7, 0.1, 0.7, 0.1])
-
-    def test_fixed_point_repeats(self):
-        assert np.array_equal(periodic_extension([0.4], 3), [0.4, 0.4, 0.4])
-
-    def test_truncation(self):
-        assert np.array_equal(periodic_extension([0.1, 0.2, 0.3], 2), [0.1, 0.2])
-
-    def test_empty_base_rejected(self):
-        with pytest.raises(ValueError):
-            periodic_extension([], 3)
 
 
 class TestCsvRoundTrip:

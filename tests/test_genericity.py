@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.spatial import cKDTree
 
 import delayrecon as dr
 from delayrecon import genericity
 from delayrecon.delay import orbits
 from delayrecon.genericity import (
     MARGIN_TOL,
-    CompatibilityReport,
     PairSet,
     PerturbationError,
     compatibility_margin,
     detect_period,
     genericity_monte_carlo,
-    openness_radius,
     perturb_to_compatible,
     random_trig_bump,
     sample_pairs,
@@ -88,21 +85,13 @@ def merge_inputs(draw):
     return pts, r, labels, TORUS_WRAP if torus else None
 
 
-def reference_sample_pairs(samples, delta, count, periodic_points=None, seed=0,
-                           period_tol=1e-6, max_tries=200, min_index_gap=0):
+def reference_sample_pairs(samples, delta, count, seed=0, max_tries=200, min_index_gap=0):
     """`sample_pairs` with the scan over used indices it replaces; returns
-    (xs, ys, tags, complete)."""
+    (xs, ys, complete)."""
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     n = pts.shape[0]
     rng = np.random.default_rng(seed)
-    ptree = None
-    if periodic_points is not None and len(periodic_points):
-        ptree = cKDTree(np.atleast_2d([p for p, _ in periodic_points]))
-
-    def is_periodic(x):
-        return ptree is not None and bool(ptree.query(x)[0] <= period_tol)
-
-    xs, ys, tags, used = [], [], [], []
+    xs, ys, used = [], [], []
     for _ in range(max_tries * count):
         if len(xs) >= count:
             break
@@ -118,9 +107,7 @@ def reference_sample_pairs(samples, delta, count, periodic_points=None, seed=0,
             used.extend((int(i), int(j)))
         xs.append(pts[i])
         ys.append(pts[j])
-        px, py = is_periodic(pts[i]), is_periodic(pts[j])
-        tags.append("C2" if px and py else ("C1" if not px and not py else "C3"))
-    return np.asarray(xs), np.asarray(ys), tuple(tags), len(xs) >= count
+    return np.asarray(xs), np.asarray(ys), len(xs) >= count
 
 
 @pytest.fixture(scope="module")
@@ -164,19 +151,16 @@ class TestSamplePairs:
         sep = np.linalg.norm(henon_pairs.xs - henon_pairs.ys, axis=1)
         assert np.all(sep >= 1e-2)
 
-    def test_periodic_tagging(self, henon):
-        from delayrecon.topology import grid_seeds
-        periodic = dr.find_periodic(henon, 1, 1e-9, grid_seeds(henon, 100))
-        fp = periodic[0][0]
+    def test_every_pair_tagged_c1(self, henon):
+        # Pairs that touch a fixed point are tagged C1 too: `sample_pairs`
+        # does not classify members, `perturb_to_compatible` does.
+        fp = henon.fixed_points()[0]
         cloud = np.concatenate([[fp], np.random.default_rng(0).uniform(
-            -0.4, 0.4, (60, 2))])
-        K = sample_pairs(cloud, 0.05, 40, sys=henon, periodic_points=periodic,
-                         seed=1)
-        # any pair touching the fixed point must carry a periodic tag
-        for x, y, tag in zip(K.xs, K.ys, K.tags):
-            touches = (np.linalg.norm(x - fp) <= 1e-6
-                       or np.linalg.norm(y - fp) <= 1e-6)
-            assert tag == ("C3" if touches else "C1")
+            -0.4, 0.4, (9, 2))])
+        K = sample_pairs(cloud, 0.05, 20, sys=henon, seed=1)
+        assert any(np.array_equal(x, fp) or np.array_equal(y, fp)
+                   for x, y in zip(K.xs, K.ys))
+        assert K.tags == ("C1",) * len(K)
 
     def test_index_gap_keeps_orbit_segments_apart(self, henon, henon_samples):
         K = sample_pairs(henon_samples, 1e-2, 150, sys=henon, seed=5,
@@ -196,25 +180,21 @@ class TestSamplePairs:
     @pytest.mark.parametrize("seed", [0, 1, 5, 12])
     def test_matches_used_index_scan(self, henon, henon_samples, gap, seed):
         fp = henon.fixed_points()[0]
-        periodic = [(fp, 1)]
         cloud = np.concatenate([henon_samples[:600], [fp] * 5, henon_samples[600:]])
-        K = sample_pairs(cloud, 1e-2, 120, sys=henon, periodic_points=periodic,
-                         seed=seed, min_index_gap=gap)
-        xs, ys, tags, complete = reference_sample_pairs(
-            cloud, 1e-2, 120, periodic_points=periodic, seed=seed,
-            min_index_gap=gap)
+        K = sample_pairs(cloud, 1e-2, 120, sys=henon, seed=seed, min_index_gap=gap)
+        xs, ys, complete = reference_sample_pairs(cloud, 1e-2, 120, seed=seed,
+                                                  min_index_gap=gap)
         assert np.array_equal(K.xs, xs) and np.array_equal(K.ys, ys)
-        assert K.tags == tags and K.complete == complete
+        assert K.complete == complete
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_used_index_scan_when_incomplete(self, seed):
         cloud = np.linspace(0.0, 1.0, 40)[:, None]
         K = sample_pairs(cloud, 0.1, 50, seed=seed, min_index_gap=3)
-        xs, ys, tags, complete = reference_sample_pairs(
+        xs, ys, complete = reference_sample_pairs(
             cloud, 0.1, 50, seed=seed, min_index_gap=3)
         assert not K.complete and not complete
         assert np.array_equal(K.xs, xs) and np.array_equal(K.ys, ys)
-        assert K.tags == tags
 
     def test_incomplete_flagged(self):
         # six samples with an index-gap constraint cannot yield 50 pairs
@@ -251,12 +231,6 @@ class TestMargin:
         mu2 = compatibility_margin(g, henon, henon_pairs, 3).margin
         assert abs(mu2 - mu) <= 2.0 * (mu / 8.0) + 1e-12
 
-    def test_openness_radius_is_a_third(self):
-        report = CompatibilityReport(margin=0.09, argmin_index=0,
-                                     per_pair=np.array([0.09]), m=3)
-        assert openness_radius(report) == pytest.approx(0.03)
-        with pytest.raises(ValueError):
-            openness_radius(CompatibilityReport(0.0, 0, np.array([0.0]), 3))
 
 
 class TestDedupMembers:

@@ -181,8 +181,7 @@ def observables(k: int) -> dict:
     }
 
 
-PAIRS = {"delta": 0.01, "count": 3, "detect_periodic": True, "period_max": 2,
-         "period_seeds": 4}
+PAIRS = {"delta": 0.01, "count": 3}
 # The fields each command reads beyond the seed, d, system, observable and
 # trajectory, at small values.
 COMMAND_FIELDS = {

@@ -22,7 +22,6 @@ from delayrecon.systems import (
     System,
     periodic_return_scan,
     system_from_dict,
-    system_to_dict,
     yorke_certificate,
     yorke_threshold,
 )
@@ -566,6 +565,13 @@ class TestSampledFlow:
         cols = reference_flow_map(flow, *states.T)
         assert np.array_equal(flow.step_many(states), np.stack(cols, axis=1))
 
+    def test_step_counts_its_substeps(self):
+        # ceil(dt / substep) RK4 substeps, at least one; a map's step counts one.
+        assert [dr.SampledFlow("lorenz", dt, substep).substeps for dt, substep in
+                ((0.02, 0.01), (0.5, 0.01), (0.005, 0.01), (1.0, 0.125))] == [2, 50, 1, 8]
+        assert {sys_.substeps for sys_ in (dr.Henon(), dr.CatMap(), dr.CircleRotation(0.1),
+                                           dr.Odometer())} == {1}
+
     def test_pickles_by_its_fields(self):
         flow = dr.SampledFlow("lorenz", dt=0.05, substep=0.015)
         again = pickle.loads(pickle.dumps(flow))
@@ -761,7 +767,7 @@ class TestSerialization:
         ],
     )
     def test_round_trip(self, sys_):
-        back = system_from_dict(system_to_dict(sys_))
+        back = system_from_dict(sys_.to_dict())
         assert back.system_id == sys_.system_id
         x = np.full(sys_.ambient_dim, 0.1)
         assert np.array_equal(back.step(x), sys_.step(x))
