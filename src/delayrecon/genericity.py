@@ -221,7 +221,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
         )
 
     # Bump radius: keep supports disjoint and the base's variation small.
-    min_sep = float(nn_distance(orbit_pts).min()) if orbit_pts.shape[0] > 1 else 1.0
+    min_sep = float(nn_distance(orbit_pts, 1).min()) if orbit_pts.shape[0] > 1 else 1.0
     radius = min_sep / 3.0
     L = h_base.lipschitz()
     if L > 0.0:

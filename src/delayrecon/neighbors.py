@@ -17,13 +17,18 @@ The grid buckets on at most the first three axes, which bounds nothing when
 those axes take few values (a 64-digit odometer has 8 cells), so points
 with more axes go to the tree.  A nearest-neighbour query is rounds of that
 same routed pair query at a doubling radius, so it makes no backend choice
-of its own.  A grid self-query walks the centre offset and the forward
-half of the others, each pair once, while `_candidates` counts all ``3**k``
-offsets, as `GRID_LIMIT` was measured.  The greedy merge of near-duplicate
-rows, `first_found`, makes no pair query at all: a sort on the first axis
-and a sweep over the rows it cannot rule out, with the same distance formula
-and tie rule.  `median`, which `nn_distance` and `topology.nn_spacing` take,
-imports no ``numpy.ma``.
+of its own: one self-query of the distinct points, then cross queries of
+the points left, until as many points are resolved as the caller needs.
+`distinct` finds the distinct points for it and for
+`topology.linkage_components`, so no query pairs copies of one point.  A
+grid self-query walks the centre offset and the forward half of the
+others, each pair once, and takes its cell order from the query sort; a
+grid query builds its cell tables one offset at a time, while
+`_candidates` counts all ``3**k`` offsets, as `GRID_LIMIT` was measured.
+The greedy merge of near-duplicate rows, `first_found`, makes no pair query
+at all: a sort on the first axis and a sweep over the rows it cannot rule
+out, with the same distance formula and tie rule.  `median`, which
+`nn_distance` and `topology.nn_spacing` take, imports no ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def _grid(a, b, r):
     big = max(np.abs(a[:, :k]).max(), np.abs(pts[:, :k]).max())
     side = r * (1.0 + 1e-9) + big * 2.0 ** -50 + 1e-150
     ca = np.floor(a[:, :k] / side).astype(np.int64)
-    cb = np.floor(pts[:, :k] / side).astype(np.int64)
+    cb = ca if b is None else np.floor(pts[:, :k] / side).astype(np.int64)
     # Cell key: the per-axis ranks of b's cell indices in mixed radix, below
     # len(b)**3 < 2**61 here; a neighbour cell absent on some axis gets a
     # negative key, and three absent axes still sum above int64's minimum.
@@ -103,23 +108,30 @@ def _grid(a, b, r):
     cq = cq[head]
     qcount = np.diff(np.append(np.flatnonzero(head), len(a)))
     key_b = np.zeros(len(pts), dtype=np.int64)
-    key_q = np.zeros((3,) * k + (len(cq),), dtype=np.int64)
+    parts = []
     radix = 1
     for ax in range(k - 1, -1, -1):
         vals, rank = np.unique(cb[:, ax], return_inverse=True)
         key_b += rank.ravel() * radix
         q = cq[:, ax] + np.arange(-1, 2)[:, None]
         pos = np.minimum(np.searchsorted(vals, q), len(vals) - 1)
-        part = np.where(vals[pos] == q, pos * radix, -(2 ** 61))
-        key_q += part.reshape((1,) * ax + (3,) + (1,) * (k - 1 - ax) + (len(cq),))
+        parts.insert(0, np.where(vals[pos] == q, pos * radix, -(2 ** 61)))
         radix *= len(vals)
-    border = np.argsort(key_b, kind="stable")
-    cells, start, count = np.unique(key_b[border], return_index=True,
-                                    return_counts=True)
-    key_q = key_q.reshape(-1, len(cq))
-    slot = np.minimum(np.searchsorted(cells, key_q), len(cells) - 1)
-    return qorder, border, qcount, start[slot], np.where(cells[slot] == key_q,
-                                                         count[slot], 0)
+    # The keys rise with the lexicographic cell order, so in a self-query
+    # the query sort is already b's.
+    border = qorder if b is None else np.argsort(key_b, kind="stable")
+    keys = key_b[border]
+    start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    cells, count = keys[start], np.diff(np.append(start, len(pts)))
+    # One offset's keys at a time, in the order of the axes' offsets
+    # (-1, 0, 1) with the first axis slowest.
+    first, n_in = np.empty((2, 3 ** k, len(cq)), dtype=np.int64)
+    for o, shift in enumerate(np.ndindex((3,) * k)):
+        key = sum(part[s] for part, s in zip(parts, shift))
+        slot = np.minimum(np.searchsorted(cells, key), len(cells) - 1)
+        first[o] = start[slot]
+        n_in[o] = np.where(cells[slot] == key, count[slot], 0)
+    return qorder, border, qcount, first, n_in
 
 
 def _candidates(grid) -> int:
@@ -136,7 +148,7 @@ def _grid_within(a, b, r, grid=None):
     # A self-query walks the centre offset (i < j) and the offsets after it,
     # the mirror images of those before it, as (min, max) pairs.
     centre = len(first) // 2
-    parts = []
+    cols = [[], [], []]
     for o in range(centre if b is None else 0, len(first)):
         start, n_in = np.repeat(first[o], qcount), np.repeat(hits[o], qcount)
         i = np.repeat(qorder, n_in)
@@ -145,8 +157,10 @@ def _grid_within(a, b, r, grid=None):
             i, j = i[i < j], j[i < j]
         elif b is None:
             i, j = np.minimum(i, j), np.maximum(i, j)
-        parts.append(_within(a, pts, i, j, r))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+        for col, x in zip(cols, _within(a, pts, i, j, r)):
+            col.append(x)
+    # Each column's parts go once it is joined, which bounds the peak memory.
+    return tuple(np.concatenate(cols.pop(0)) for _ in range(3))
 
 
 def _tree_pairs(a, b, r):
@@ -167,6 +181,8 @@ def _pairs(a, b, r):
     """The pairs of `close_pairs`, unsorted: the one grid-or-tree choice.
     Points with at most three axes go to the grid, bucketing the larger
     cloud, unless it would examine more than `GRID_LIMIT` candidates."""
+    if len(a) == 0 or (b is not None and len(b) == 0):
+        return _EMPTY
     if a.shape[1] <= 3:
         swap = b is not None and len(a) > len(b)
         q, p = (b, a) if swap else (a, b)
@@ -183,8 +199,6 @@ def close_pairs(a, b=None, r: float = 0.0):
     ``i < j`` only.  ``a`` and ``b`` are (n, k) arrays."""
     a = np.asarray(a, dtype=float)
     b = None if b is None else np.asarray(b, dtype=float)
-    if len(a) == 0 or (b is not None and len(b) == 0):
-        return _EMPTY
     return _by_pair(*_pairs(a, b, r))
 
 
@@ -197,39 +211,58 @@ def median(x) -> float:
     return float("nan") if np.isnan(x[-1]) else float(np.mean(middle))
 
 
-def nn_distance(pts) -> np.ndarray:
-    """Distance from each point of an (n, k) array to its nearest other
-    point: 0 for a duplicated point, inf when n < 2.
+def distinct(pts) -> tuple[np.ndarray, np.ndarray]:
+    """``(reps, copy_of)`` for an (n, k) array: the index of the first copy
+    of each distinct row, in lexicographic row order, and for each row the
+    index of its first copy.  One sort on the first axis orders the rows
+    when no two share a first coordinate, as on a sampled orbit; otherwise
+    a lexicographic sort does."""
+    order = np.argsort(pts[:, 0])
+    if np.any(pts[order[1:], 0] == pts[order[:-1], 0]):
+        order = np.lexsort(pts.T[::-1])
+    head = np.append(True, np.any(pts[order[1:]] != pts[order[:-1]], axis=1))[:len(pts)]
+    copy_of = np.empty(len(pts), dtype=np.int64)
+    copy_of[order] = order[head][np.cumsum(head) - 1]
+    return order[head], copy_of
 
-    Rounds of the pair query at a radius doubled each round: the points with
-    no other point within the radius yet, against one copy of each distinct
-    point.  The first radius is half the spacing of n points spread evenly
-    over an extent of (median gap) x (gaps) along the first axis, so a dense
-    cluster starts at its own scale; gaps below 2**-40 of the extent are
-    coordinates shared up to rounding."""
+
+def nn_distance(pts, need: int) -> np.ndarray:
+    """Distance from each point of an (n, k) array to its nearest other
+    point, or inf where it is left unresolved: 0 for a duplicated point,
+    inf for every point when n < 2.  At least ``need`` points are resolved,
+    and each is nearer its neighbour than any unresolved point is, so the
+    ``need`` smallest entries are exact.
+
+    Rounds of the pair query at a radius doubled each round, until at least
+    ``need`` points have another point within the radius.  The first round
+    pairs the distinct points among themselves, each pair once, and updates
+    both ends; a later one queries the points still unresolved against one
+    copy of each distinct point.  The first radius is half the spacing of n
+    points spread evenly over an extent of (median gap) x (gaps) along the
+    first axis, so a dense cluster starts at its own scale; gaps below
+    2**-40 of the extent are coordinates shared up to rounding."""
     pts = np.asarray(pts, dtype=float)
     if len(pts) < 2:
         return np.full(len(pts), np.inf)
-    order = np.lexsort(pts.T[::-1])
-    same = np.all(pts[order[1:]] == pts[order[:-1]], axis=1)
-    repeated = np.zeros(len(pts), dtype=bool)
-    repeated[order[1:][same]] = repeated[order[:-1][same]] = True
-    reps = order[np.concatenate([[True], ~same])]
-    best = np.where(repeated, 0.0, np.inf)
-    todo = np.flatnonzero(~repeated)
+    reps, copy_of = distinct(pts)
+    best = np.where(np.bincount(copy_of)[copy_of] > 1, 0.0, np.inf)
     k = min(pts.shape[1], 3)
     span = float(np.ptp(pts[:, :k], axis=0).max())
     gaps = np.diff(np.sort(pts[reps, 0]))
     gaps = gaps[gaps > span * 2.0 ** -40]
     extent = median(gaps) * len(gaps) if len(gaps) else span
     r = extent / (2.0 * len(reps) ** (1.0 / k)) or 1.0
-    while todo.size and r < np.inf:
+    if r < np.inf:
         # Unsorted: `_by_pair`'s sort arrays would add to the peak memory.
+        i, j, dist = _pairs(pts[reps], None, r)
+        np.minimum.at(best, reps[np.append(i, j)], np.append(dist, dist))
+    todo = np.flatnonzero(best > r)
+    while todo.size > len(pts) - need and 2.0 * r < np.inf:
+        r *= 2.0
         i, j, dist = _pairs(pts[todo], pts[reps], r)
         other = todo[i] != reps[j]
         np.minimum.at(best, todo[i[other]], dist[other])
         todo = todo[best[todo] > r]
-        r *= 2.0
     return best
 
 

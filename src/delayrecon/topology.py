@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neighbors import close_pairs, median, nn_distance
+from .neighbors import _pairs, distinct, median, nn_distance
 from .systems import System, find_periodic
 
 __all__ = [
@@ -90,9 +90,7 @@ def cover_order(cover, n_samples: int) -> int:
 def nn_spacing(samples) -> float:
     """Median nearest-neighbor distance of the sample set."""
     pts = _pts(samples)
-    if pts.shape[0] < 2:
-        return 0.0
-    return median(nn_distance(pts))
+    return median(nn_distance(pts, len(pts) // 2 + 1)) if len(pts) > 1 else 0.0
 
 
 def _resolution_gap(spacing: float) -> float:
@@ -106,17 +104,20 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
     """Single-linkage component labels at the given distance threshold,
     numbered in the order of each component's smallest sample index.
 
-    Hook and shortcut on the edges of `close_pairs`: every root of an edge
-    whose ends have different roots points at the smaller root, then the
-    pointers are followed until each sample points at its root, until no
-    edge joins two roots.  A root is the smallest index of its component."""
+    Hook and shortcut on the close pairs of the distinct samples: every
+    root of an edge whose ends have different roots points at the smaller
+    root, then the pointers are followed until each sample points at its
+    root, until no edge joins two roots.  A root is the smallest index of
+    its component, whatever the order of the edges, and a repeated sample
+    takes the label of its first copy."""
     pts = _pts(samples)
-    i, j, _ = close_pairs(pts, r=threshold)
+    reps, copy_of = distinct(pts)
+    i, j = (reps[x] for x in _pairs(pts[reps], None, threshold)[:2])
     root = np.arange(pts.shape[0])
     while True:
         ri, rj = root[i], root[j]
         if np.array_equal(ri, rj):
-            return np.unique(root, return_inverse=True)[1]
+            return np.unique(root[copy_of], return_inverse=True)[1]
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
         while not np.array_equal(root, root[root]):
             root = root[root]
@@ -233,7 +234,7 @@ class DimensionEstimate:
     value: float
     scales: list[float]
     counts: list[int]
-    residual: float
+    residual: float | None
     method: str
     heuristic: bool = False
     notes: list[str] = field(default_factory=list)
@@ -286,11 +287,12 @@ def _box_counts(pts: np.ndarray, scales) -> list[int]:
     return counts
 
 
-def _fit_slope(scales, counts) -> tuple[float, float]:
+def _fit_slope(scales, counts) -> tuple[float, float | None]:
     """Least-squares slope of log counts against log(1/scale), and its
-    residual; ``(0.0, inf)`` when every count is equal, a degenerate fit."""
+    residual; ``(0.0, None)`` when every count is equal, a degenerate fit
+    with no residual (JSON null)."""
     if len(set(counts)) == 1:
-        return 0.0, float("inf")
+        return 0.0, None
     x = np.log(1.0 / np.asarray(scales, dtype=float))
     y = np.log(np.asarray(counts, dtype=float))
     coef, res = np.polyfit(x, y, 1, full=True)[:2]
@@ -312,7 +314,7 @@ def box_counting(samples, scales) -> DimensionEstimate:
     counts = _box_counts(pts, scales)
     slope, residual = _fit_slope(scales, counts)
     notes = (["degenerate fit: all occupancy counts equal"]
-             if math.isinf(residual) else [])
+             if residual is None else [])
     return DimensionEstimate(value=slope, scales=scales, counts=counts,
                              residual=residual, method="box-counting", notes=notes)
 

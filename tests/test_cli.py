@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,23 @@ def write_config(tmp_path, payload, name="config.json"):
 def run(cmd, config_path, out, extra=()):
     return cli.main([cmd, "--config", config_path, "--out", str(out),
                      "--quiet", *extra])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_artifacts(monkeypatch):
+    """Every JSON artifact a test here writes parses as RFC 8259 JSON: no
+    Infinity, -Infinity or NaN."""
+    written = []
+    write = cli.write_json
+    monkeypatch.setattr(cli, "write_json",
+                        lambda path, payload: written.append(path) or write(path, payload))
+    yield
+    for path in written:
+        json.loads(Path(path).read_text(), parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -231,6 +249,36 @@ class TestDimension:
         keys = {"method", "value", "scales", "counts", "residual", "heuristic", "notes"}
         assert set(report) == {"box", "covering"}
         assert set(report["box"]) == set(report["covering"]) == keys
+
+    def test_repeated_states_are_linked_once(self, tmp_path):
+        # 5 000 states of a 27-state odometer.  Linking every copy of a state
+        # with every other copy makes 4.6e5 pairs, a tracemalloc peak of
+        # 26 MB that grows with the square of the states; linking one copy
+        # of each distinct state keeps it near 1 MB.
+        cfg = write_config(tmp_path, {
+            "seed": 1, "system": {"kind": "odometer", "base": 3, "digits": 3},
+            "trajectory": {"x0": [0.0, 0.0, 0.0], "n": 5000},
+            "scales": [1.0, 0.1, 0.01], "covering_scales": [1.0, 0.5]})
+        tracemalloc.start()
+        try:
+            assert run("dimension", cfg, tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert json.loads((tmp_path / "dimension.json").read_text())["covering"]["value"] == 0
+
+    def test_degenerate_fit_writes_null_residual(self, tmp_path):
+        # A fixed point occupies one box at every scale: the fit has no
+        # residual, which JSON writes as null, not Infinity.
+        cfg = write_config(tmp_path, {
+            "seed": 1, "system": {"kind": "rotation", "alpha": 0.0},
+            "trajectory": {"x0": [0.3], "n": 100}, "scales": [1.0, 0.1, 0.01]})
+        assert run("dimension", cfg, tmp_path) == 0
+        box = json.loads((tmp_path / "dimension.json").read_text(),
+                         parse_constant=_reject_constant)["box"]
+        assert box["residual"] is None and box["counts"] == [1, 1, 1]
+        assert box["notes"] == ["degenerate fit: all occupancy counts equal"]
 
 
 class TestHypothesis:

@@ -25,6 +25,7 @@ from delayrecon.neighbors import (
     median,
     nn_distance,
 )
+from delayrecon.topology import nn_spacing
 
 
 @st.composite
@@ -109,7 +110,7 @@ def test_self_pairs_agree(cloud):
 @given(clouds(min_size=2))
 def test_nn_distance_agrees(cloud):
     pts, _ = cloud
-    assert np.array_equal(nn_distance(pts), brute_nn(pts))
+    assert np.array_equal(nn_distance(pts, len(pts)), brute_nn(pts))
 
 
 @given(hnp.arrays(float, st.integers(1, 30),
@@ -161,7 +162,7 @@ def test_many_axes_bucket_on_three():
     rng = np.random.default_rng(0)
     pts = rng.integers(0, 2, (60, 64)).astype(float)
     assert_same(grid(pts, None, 4.0), tree(pts, None, 4.0))
-    assert np.array_equal(nn_distance(pts), brute_nn(pts))
+    assert np.array_equal(nn_distance(pts, len(pts)), brute_nn(pts))
 
 
 def test_backend_follows_grid_work(monkeypatch):
@@ -221,14 +222,14 @@ def test_empty_and_single_inputs():
                    close_pairs(np.ones((3, 2)), empty, 1.0),
                    close_pairs(empty, r=1.0)):
         assert [len(x) for x in result] == [0, 0, 0]
-    assert nn_distance(np.ones((1, 2))).tolist() == [math.inf]
-    assert nn_distance(empty).shape == (0,)
+    assert nn_distance(np.ones((1, 2)), 1).tolist() == [math.inf]
+    assert nn_distance(empty, 0).shape == (0,)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_duplicates_have_zero_nn_distance(k):
     pts = np.concatenate([np.eye(3)[:, :k], np.eye(3)[:1, :k]])
-    dist = nn_distance(pts)
+    dist = nn_distance(pts, 1)
     assert dist[0] == dist[-1] == 0.0
 
 
@@ -240,7 +241,7 @@ def test_nn_distance_is_exact_on_either_backend(monkeypatch, limit):
     pts = np.concatenate([rng.uniform(0, 1, (500, 3)),
                           rng.normal(0.5, 1e-5, (50, 3))])
     pts = np.concatenate([pts, pts[:7]])
-    assert np.array_equal(nn_distance(pts), brute_nn(pts))
+    assert np.array_equal(nn_distance(pts, len(pts)), brute_nn(pts))
 
 
 def test_nn_distance_on_repeats_and_tight_clusters():
@@ -251,4 +252,48 @@ def test_nn_distance_on_repeats_and_tight_clusters():
     clusters = np.concatenate([rng.normal(0, 1e-4, (1500, 2)),
                                rng.normal(1, 1e-4, (1500, 2))])
     for pts in (copies, clusters):
-        assert np.array_equal(nn_distance(pts), brute_nn(pts))
+        assert np.array_equal(nn_distance(pts, len(pts)), brute_nn(pts))
+
+
+@st.composite
+def clustered(draw):
+    """A cloud on 1-4 axes: points around up to three centres at a spread
+    of 1, 1e-3 or 1e-9 of their distance apart, with some rows repeated."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 50))
+    offsets = draw(hnp.arrays(float, (n, k), elements=st.floats(-1.0, 1.0)))
+    centres = draw(hnp.arrays(float, (3, k), elements=st.floats(-10.0, 10.0)))
+    which = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+    pts = centres[which] + draw(st.sampled_from([1.0, 1e-3, 1e-9])) * offsets
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    return np.concatenate([pts, pts[repeats]])
+
+
+@settings(deadline=None, max_examples=150)
+@given(clustered(), st.data(), st.sampled_from([0, math.inf]))
+def test_nn_distance_resolves_what_is_needed(pts, data, limit):
+    # GRID_LIMIT 0 sends every round to the KD-tree, inf to the grid.
+    need = data.draw(st.integers(1, len(pts)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "GRID_LIMIT", limit)
+        got = nn_distance(pts, need)
+        spacing = nn_spacing(pts)
+    want = brute_nn(pts)
+    resolved = np.isfinite(got)
+    assert np.count_nonzero(resolved) >= need
+    assert got[resolved].tobytes() == want[resolved].tobytes()
+    # Every unresolved point is farther from the rest than any resolved one,
+    # so the `need` smallest distances are exact.
+    assert want[~resolved].min(initial=np.inf) > got[resolved].max()
+    assert np.float64(spacing).tobytes() == np.median(want).tobytes()
+
+
+@settings(deadline=None)
+@given(clouds())
+def test_self_query_grid_is_the_cross_query_grid(cloud):
+    # A self-query takes b's cell order from the query sort; a copy of the
+    # points is bucketed anew, and every table agrees.
+    pts, r = cloud
+    for own, copy in zip(neighbors._grid(pts, None, r),
+                         neighbors._grid(pts, pts.copy(), r)):
+        assert np.array_equal(own, copy)

@@ -2,6 +2,7 @@
 check."""
 
 import math
+import tracemalloc
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 import delayrecon as dr
+from delayrecon import neighbors
 from delayrecon.systems import MAX_ODOMETER_DIGITS
 from delayrecon.topology import (
     MAX_GRID_SEEDS,
@@ -261,10 +263,12 @@ class TestResolutionHelpers:
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3),
-           threshold=st.sampled_from([0.0, 0.1, 0.3, 1.0]))
-    def test_linkage_labels_equal_csgraph(self, data, dim, threshold):
+           threshold=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+           limit=st.sampled_from([0, math.inf]))
+    def test_linkage_labels_equal_csgraph(self, data, dim, threshold, limit):
         # Lattice points, so pairs sit exactly at the threshold, with some
-        # rows repeated and some far away on their own.
+        # rows repeated and some far away on their own; GRID_LIMIT 0 sends
+        # the pair query to the KD-tree, inf to the grid.
         pts = np.array(data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
                                           min_size=1, max_size=50)), float) * 0.1
         repeats = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=6))
@@ -275,7 +279,25 @@ class TestResolutionHelpers:
                                   <= threshold, k=1))
         graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(len(pts),) * 2)
         _, ref = sparse.csgraph.connected_components(graph, directed=False)
-        assert np.array_equal(linkage_components(pts, threshold), ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "GRID_LIMIT", limit)
+            assert np.array_equal(linkage_components(pts, threshold), ref)
+
+    def test_sample_resolution_peak_memory(self):
+        # The dimension bench's 2e4 Lorenz states.  Pairing each distinct
+        # point once and building one neighbour offset's grid keys at a time
+        # keeps the tracemalloc peak near 10 MB; a first round that pairs
+        # all points with all points, with every offset's keys held at once,
+        # takes it above 15 MB.
+        sys_ = dr.SampledFlow(field="lorenz", dt=0.02, substep=0.01)
+        pts = dr.iterate(sys_, np.array([1.0, 1.0, 20.0]), 20_500).states[500:]
+        tracemalloc.start()
+        try:
+            sample_resolution(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.5e6
 
     def test_linkage_components_split_at_gap(self):
         pts = np.concatenate([np.linspace(0, 1, 20),
@@ -487,7 +509,7 @@ class TestBoxCounting:
         pts = np.repeat([[0.3, 0.4]], 10, axis=0)
         est = box_counting(pts, [0.1, 0.01, 0.001])
         assert est.value == 0.0
-        assert math.isinf(est.residual)
+        assert est.residual is None
         assert est.notes == ["degenerate fit: all occupancy counts equal"]
 
     def test_scale_span_enforced(self):
