@@ -20,11 +20,16 @@ same routed pair query at a doubling radius, so it makes no backend choice
 of its own: one self-query of the distinct points, then cross queries of
 the points left, until as many points are resolved as the caller needs.
 `distinct` finds the distinct points for it and for
-`topology.linkage_components`, so no query pairs copies of one point.  A
-grid self-query walks the centre offset and the forward half of the
-others, each pair once, and takes its cell order from the query sort; a
-grid query builds its cell tables one offset at a time, while
-`_candidates` counts all ``3**k`` offsets, as `GRID_LIMIT` was measured.
+`topology.linkage_components`, so no query pairs copies of one point.
+A query hands its pairs over in chunks, one per neighbour offset on the
+grid and one from the tree: `nn_distance` and `linkage_components` fold
+each chunk in as it comes, and only `close_pairs` joins them.  A grid
+builds its cell tables one offset at a time.  A grid self-query builds and
+walks only the centre offset and the forward half of the others, each
+pair once, and takes its cell order from the query sort; `_candidates`
+still counts all ``3**k`` offsets, as `GRID_LIMIT` was measured, the
+backward half as the mirror image of the forward one.  A grid whose
+mixed-radix cell keys would reach `_KEY_LIMIT` goes to the tree instead.
 The greedy merge of near-duplicate rows, `first_found`, makes no pair query
 at all: a sort on the first axis and a sweep over the rows it cannot rule
 out, with the same distance formula and tie rule.  `median`, which
@@ -45,6 +50,10 @@ import numpy as np
 GRID_LIMIT = 3_500_000
 # Candidates whose coordinate differences `_within` takes at once.
 _CHUNK = 1 << 16
+# Grid cell keys are mixed-radix numbers below this; an axis whose neighbour
+# cell is absent adds its negative, and three such still sum above int64's
+# minimum.  A grid whose keys would reach it goes to the tree.
+_KEY_LIMIT = 2 ** 61
 _EMPTY = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
 
 
@@ -86,10 +95,12 @@ def _grid(a, b, r):
     of side at least ``r`` on its first three axes, so every close pair lies
     in neighbouring cells.  Returns ``(qorder, border, qcount, first,
     n_in)``: the query points sorted by cell, ``b`` sorted by cell, the
-    number of query points in each occupied query cell, and for each of the
-    ``3**k`` neighbour offsets (rows) and each occupied query cell (columns)
-    the position in ``border`` of that neighbour cell's first point and its
-    number of points."""
+    number of query points in each occupied query cell, and for each
+    neighbour offset (rows) and each occupied query cell (columns) the
+    position in ``border`` of that neighbour cell's first point and its
+    number of points.  The rows are the ``3**k`` offsets of a cross query,
+    or the centre offset and those after it in a self-query, in
+    `np.ndindex` order.  None when b's cell keys would reach `_KEY_LIMIT`."""
     pts = a if b is None else b
     k = min(a.shape[1], 3)
     # The slack over r outweighs the rounding of coordinate / side, so a
@@ -99,24 +110,24 @@ def _grid(a, b, r):
     side = r * (1.0 + 1e-9) + big * 2.0 ** -50 + 1e-150
     ca = np.floor(a[:, :k] / side).astype(np.int64)
     cb = ca if b is None else np.floor(pts[:, :k] / side).astype(np.int64)
-    # Cell key: the per-axis ranks of b's cell indices in mixed radix, below
-    # len(b)**3 < 2**61 here; a neighbour cell absent on some axis gets a
-    # negative key, and three absent axes still sum above int64's minimum.
     qorder = np.lexsort(ca.T[::-1])
     cq = ca[qorder]
     head = np.concatenate([[True], np.any(cq[1:] != cq[:-1], axis=1)])
     cq = cq[head]
     qcount = np.diff(np.append(np.flatnonzero(head), len(a)))
-    key_b = np.zeros(len(pts), dtype=np.int64)
-    parts = []
-    radix = 1
+    # Cell key: the per-axis ranks of b's cell indices in mixed radix; a
+    # neighbour cell absent on some axis gets a negative key.
+    key_b, parts, radix = np.zeros(len(pts), dtype=np.int64), [], 1
     for ax in range(k - 1, -1, -1):
         vals, rank = np.unique(cb[:, ax], return_inverse=True)
         key_b += rank.ravel() * radix
         q = cq[:, ax] + np.arange(-1, 2)[:, None]
         pos = np.minimum(np.searchsorted(vals, q), len(vals) - 1)
-        parts.insert(0, np.where(vals[pos] == q, pos * radix, -(2 ** 61)))
+        parts.insert(0, np.where(vals[pos] == q, pos * radix, -_KEY_LIMIT))
         radix *= len(vals)
+    del ca, cb, vals, rank, q, pos
+    if radix > _KEY_LIMIT:
+        return None
     # The keys rise with the lexicographic cell order, so in a self-query
     # the query sort is already b's.
     border = qorder if b is None else np.argsort(key_b, kind="stable")
@@ -124,9 +135,11 @@ def _grid(a, b, r):
     start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
     cells, count = keys[start], np.diff(np.append(start, len(pts)))
     # One offset's keys at a time, in the order of the axes' offsets
-    # (-1, 0, 1) with the first axis slowest.
-    first, n_in = np.empty((2, 3 ** k, len(cq)), dtype=np.int64)
-    for o, shift in enumerate(np.ndindex((3,) * k)):
+    # (-1, 0, 1) with the first axis slowest; positions in b and counts fit
+    # int32 below 2**31 points.
+    shifts = list(np.ndindex((3,) * k))[3 ** k // 2 if b is None else 0:]
+    first, n_in = np.empty((2, len(shifts), len(cq)), np.int32 if len(pts) < 2 ** 31 else int)
+    for o, shift in enumerate(shifts):
         key = sum(part[s] for part, s in zip(parts, shift))
         slot = np.minimum(np.searchsorted(cells, key), len(cells) - 1)
         first[o] = start[slot]
@@ -135,32 +148,37 @@ def _grid(a, b, r):
 
 
 def _candidates(grid) -> int:
-    """The number of candidate pairs a grid query examines, counted from
-    the cell occupancy before any is built."""
-    return int((grid[4] @ grid[2]).sum())
+    """The number of candidate pairs a grid query examines over all
+    ``3**k`` offsets, counted from the cell occupancy before any is built.
+    A self-query (``border is qorder``) holds no backward rows; each
+    mirrors a forward one, so the forward rows count twice."""
+    per_row = grid[4] @ grid[2]
+    return int(per_row.sum() if grid[1] is not grid[0] else 2 * per_row.sum() - per_row[0])
+
+
+def _offset_pairs(grid, o, self_query):
+    """The candidate pairs (i, j) of row ``o`` of a grid's tables.  A
+    self-query's row 0 is the centre offset, whose pairs are taken once
+    (i < j); its later rows are the mirror images of the offsets before
+    the centre, taken as (min, max) pairs."""
+    qorder, border, qcount, first, hits = grid
+    start, n_in = np.repeat(first[o], qcount), np.repeat(hits[o], qcount)
+    i = np.repeat(qorder, n_in)
+    j = np.repeat(start - np.cumsum(n_in) + n_in, n_in)
+    j += np.arange(len(i))
+    j = border[j]
+    if self_query and o == 0:
+        return i[i < j], j[i < j]
+    return (np.minimum(i, j), np.maximum(i, j, out=j)) if self_query else (i, j)
 
 
 def _grid_within(a, b, r, grid=None):
-    """The unsorted pairs of `close_pairs` from the buckets of `_grid`."""
+    """The unsorted pairs of `close_pairs` from the buckets of `_grid`, one
+    chunk per neighbour offset, which bounds the candidates in memory."""
+    grid = _grid(a, b, r) if grid is None else grid
     pts = a if b is None else b
-    qorder, border, qcount, first, hits = _grid(a, b, r) if grid is None else grid
-    # One neighbour offset at a time, which bounds the candidates in memory.
-    # A self-query walks the centre offset (i < j) and the offsets after it,
-    # the mirror images of those before it, as (min, max) pairs.
-    centre = len(first) // 2
-    cols = [[], [], []]
-    for o in range(centre if b is None else 0, len(first)):
-        start, n_in = np.repeat(first[o], qcount), np.repeat(hits[o], qcount)
-        i = np.repeat(qorder, n_in)
-        j = border[np.repeat(start - np.cumsum(n_in) + n_in, n_in) + np.arange(len(i))]
-        if b is None and o == centre:
-            i, j = i[i < j], j[i < j]
-        elif b is None:
-            i, j = np.minimum(i, j), np.maximum(i, j)
-        for col, x in zip(cols, _within(a, pts, i, j, r)):
-            col.append(x)
-    # Each column's parts go once it is joined, which bounds the peak memory.
-    return tuple(np.concatenate(cols.pop(0)) for _ in range(3))
+    return (_within(a, pts, *_offset_pairs(grid, o, b is None), r)
+            for o in range(len(grid[3])))
 
 
 def _tree_pairs(a, b, r):
@@ -178,19 +196,21 @@ def _tree_pairs(a, b, r):
 
 
 def _pairs(a, b, r):
-    """The pairs of `close_pairs`, unsorted: the one grid-or-tree choice.
-    Points with at most three axes go to the grid, bucketing the larger
-    cloud, unless it would examine more than `GRID_LIMIT` candidates."""
+    """The pairs of `close_pairs`, unsorted, as an iterable of chunks: one
+    per neighbour offset on the grid, one from the tree.  This is the one
+    grid-or-tree choice: points with at most three axes go to the grid,
+    bucketing the larger cloud, unless it would examine more than
+    `GRID_LIMIT` candidates or its cell keys would not fit."""
     if len(a) == 0 or (b is not None and len(b) == 0):
-        return _EMPTY
+        return []
     if a.shape[1] <= 3:
         swap = b is not None and len(a) > len(b)
         q, p = (b, a) if swap else (a, b)
         grid = _grid(q, p, r)
-        if _candidates(grid) <= GRID_LIMIT:
-            i, j, dist = _grid_within(q, p, r, grid)
-            return (j, i, dist) if swap else (i, j, dist)
-    return _tree_pairs(a, b, r)
+        if grid is not None and _candidates(grid) <= GRID_LIMIT:
+            chunks = _grid_within(q, p, r, grid)
+            return ((j, i, dist) for i, j, dist in chunks) if swap else chunks
+    return [_tree_pairs(a, b, r)]
 
 
 def close_pairs(a, b=None, r: float = 0.0):
@@ -199,7 +219,9 @@ def close_pairs(a, b=None, r: float = 0.0):
     ``i < j`` only.  ``a`` and ``b`` are (n, k) arrays."""
     a = np.asarray(a, dtype=float)
     b = None if b is None else np.asarray(b, dtype=float)
-    return _by_pair(*_pairs(a, b, r))
+    # Each column's parts go once it is joined, which bounds the peak memory.
+    cols = list(zip(_EMPTY, *_pairs(a, b, r)))
+    return _by_pair(*(np.concatenate(cols.pop(0)) for _ in range(3)))
 
 
 def median(x) -> float:
@@ -253,15 +275,15 @@ def nn_distance(pts, need: int) -> np.ndarray:
     extent = median(gaps) * len(gaps) if len(gaps) else span
     r = extent / (2.0 * len(reps) ** (1.0 / k)) or 1.0
     if r < np.inf:
-        # Unsorted: `_by_pair`'s sort arrays would add to the peak memory.
-        i, j, dist = _pairs(pts[reps], None, r)
-        np.minimum.at(best, reps[np.append(i, j)], np.append(dist, dist))
+        # Each chunk of pairs is folded in as it comes, unsorted and unjoined.
+        for i, j, dist in _pairs(pts[reps], None, r):
+            np.minimum.at(best, reps[np.append(i, j)], np.append(dist, dist))
     todo = np.flatnonzero(best > r)
     while todo.size > len(pts) - need and 2.0 * r < np.inf:
         r *= 2.0
-        i, j, dist = _pairs(pts[todo], pts[reps], r)
-        other = todo[i] != reps[j]
-        np.minimum.at(best, todo[i[other]], dist[other])
+        for i, j, dist in _pairs(pts[todo], pts[reps], r):
+            other = todo[i] != reps[j]
+            np.minimum.at(best, todo[i[other]], dist[other])
         todo = todo[best[todo] > r]
     return best
 

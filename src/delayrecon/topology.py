@@ -66,13 +66,31 @@ def _grid_index(pts: np.ndarray, origin, scale: float) -> np.ndarray:
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
     """Ids 0..k-1 of the k distinct rows of an int array, in lexicographic
-    row order.  Columns are folded in one at a time and re-ranked, so each
-    integer key stays below (number of rows) x (column range)."""
-    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    row order.  Columns are folded into one mixed-radix key, ranked once;
+    where the next column would take the key past 2**62, the key and that
+    column are ranked first, each below the number of rows."""
+    key, span = np.zeros(rows.shape[0], dtype=np.int64), 1
     for col in rows.T:
-        col = col - col.min()
-        _, ids = np.unique(ids * (col.max() + 1) + col, return_inverse=True)
-    return ids
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if span * width > 2 ** 62:
+            key, col, lo = _ranks(key), _ranks(col), 0
+            span, width = int(key.max()) + 1, int(col.max()) + 1
+        key = key * width + (col - lo)
+        span *= width
+    return _ranks(key)
+
+
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """Dense ranks 0..k-1 of the k distinct values of an int array, the
+    inverse of `np.unique`, with two temporaries of its size."""
+    order = np.argsort(x)
+    x = x[order]
+    np.cumsum(x[1:] != x[:-1], out=x[1:])
+    x[:1] = 0
+    ranks = np.empty_like(x)
+    ranks[order] = x
+    return ranks
 
 
 def cover_order(cover, n_samples: int) -> int:
@@ -104,23 +122,24 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
     """Single-linkage component labels at the given distance threshold,
     numbered in the order of each component's smallest sample index.
 
-    Hook and shortcut on the close pairs of the distinct samples: every
-    root of an edge whose ends have different roots points at the smaller
-    root, then the pointers are followed until each sample points at its
-    root, until no edge joins two roots.  A root is the smallest index of
-    its component, whatever the order of the edges, and a repeated sample
-    takes the label of its first copy."""
+    Hook and shortcut on the close pairs of the distinct samples, one chunk
+    of pairs at a time as the query hands them over: every root of an edge
+    whose ends have different roots points at the smaller root, then the
+    pointers are followed until each sample points at its root, until no
+    edge of the chunk joins two roots.  Later hooks only lower roots, so an
+    earlier chunk's edges still agree.  A root is the smallest index of its
+    component, whatever the order of the edges, and a repeated sample takes
+    the label of its first copy."""
     pts = _pts(samples)
     reps, copy_of = distinct(pts)
-    i, j = (reps[x] for x in _pairs(pts[reps], None, threshold)[:2])
     root = np.arange(pts.shape[0])
-    while True:
-        ri, rj = root[i], root[j]
-        if np.array_equal(ri, rj):
-            return np.unique(root[copy_of], return_inverse=True)[1]
-        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
-        while not np.array_equal(root, root[root]):
-            root = root[root]
+    for i, j, _ in _pairs(pts[reps], None, threshold):
+        i, j = reps[i], reps[j]
+        while not np.array_equal(root[i], root[j]):
+            np.minimum.at(root, np.maximum(root[i], root[j]), np.minimum(root[i], root[j]))
+            while not np.array_equal(root, root[root]):
+                root = root[root]
+    return np.unique(root[copy_of], return_inverse=True)[1]
 
 
 def sample_resolution(samples) -> tuple[float, np.ndarray]:
@@ -160,16 +179,17 @@ def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> np.nd
     n, dim = base.shape
     steps = np.zeros((n, dim + 1, dim), dtype=int)
     steps[np.arange(n)[:, None], np.arange(1, dim + 1), axes] = 1
-    return base[:, None, :] + np.cumsum(steps, axis=1)
+    np.cumsum(steps, axis=1, out=steps)
+    steps += base[:, None, :]
+    return steps
 
 
-def _overlaps(ea, eb, pair=False):
+def _overlaps(ea, eb):
     """The distinct pairs ``(ea[i], eb[i])`` of two element ids given per
-    entry, sorted, and the number of entries with each; with ``pair``, the
-    index of each entry's pair instead."""
+    entry, sorted, and the number of entries with each."""
     radix = eb.max(initial=0) + 1
-    keys, out = np.unique(ea * radix + eb, return_inverse=pair, return_counts=not pair)
-    return keys // radix, keys % radix, out
+    keys, counts = np.unique(ea * radix + eb, return_counts=True)
+    return keys // radix, keys % radix, counts
 
 
 def _kuhn_attempt(pts: np.ndarray, cell: np.ndarray, star_scale: float):
@@ -177,19 +197,23 @@ def _kuhn_attempt(pts: np.ndarray, cell: np.ndarray, star_scale: float):
     cell id): lattice-triangulation vertex stars meet at most dim+1 at a
     point, and each star is cut into one piece per cell it meets."""
     n, dim = pts.shape
-    keys = kuhn_vertex_keys(pts, star_scale, pts.min(axis=0))
-    stars = _row_ids(keys.reshape(-1, dim)).reshape(n, dim + 1)
+    stars = _row_ids(kuhn_vertex_keys(pts, star_scale, pts.min(axis=0)).reshape(-1, dim))
+    stars = stars.reshape(n, dim + 1)
     # Drop stars whose samples lie in another star's (coverage is kept,
     # multiplicity can only drop); of equal stars the lowest id stays.  The
-    # pairs of stars one sample lies in join the star cover with itself.
+    # pairs of stars one sample lies in join the star cover with itself; a
+    # sample's vertices, so its star ids, rise with the vertex index, so
+    # each pair (a, b) comes once, with a < b.
     sizes = np.bincount(stars.ravel())
-    a, b, shared = _overlaps(stars[:, :, None], stars[:, None, :])
-    inner = (a != b) & (shared == sizes[a]) & ((sizes[b] > sizes[a]) | (b < a))
+    p, q = np.triu_indices(dim + 1, 1)
+    a, b, shared = _overlaps(stars[:, p], stars[:, q])
     keep = np.ones(len(sizes), dtype=bool)
-    keep[a[inner]] = False
+    keep[a[(shared == sizes[a]) & (sizes[b] > sizes[a])]] = False
+    keep[b[shared == sizes[b]]] = False
     sample, star = np.repeat(np.arange(n), dim + 1), stars.ravel()
     sample, star = sample[keep[star]], star[keep[star]]
-    return sample, _overlaps(star, cell[sample], pair=True)[2]
+    # An element is a (star, cell) pair, ranked in lexicographic order.
+    return sample, _ranks(star * (cell.max() + 1) + cell[sample])
 
 
 def refine_order(samples, scale: float,
@@ -248,29 +272,20 @@ def covering_dimension_estimate(samples, scales) -> DimensionEstimate:
     scales = [float(s) for s in scales]
     if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("need at least two scales in descending order")
+    if not scales[-1] > 0.0:
+        raise ValueError("covering scales must be positive")
     spacing, labels = sample_resolution(pts)
-    orders = []
-    used = []
-    notes = []
+    orders, used, notes = [], [], []
     for s in scales:
         if s < 8.0 * spacing:
             notes.append(f"scale {s:g} below sampling resolution; dropped")
             continue
-        _, order = refine_order(pts, s, labels)
-        orders.append(order)
+        orders.append(refine_order(pts, s, labels)[1])
         used.append(s)
     if not orders:
         raise ValueError("all scales below sampling resolution")
-    value = max(orders)
-    return DimensionEstimate(
-        value=int(value),
-        scales=used,
-        counts=orders,
-        residual=0.0,
-        method="covering-heuristic",
-        heuristic=True,
-        notes=notes,
-    )
+    return DimensionEstimate(value=int(max(orders)), scales=used, counts=orders, residual=0.0,
+                             method="covering-heuristic", heuristic=True, notes=notes)
 
 
 def _box_counts(pts: np.ndarray, scales) -> list[int]:

@@ -1,9 +1,20 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import delayrecon as dr
+
+
+def peak_memory(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and the tracemalloc
+    peak, in bytes, of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,8 @@ from delayrecon import cli, systems, topology
 from delayrecon.delay import read_delay_csv
 from delayrecon.genericity import MARGIN_TOL
 from delayrecon.systems import MAX_ODOMETER_DIGITS
+
+from conftest import peak_memory
 
 HENON = {"kind": "henon", "a": 1.4, "b": 0.3}
 COORD = {"variant": "coordinate", "index": 0, "lo": -1.5, "hi": 1.5}
@@ -259,14 +260,25 @@ class TestDimension:
             "seed": 1, "system": {"kind": "odometer", "base": 3, "digits": 3},
             "trajectory": {"x0": [0.0, 0.0, 0.0], "n": 5000},
             "scales": [1.0, 0.1, 0.01], "covering_scales": [1.0, 0.5]})
-        tracemalloc.start()
-        try:
-            assert run("dimension", cfg, tmp_path) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        code, peak = peak_memory(run, "dimension", cfg, tmp_path)
+        assert code == 0 and peak < 4e6
         assert json.loads((tmp_path / "dimension.json").read_text())["covering"]["value"] == 0
+
+    def test_lorenz_run_peak_memory(self, tmp_path):
+        # The dimension bench's Lorenz config at seed 7; the first run loads
+        # what a process loads once.  Pair queries that hand over one
+        # neighbour offset's pairs at a time, self-query grids with forward
+        # rows only and a Kuhn star join on unordered pairs keep the second
+        # run's tracemalloc peak near 6.1 MB, where it read 10.4-11 MB.
+        cfg = write_config(tmp_path, {
+            "seed": 7, "system": {"kind": "flow", "field": "lorenz", "dt": 0.02,
+                                  "substep": 0.01},
+            "trajectory": {"x0": [1.0, 1.0, 20.0], "n": 20_000, "transient": 500},
+            "scales": [16.0, 8.0, 4.0, 2.0, 1.0, 0.5], "covering_scales": [16.0, 8.0]})
+        assert run("dimension", cfg, tmp_path) == 0
+        code, peak = peak_memory(run, "dimension", cfg, tmp_path)
+        assert code == 0 and peak < 7e6
+        assert json.loads((tmp_path / "dimension.json").read_text())["covering"]["value"] == 3
 
     def test_degenerate_fit_writes_null_residual(self, tmp_path):
         # A fixed point occupies one box at every scale: the fit has no
@@ -753,11 +765,12 @@ class TestErrors:
          "need at least two scales in descending order"),
         ("dimension", "covering_scales", [1.0], "need at least two scales in descending order"),
         ("dimension", "covering_scales", [1e-6, 1e-7], "all scales below sampling resolution"),
+        ("dimension", "covering_scales", [16.0, -8.0], "covering scales must be positive"),
         ("embed", "trajectory.x0", [0.1, 0.1, 0.3], "henon(a=1.4,b=0.3): state dimension 3 != 2"),
         ("embed", "trajectory.x0", [10, 0.1], "henon(a=1.4,b=0.3): state outside domain box"),
         ("yorke", "d", 0, "d must be >= 1"),
     ], ids=["scales-span", "covering-ascending", "covering-one", "covering-unresolved",
-            "x0-dimension", "x0-outside", "yorke-d-zero"])
+            "covering-negative", "x0-dimension", "x0-outside", "yorke-d-zero"])
     def test_library_error_names_its_field(self, tmp_path, base_config, capsys, cmd,
                                            field, value, message):
         # The library's message, named as `Registered.from_dict` names a

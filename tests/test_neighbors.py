@@ -71,7 +71,7 @@ def brute_nn(pts):
 
 
 def grid(a, b, r):
-    return _by_pair(*_grid_within(a, b, r))
+    return _by_pair(*(np.concatenate(c) for c in zip(*_grid_within(a, b, r))))
 
 
 def tree(a, b, r):
@@ -180,6 +180,30 @@ def test_backend_follows_grid_work(monkeypatch):
     close_pairs(np.zeros((n, 2)), r=0.0)
     close_pairs(np.zeros((10, 4)), r=0.1)
     assert calls == ["grid", "grid", "tree", "tree"]
+
+
+def test_cell_keys_past_the_limit_go_to_the_tree(monkeypatch):
+    # Two points 0.1 apart every 0.6 along the diagonal: at r = 0.5 their
+    # cell keys take (cells on x) x (cells on y) x (cells on z) values, 3.2e7
+    # here.  Keys reaching `_KEY_LIMIT` would wrap in int64 and lose pairs,
+    # as 2.2e6 such points past 2**61 did (1 623 of 2 200 found); that grid
+    # goes to the tree, and at the limit itself the grid finds every pair.
+    t = np.arange(300) * 0.6
+    pts = np.concatenate([np.stack([t, t, t], axis=1), np.stack([t + 0.1, t, t], axis=1)])
+    side = 0.5 * (1.0 + 1e-9) + np.abs(pts).max() * 2.0 ** -50 + 1e-150
+    radix = math.prod(len(np.unique(np.floor(x / side))) for x in pts.T)
+    i, j, dist = brute_pairs(pts, pts, 0.5)
+    want = i[i < j], j[i < j], dist[i < j]
+    calls = []
+    monkeypatch.setattr(neighbors, "_grid_within",
+                        lambda *args: calls.append("grid") or _grid_within(*args))
+    monkeypatch.setattr(neighbors, "_tree_pairs",
+                        lambda *args: calls.append("tree") or _tree_pairs(*args))
+    for limit in (radix, radix - 1):
+        monkeypatch.setattr(neighbors, "_KEY_LIMIT", limit)
+        assert_same(close_pairs(pts, r=0.5), want)
+        assert neighbors._grid(pts, None, 0.5) is None or limit == radix
+    assert calls == ["grid", "tree"] and len(want[0]) == 300
 
 
 def test_candidate_count_before_building():
@@ -291,9 +315,16 @@ def test_nn_distance_resolves_what_is_needed(pts, data, limit):
 @settings(deadline=None)
 @given(clouds())
 def test_self_query_grid_is_the_cross_query_grid(cloud):
-    # A self-query takes b's cell order from the query sort; a copy of the
-    # points is bucketed anew, and every table agrees.
+    # A self-query takes b's cell order from the query sort and builds the
+    # centre and forward rows only; a copy of the points is bucketed anew,
+    # with all 3**k rows, and the self-query's tables are its last rows.
     pts, r = cloud
-    for own, copy in zip(neighbors._grid(pts, None, r),
-                         neighbors._grid(pts, pts.copy(), r)):
-        assert np.array_equal(own, copy)
+    own = neighbors._grid(pts, None, r)
+    copy = neighbors._grid(pts, pts.copy(), r)
+    assert own[1] is own[0]
+    for x, y in zip(own[:3], copy[:3]):
+        assert np.array_equal(x, y)
+    rows = 3 ** min(pts.shape[1], 3)
+    for x, y in zip(own[3:], copy[3:]):
+        assert len(y) == rows and np.array_equal(x, y[rows // 2:])
+    assert neighbors._candidates(own) == neighbors._candidates(copy)

@@ -2,7 +2,6 @@
 check."""
 
 import math
-import tracemalloc
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from delayrecon.topology import (
     UncoveredSampleError,
     _grid_index,
     _kuhn_attempt,
+    _row_ids,
     box_counting,
     cover_order,
     covering_dimension_estimate,
@@ -33,7 +33,7 @@ from delayrecon.topology import (
     sample_resolution,
 )
 
-from conftest import cantor_cube, cantor_left_endpoints
+from conftest import cantor_cube, cantor_left_endpoints, peak_memory
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)  # 0.6309...
 
@@ -226,6 +226,16 @@ def reference_mesh_membership(pts, scale, origin):
 
 
 class TestMeshCover:
+    @pytest.mark.parametrize("width", [3, 2 ** 40, 2 ** 53])
+    def test_row_ids_are_lexicographic_ranks(self, width):
+        # Columns up to 2**53 wide, past where a key of (rows) x (column
+        # range) fits an int64: the key and the column are ranked first.
+        rng = np.random.default_rng(width)
+        rows = rng.integers(-width // 2, width // 2, (3000, 3))
+        rows = np.concatenate([rows, rows[:500, :], rows[:7] + [0, 0, 1]])
+        ref = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(_row_ids(rows), ref)
+
     def test_covers_and_partitions(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, (200, 2))
@@ -285,19 +295,15 @@ class TestResolutionHelpers:
 
     def test_sample_resolution_peak_memory(self):
         # The dimension bench's 2e4 Lorenz states.  Pairing each distinct
-        # point once and building one neighbour offset's grid keys at a time
-        # keeps the tracemalloc peak near 10 MB; a first round that pairs
-        # all points with all points, with every offset's keys held at once,
-        # takes it above 15 MB.
+        # point once, folding in one neighbour offset's pairs at a time and
+        # building a self-query's forward rows only keeps the tracemalloc
+        # peak near 5.6 MB.  Joining each query's pairs before folding them,
+        # with all 27 rows of int64 tables, took it to 9.8 MB; a first round
+        # that paired all points with all points, with every offset's keys
+        # held at once, above 15 MB.
         sys_ = dr.SampledFlow(field="lorenz", dt=0.02, substep=0.01)
         pts = dr.iterate(sys_, np.array([1.0, 1.0, 20.0]), 20_500).states[500:]
-        tracemalloc.start()
-        try:
-            sample_resolution(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12.5e6
+        assert peak_memory(sample_resolution, pts)[1] < 6.5e6
 
     def test_linkage_components_split_at_gap(self):
         pts = np.concatenate([np.linspace(0, 1, 20),
@@ -466,6 +472,11 @@ class TestCoveringEstimate:
         pts = np.linspace(0, 1, 20)[:, None]
         with pytest.raises(ValueError):
             covering_dimension_estimate(pts, [1e-3, 1e-4])
+
+    @pytest.mark.parametrize("scales", [[16.0, -8.0], [1.0, 0.0], [-1.0, -2.0]])
+    def test_nonpositive_scale_rejected(self, scales):
+        with pytest.raises(ValueError, match="covering scales must be positive"):
+            covering_dimension_estimate(np.linspace(0, 1, 20)[:, None], scales)
 
 
 class TestBoxCounting:
