@@ -48,8 +48,9 @@ import numpy as np
 # candidates (1.2e5 points), uniform 3-D points at 4.8e6-6.8e6 (2e4-2.75e4
 # points).
 GRID_LIMIT = 3_500_000
-# Candidates whose coordinate differences `_within` takes at once.
-_CHUNK = 1 << 16
+# Candidates whose coordinate differences `_within` takes at once: 2**14
+# keeps their copies near 0.25 MB, under a grid chunk's own index arrays.
+_CHUNK = 1 << 14
 # Grid cell keys are mixed-radix numbers below this; an axis whose neighbour
 # cell is absent adds its negative, and three such still sum above int64's
 # minimum.  A grid whose keys would reach it goes to the tree.
@@ -135,10 +136,9 @@ def _grid(a, b, r):
     start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
     cells, count = keys[start], np.diff(np.append(start, len(pts)))
     # One offset's keys at a time, in the order of the axes' offsets
-    # (-1, 0, 1) with the first axis slowest; positions in b and counts fit
-    # int32 below 2**31 points.
+    # (-1, 0, 1) with the first axis slowest.
     shifts = list(np.ndindex((3,) * k))[3 ** k // 2 if b is None else 0:]
-    first, n_in = np.empty((2, len(shifts), len(cq)), np.int32 if len(pts) < 2 ** 31 else int)
+    first, n_in = np.empty((2, len(shifts), len(cq)), dtype=np.int64)
     for o, shift in enumerate(shifts):
         key = sum(part[s] for part, s in zip(parts, shift))
         slot = np.minimum(np.searchsorted(cells, key), len(cells) - 1)
