@@ -196,7 +196,7 @@ def _tree_pairs(a, b, r):
 
 
 def _pairs(a, b, r):
-    """The pairs of `close_pairs`, unsorted, as an iterable of chunks: one
+    """The pairs of `close_pairs`, unsorted, as an iterator of chunks: one
     per neighbour offset on the grid, one from the tree.  This is the one
     grid-or-tree choice: points with at most three axes go to the grid,
     bucketing the larger cloud, unless it would examine more than
@@ -210,7 +210,8 @@ def _pairs(a, b, r):
         if grid is not None and _candidates(grid) <= GRID_LIMIT:
             chunks = _grid_within(q, p, r, grid)
             return ((j, i, dist) for i, j, dist in chunks) if swap else chunks
-    return [_tree_pairs(a, b, r)]
+    # Lazily, so the KD-tree query runs once a rejected grid is gone.
+    return map(_tree_pairs, [a], [b], [r])
 
 
 def close_pairs(a, b=None, r: float = 0.0):

@@ -71,8 +71,7 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     column are ranked first, each below the number of rows."""
     key, span = np.zeros(rows.shape[0], dtype=np.int64), 1
     for col in rows.T:
-        lo = int(col.min())
-        width = int(col.max()) - lo + 1
+        lo, width = int(col.min()), int(np.ptp(col)) + 1
         if span * width > 2 ** 62:
             key, col, lo = _ranks(key), _ranks(col), 0
             span, width = int(key.max()) + 1, int(col.max()) + 1
@@ -83,7 +82,7 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
 
 def _ranks(x: np.ndarray) -> np.ndarray:
     """Dense ranks 0..k-1 of the k distinct values of an int array, the
-    inverse of `np.unique`, with two temporaries of its size."""
+    inverse of `np.unique`, through two temporaries of its size."""
     order = np.argsort(x)
     x = x[order]
     np.cumsum(x[1:] != x[:-1], out=x[1:])
@@ -133,8 +132,9 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
     pts = _pts(samples)
     reps, copy_of = distinct(pts)
     root = np.arange(pts.shape[0])
-    for i, j, _ in _pairs(pts[reps], None, threshold):
-        i, j = reps[i], reps[j]
+    # A chunk's own arrays go as soon as its ends are mapped to samples.
+    ends = map(lambda c: (reps[c[0]], reps[c[1]]), _pairs(pts[reps], None, threshold))
+    for i, j in ends:
         while not np.array_equal(root[i], root[j]):
             np.minimum.at(root, np.maximum(root[i], root[j]), np.minimum(root[i], root[j]))
             while not np.array_equal(root, root[root]):

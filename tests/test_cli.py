@@ -269,7 +269,7 @@ class TestDimension:
         # what a process loads once.  Pair queries that hand over one
         # neighbour offset's pairs at a time, self-query grids with forward
         # rows only and a Kuhn star join on unordered pairs keep the second
-        # run's tracemalloc peak near 6.6 MB, where it read 10.4-11 MB.
+        # run's tracemalloc peak near 6.3 MB, where it read 10.4-11 MB.
         cfg = write_config(tmp_path, {
             "seed": 7, "system": {"kind": "flow", "field": "lorenz", "dt": 0.02,
                                   "substep": 0.01},

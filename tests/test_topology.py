@@ -297,7 +297,7 @@ class TestResolutionHelpers:
         # The dimension bench's 2e4 Lorenz states.  Pairing each distinct
         # point once, folding in one neighbour offset's pairs at a time and
         # building a self-query's forward rows only keeps the tracemalloc
-        # peak near 6.1 MB.  Joining each query's pairs before folding them,
+        # peak near 5.8 MB.  Joining each query's pairs before folding them,
         # with all 27 rows of int64 tables, took it to 9.8 MB; a first round
         # that paired all points with all points, with every offset's keys
         # held at once, above 15 MB.
