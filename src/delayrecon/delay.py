@@ -63,17 +63,13 @@ def delay_matrix(h: Observable, traj: Trajectory, m: int) -> np.ndarray:
     return series[idx]
 
 
-def write_csv(path, header, rows, tags=None) -> None:
+def write_csv(path, header, rows) -> None:
     """CSV with one line per row of ``rows``, each value written as ``.17g``
-    (enough digits to round-trip), LF endings; ``tags``, when given, is a
-    last text column."""
+    (enough digits to round-trip), LF endings."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i, row in enumerate(rows):
-            cells = [format(v, ".17g") for v in row]
-            if tags is not None:
-                cells.append(tags[i])
-            fh.write(",".join(cells) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def write_delay_csv(path, mat: np.ndarray) -> None:

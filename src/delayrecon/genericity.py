@@ -13,6 +13,7 @@ The theorem's periodic-set hypothesis is checked once, by
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import (
     TrigPolynomial,
     sup_distance,
 )
-from .delay import delay_vectors, orbits, write_csv
+from .delay import delay_vectors, orbits, read_delay_csv, write_csv
 from .neighbors import close_pairs, first_found, nn_distance
 from .systems import System, detect_period
 
@@ -52,16 +53,13 @@ class PerturbationError(RuntimeError):
 class PairSet:
     """Finite surrogate for a compact off-diagonal pair set.
 
-    Every pair is separated by at least ``delta`` and carries a class tag,
-    C1 (both aperiodic), C2 (both periodic) or C3 (mixed).  `sample_pairs`
-    tags every pair C1; `perturb_to_compatible` reads no tag and classifies
-    each member itself with `detect_period`.
+    Every pair is separated by at least ``delta``.  `perturb_to_compatible`
+    classifies each member itself with `detect_period`.
     """
 
     xs: np.ndarray  # (n, k)
     ys: np.ndarray  # (n, k)
     delta: float
-    tags: tuple[str, ...]
     complete: bool = True  # False when fewer pairs than requested exist
 
     def __post_init__(self):
@@ -71,10 +69,6 @@ class PairSet:
         object.__setattr__(self, "ys", ys)
         if xs.shape != ys.shape:
             raise ValueError("pair sides must have matching shapes")
-        if len(self.tags) != xs.shape[0]:
-            raise ValueError("one class tag per pair required")
-        if any(t not in ("C1", "C2", "C3") for t in self.tags):
-            raise ValueError("tags must be C1, C2 or C3")
         if self.delta <= 0.0:
             raise ValueError("separation delta must be positive")
         sep = np.linalg.norm(xs - ys, axis=1)
@@ -86,16 +80,14 @@ class PairSet:
 
     def write_csv(self, path) -> None:
         k = self.xs.shape[1]
-        header = [f"x{j}" for j in range(k)] + [f"y{j}" for j in range(k)] + ["tag"]
-        write_csv(path, header, np.hstack([self.xs, self.ys]), self.tags)
+        header = [f"x{j}" for j in range(k)] + [f"y{j}" for j in range(k)]
+        write_csv(path, header, np.hstack([self.xs, self.ys]))
 
     @classmethod
     def read_csv(cls, path, delta: float) -> "PairSet":
-        """The pairs of a file written by `write_csv`: x and y columns, then
-        the tag, read as `delay.read_delay_csv` reads its rows."""
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=str, ndmin=2)
-        xy = np.split(rows[:, :-1].astype(float), 2, axis=1)
-        return cls(*xy, delta, tuple(rows[:, -1].tolist()))
+        """The pairs of a file written by `write_csv`: the x columns, then
+        the y columns."""
+        return cls(*np.split(read_delay_csv(path), 2, axis=1), delta)
 
 
 @dataclass
@@ -125,9 +117,11 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
                  seed: int = 0, min_index_gap: int = 0) -> PairSet:
     """Uniformly sample delta-separated pairs from a point cloud.
 
-    Every pair is tagged C1.  Deterministic for a fixed seed.  If ``count``
-    pairs cannot be realized in 200 draws per pair, the result is shorter
-    and flagged incomplete.  ``sys`` is not used.
+    Each draw takes two indices ``int(u * n)`` from successive
+    ``random.Random(seed).random()`` values u, the one stream Python keeps
+    the same across versions, so a seed gives the same pairs everywhere.
+    If ``count`` pairs cannot be realized in 200 draws per pair, the result
+    is shorter and flagged incomplete.  ``sys`` is not used.
 
     When the samples are consecutive trajectory states, members drawn at
     nearby indices share forward orbit points exactly; ``min_index_gap``
@@ -138,26 +132,27 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two samples to form pairs")
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed).random
+    gap = min_index_gap
     xs, ys = [], []
-    blocked = np.zeros(n, dtype=bool)  # within min_index_gap of a used index
+    blocked = bytearray(n)  # nonzero within gap of a used index
     for _ in range(200 * count):
         if len(xs) >= count:
             break
-        i, j = rng.integers(0, n, size=2)
-        if i == j or np.linalg.norm(pts[i] - pts[j]) < delta:
+        i, j = int(draw() * n), int(draw() * n)
+        # The index tests first: near saturation almost every draw fails one.
+        if (abs(i - j) <= gap or blocked[i] or blocked[j]
+                or math.dist(pts[i], pts[j]) < delta):
             continue
-        if min_index_gap > 0:
-            if abs(int(i) - int(j)) <= min_index_gap or blocked[i] or blocked[j]:
-                continue
+        if gap > 0:
             for u in (i, j):
-                blocked[max(0, u - min_index_gap):u + min_index_gap + 1] = True
-        xs.append(pts[i])
-        ys.append(pts[j])
+                lo, hi = max(0, u - gap), min(n, u + gap + 1)
+                blocked[lo:hi] = b"\x01" * (hi - lo)
+        xs.append(i)
+        ys.append(j)
     if not xs:
         raise ValueError(f"no pair at separation {delta} could be sampled")
-    return PairSet(np.asarray(xs), np.asarray(ys), delta, ("C1",) * len(xs),
-                   complete=len(xs) >= count)
+    return PairSet(pts[xs], pts[ys], delta, complete=len(xs) >= count)
 
 
 def compatibility_margin(h: Observable, sys: System, K: PairSet,
@@ -237,7 +232,7 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
 
     gp_margin = min(1e-3, 0.1 * eps)
     amp = 0.45 * eps
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     x_anchor, y_anchor = np.split(assign, 2)
     if np.any(x_anchor == y_anchor):
         raise PerturbationError(
@@ -245,8 +240,8 @@ def perturb_to_compatible(h_base: Observable, eps: float, K: PairSet,
     probe = np.concatenate([orbit_pts, members])
 
     for _ in range(60):
-        targets = np.clip(base_along + rng.uniform(-amp, amp, size=base_along.size),
-                          0.0, 1.0)
+        offsets = [rng.uniform(-amp, amp) for _ in range(base_along.size)]
+        targets = np.clip(base_along + offsets, 0.0, 1.0)
         gaps = np.abs(targets[ext[x_anchor]] - targets[ext[y_anchor]]).max(axis=1)
         if not np.all(gaps >= gp_margin):
             continue
@@ -294,11 +289,13 @@ def _trial_gaps(sys: System, K: PairSet, m: int, trials: int, bump_scale: float,
     angle addition rounds differently from `TrigPolynomial._values`: the
     gaps agree with it to about 1e-16, not bitwise.
     """
+    # Made first, so `numpy.random` is imported before the basis arrays
+    # exist: made after them, the bench's genericity run peaks 0.14 MB higher.
+    rng = np.random.default_rng(seed)
     states = orbits(sys, np.concatenate([K.xs, K.ys]), m).reshape(-1, sys.ambient_dim)
     angles = 2.0 * math.pi * np.arange(1, BUMP_MAX_FREQ + 1)[:, None, None] * states.T
     basis = np.stack([np.cos(angles), np.sin(angles)]).reshape(-1, states.shape[0])
     base_vals = base.evaluate(states)
-    rng = np.random.default_rng(seed)
     gaps = np.empty(trials)
     for t in range(trials):
         bump = random_trig_bump(rng, sys.ambient_dim, bump_scale)

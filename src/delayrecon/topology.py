@@ -308,11 +308,12 @@ def _fit_slope(scales, counts) -> tuple[float, float | None]:
     with no residual (JSON null)."""
     if len(set(counts)) == 1:
         return 0.0, None
+    # The closed-form line: `np.polyfit` would load LAPACK's least squares.
     x = np.log(1.0 / np.asarray(scales, dtype=float))
     y = np.log(np.asarray(counts, dtype=float))
-    coef, res = np.polyfit(x, y, 1, full=True)[:2]
-    residual = float(res[0]) if len(res) else 0.0
-    return float(coef[0]), residual
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    return slope, float(np.sum((dy - slope * dx) ** 2))
 
 
 def box_counting(samples, scales) -> DimensionEstimate:

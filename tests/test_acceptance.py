@@ -108,8 +108,7 @@ def test_criterion_4_dimension_economy():
     rot = dr.CircleRotation(0.21)
     h_even = dr.TrigPolynomial(terms=((1.0, 1, 0, 0.0),), amplitude=0.5)
     xs = np.array([[0.05], [0.1], [0.2], [0.3]])
-    K = PairSet(xs, 1.0 - xs, delta=0.4,
-                tags=("C1", "C1", "C1", "C1"))
+    K = PairSet(xs, 1.0 - xs, delta=0.4)
     m1 = compatibility_margin(h_even, rot, K, 1).margin
     m3 = compatibility_margin(h_even, rot, K, 3).margin
     assert m1 < 1e-12

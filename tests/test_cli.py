@@ -382,17 +382,18 @@ def package_env():
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
-def scipy_modules_after(tmp_path, command, config):
+def lazy_modules_after(tmp_path, command, config):
     """Run ``command`` on ``config`` in a fresh interpreter; returns the scipy
-    modules and ``numpy.ma`` (which `np.median` imports) if loaded after
-    ``import delayrecon.cli``, the exit code, and the same modules loaded
-    after the run."""
+    and ``numpy.random`` modules and ``numpy.ma`` (which `np.median` imports)
+    if loaded after ``import delayrecon.cli``, the exit code, and the same
+    modules loaded after the run."""
     cfg = write_config(tmp_path, config)
     script = (
         "import json, sys\n"
         "import delayrecon.cli\n"
         "def loaded(): return [m for m in sys.modules\n"
-        "                      if m.startswith('scipy') or m == 'numpy.ma']\n"
+        "                      if m.startswith(('scipy', 'numpy.random'))\n"
+        "                      or m == 'numpy.ma']\n"
         "after_import = loaded()\n"
         "code = delayrecon.cli.main([sys.argv[1], '--config', sys.argv[2],\n"
         "                            '--out', sys.argv[3], '--quiet'])\n"
@@ -406,8 +407,10 @@ def scipy_modules_after(tmp_path, command, config):
 class TestImports:
     def test_no_scipy_until_a_stage_needs_it(self, tmp_path):
         """Importing the CLI loads no scipy module, and neither does a
-        genericity run, which builds no KD-tree or sparse matrix."""
-        after_import, code, after_run = scipy_modules_after(tmp_path, "genericity", {
+        genericity run, which builds no KD-tree or sparse matrix.  Its
+        random bumps come from NumPy's Generator, so it loads
+        ``numpy.random``, which nothing else loads."""
+        after_import, code, after_run = lazy_modules_after(tmp_path, "genericity", {
             "seed": 3, "system": HENON,
             "observable": {"variant": "constant", "value": 0.5}, "d": 1,
             "trajectory": {"x0": [0.1, 0.1], "n": 500, "transient": 100},
@@ -415,7 +418,8 @@ class TestImports:
         })
         assert after_import == []
         assert code == 0
-        assert after_run == []
+        assert "numpy.random" in after_run
+        assert all(m.startswith("numpy.random") for m in after_run)
         assert (tmp_path / "genericity.json").is_file()
 
     @pytest.mark.parametrize("command, config, artifact", [
@@ -426,13 +430,19 @@ class TestImports:
          "perturb_report.json"),
         ("hypothesis", {"seed": 3, "system": {"kind": "catmap"}, "d": 3,
                         "n_seeds": 100}, "hypothesis.json"),
+        ("margin", {"seed": 3, "system": HENON,
+                    "observable": COORD, "d": 1,
+                    "trajectory": {"x0": [0.1, 0.1], "n": 500, "transient": 100},
+                    "pairs": {"delta": 0.01, "count": 40}}, "margin.json"),
     ])
     def test_no_scipy_in_small_neighbour_queries(self, tmp_path, command, config,
                                                  artifact):
         """Perturb and hypothesis runs make only small neighbour queries
         (anchor supports, nearest-neighbour spacing), which the NumPy grid
-        of `delayrecon.neighbors` answers, so they load no scipy module."""
-        after_import, code, after_run = scipy_modules_after(tmp_path, command, config)
+        of `delayrecon.neighbors` answers, so they load no scipy module.
+        Pair and target draws come from the standard library's `random`, so
+        perturb and margin runs load no ``numpy.random`` either."""
+        after_import, code, after_run = lazy_modules_after(tmp_path, command, config)
         assert after_import == []
         assert code == 0
         assert after_run == []
@@ -442,8 +452,8 @@ class TestImports:
         """A dimension run on 2e4 Lorenz states keeps its covers as NumPy
         index pairs, labels linkage components in NumPy, and answers its
         neighbour queries on the grid, which the attractor's shape keeps
-        small: it loads no scipy module."""
-        after_import, code, after_run = scipy_modules_after(tmp_path, "dimension", {
+        small: it loads no scipy module, and no ``numpy.random``."""
+        after_import, code, after_run = lazy_modules_after(tmp_path, "dimension", {
             "seed": 7,
             "system": {"kind": "flow", "field": "lorenz", "dt": 0.02, "substep": 0.01},
             "trajectory": {"x0": [1.0, 1.0, 20.0], "n": 20_000, "transient": 500},

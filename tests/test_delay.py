@@ -224,7 +224,7 @@ class TestOrbitErrorParity:
 
     def test_margin_raises_like_the_reference(self):
         sys = StrictHenon()
-        K = dr.PairSet(self.INSIDE, self.ESCAPES[::-1], 0.01, ("C1", "C1"))
+        K = dr.PairSet(self.INSIDE, self.ESCAPES[::-1], 0.01)
         assert np.array_equal(compatibility_margin(self.H, sys, K, 2).per_pair,
                               reference_per_pair(self.H, sys, K, 2))
         new = self.raised(compatibility_margin, self.H, sys, K, 3)

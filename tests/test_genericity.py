@@ -1,6 +1,9 @@
 """Pair sets, compatibility margins, and the separation-restoring
 perturbation construction."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,25 +89,25 @@ def merge_inputs(draw):
 
 
 def reference_sample_pairs(samples, delta, count, seed=0, max_tries=200, min_index_gap=0):
-    """`sample_pairs` with the scan over used indices it replaces; returns
-    (xs, ys, complete)."""
+    """`sample_pairs` with the scan over used indices it replaces, drawing
+    from the same `random.Random` stream; returns (xs, ys, complete)."""
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     n = pts.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     xs, ys, used = [], [], []
     for _ in range(max_tries * count):
         if len(xs) >= count:
             break
-        i, j = rng.integers(0, n, size=2)
-        if i == j or np.linalg.norm(pts[i] - pts[j]) < delta:
+        i, j = math.floor(rng.random() * n), math.floor(rng.random() * n)
+        if i == j or math.dist(pts[i], pts[j]) < delta:
             continue
         if min_index_gap > 0:
-            if abs(int(i) - int(j)) <= min_index_gap:
+            if abs(i - j) <= min_index_gap:
                 continue
-            if any(abs(int(i) - u) <= min_index_gap
-                   or abs(int(j) - u) <= min_index_gap for u in used):
+            if any(abs(i - u) <= min_index_gap or abs(j - u) <= min_index_gap
+                   for u in used):
                 continue
-            used.extend((int(i), int(j)))
+            used.extend((i, j))
         xs.append(pts[i])
         ys.append(pts[j])
     return np.asarray(xs), np.asarray(ys), len(xs) >= count
@@ -119,13 +122,7 @@ def henon_pairs(henon, henon_samples):
 class TestPairSet:
     def test_separation_enforced(self):
         with pytest.raises(ValueError):
-            PairSet(np.array([[0.0]]), np.array([[0.005]]), delta=0.01,
-                    tags=("C1",))
-
-    def test_tag_validation(self):
-        with pytest.raises(ValueError):
-            PairSet(np.array([[0.0]]), np.array([[1.0]]), delta=0.5,
-                    tags=("C9",))
+            PairSet(np.array([[0.0]]), np.array([[0.005]]), delta=0.01)
 
     def test_csv_round_trip(self, tmp_path, henon_pairs):
         path = tmp_path / "pairs.csv"
@@ -133,12 +130,11 @@ class TestPairSet:
         back = PairSet.read_csv(path, delta=henon_pairs.delta)
         assert np.array_equal(back.xs, henon_pairs.xs)
         assert np.array_equal(back.ys, henon_pairs.ys)
-        assert back.tags == henon_pairs.tags
-        # One pair of 1-D states is one row of three columns.
-        PairSet(np.array([[0.25]]), np.array([[0.75]]), 0.5, ("C3",)).write_csv(path)
+        # One pair of 1-D states is one row of two columns.
+        PairSet(np.array([[0.25]]), np.array([[0.75]]), 0.5).write_csv(path)
+        assert path.read_text() == "x0,y0\n0.25,0.75\n"
         back = PairSet.read_csv(path, delta=0.5)
-        assert (back.xs.tolist(), back.ys.tolist(), back.tags) == ([[0.25]], [[0.75]],
-                                                                   ("C3",))
+        assert (back.xs.tolist(), back.ys.tolist()) == ([[0.25]], [[0.75]])
 
 
 class TestSamplePairs:
@@ -150,17 +146,6 @@ class TestSamplePairs:
     def test_all_pairs_separated(self, henon_pairs):
         sep = np.linalg.norm(henon_pairs.xs - henon_pairs.ys, axis=1)
         assert np.all(sep >= 1e-2)
-
-    def test_every_pair_tagged_c1(self, henon):
-        # Pairs that touch a fixed point are tagged C1 too: `sample_pairs`
-        # does not classify members, `perturb_to_compatible` does.
-        fp = henon.fixed_points()[0]
-        cloud = np.concatenate([[fp], np.random.default_rng(0).uniform(
-            -0.4, 0.4, (9, 2))])
-        K = sample_pairs(cloud, 0.05, 20, sys=henon, seed=1)
-        assert any(np.array_equal(x, fp) or np.array_equal(y, fp)
-                   for x, y in zip(K.xs, K.ys))
-        assert K.tags == ("C1",) * len(K)
 
     def test_index_gap_keeps_orbit_segments_apart(self, henon, henon_samples):
         K = sample_pairs(henon_samples, 1e-2, 150, sys=henon, seed=5,
@@ -201,6 +186,35 @@ class TestSamplePairs:
         cloud = np.linspace(0.0, 1.0, 6)[:, None]
         K = sample_pairs(cloud, 0.1, 50, seed=0, min_index_gap=1)
         assert not K.complete and len(K) < 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations(range(40)), st.integers(0, 2**64),
+           st.floats(1e-3, 0.5), st.integers(0, 4), st.integers(1, 30))
+    def test_pairs_separated_gapped_and_seeded(self, order, seed, delta, gap, count):
+        # The first coordinate of state i encodes i, the second scatters the
+        # distances; two runs from one seed must agree, including on failure.
+        cloud = np.column_stack([order, np.sin(np.arange(40.0) * 7.3)]) / 40.0
+
+        def sampled():
+            try:
+                return sample_pairs(cloud, delta, count, seed=seed, min_index_gap=gap)
+            except ValueError:  # no draw was admissible
+                return None
+
+        K, again = sampled(), sampled()
+        if K is None:
+            assert again is None
+            return
+        assert np.array_equal(K.xs, again.xs) and np.array_equal(K.ys, again.ys)
+        assert K.complete == again.complete == (len(K) == count)
+        assert all(math.dist(x, y) >= delta for x, y in zip(K.xs, K.ys))
+        index = {round(40 * v): i for i, v in enumerate(cloud[:, 0])}
+        i, j = (np.array([index[round(40 * v)] for v in side[:, 0]])
+                for side in (K.xs, K.ys))
+        assert np.all(np.abs(i - j) > gap)
+        if gap > 0:
+            used = np.sort(np.concatenate([i, j]))
+            assert np.all(np.diff(used) > gap)
 
 
 class TestMargin:
@@ -339,20 +353,20 @@ class TestPerturbation:
         rot = dr.CircleRotation(0.25)
         xs = np.array([[0.05], [0.15]])
         ys = np.array([[0.6], [0.7]])
-        K = PairSet(xs, ys, delta=0.5, tags=("C2", "C2"))
+        K = PairSet(xs, ys, delta=0.5)
         f, _ = perturb_to_compatible(dr.Constant(0.5), 0.08, K, rot, d=2, seed=2)
         assert compatibility_margin(f, rot, K, 5).margin > MARGIN_TOL
 
     def test_coincident_pair_members_rejected(self, henon):
         x = np.array([[0.1, 0.1]])
-        K = PairSet(x, x + 1e-12, delta=1e-13, tags=("C1",))
+        K = PairSet(x, x + 1e-12, delta=1e-13)
         with pytest.raises(PerturbationError):
             perturb_to_compatible(dr.Constant(0.5), 0.05, K, henon, d=1)
 
     def test_shared_orbit_points_rejected(self, henon):
         x = np.array([0.1, 0.1])
         y = henon.step(x)  # y's orbit is x's orbit shifted by one
-        K = PairSet(x[None, :], y[None, :], delta=0.1, tags=("C1",))
+        K = PairSet(x[None, :], y[None, :], delta=0.1)
         with pytest.raises(PerturbationError, match="disjoint"):
             perturb_to_compatible(dr.Constant(0.5), 0.05, K, henon, d=1)
 

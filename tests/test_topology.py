@@ -17,6 +17,7 @@ from delayrecon.systems import MAX_ODOMETER_DIGITS
 from delayrecon.topology import (
     MAX_GRID_SEEDS,
     UncoveredSampleError,
+    _fit_slope,
     _grid_index,
     _kuhn_attempt,
     _row_ids,
@@ -522,6 +523,22 @@ class TestBoxCounting:
         assert est.value == 0.0
         assert est.residual is None
         assert est.notes == ["degenerate fit: all occupancy counts equal"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 10**7), min_size=3, max_size=8),
+           st.floats(1.1, 10.0))
+    def test_fit_matches_lapack_least_squares(self, counts, ratio):
+        # The closed-form line against `np.polyfit`'s LAPACK solve, up to
+        # rounding: log counts stay below 17, so sums lose far less than 1e-9.
+        scales = [ratio ** -j for j in range(len(counts))]
+        slope, residual = _fit_slope(scales, counts)
+        if len(set(counts)) == 1:
+            assert (slope, residual) == (0.0, None)
+            return
+        x, y = -np.log(scales), np.log(counts)
+        coef, res = np.polyfit(x, y, 1, full=True)[:2]
+        assert slope == pytest.approx(coef[0], abs=1e-9)
+        assert residual == pytest.approx(res[0], abs=1e-9)
 
     def test_scale_span_enforced(self):
         pts = np.linspace(0, 1, 50)[:, None]
