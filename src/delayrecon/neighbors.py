@@ -6,30 +6,25 @@ in NumPy, and one tie rule: a pair is close when that distance is ``<= r``.
 `np.add.reduce` adds a row's squares in axis order below 8 axes and
 pairwise from 8, so `_within` sums them axis by axis below 8 axes only.
 
-Two backends give bitwise-identical results.  Small queries bucket points
-on a NumPy grid; large ones use ``scipy.spatial.cKDTree``, imported only
-there, as a candidate filter at a slightly larger radius.  The choice rests
-on the work a grid query does: the candidate pairs it examines, counted
-from its cells' occupancy before any is built, against `GRID_LIMIT`.  So
-the shape of a cloud counts, not only its size: 2·10⁴ Lorenz states at four
-spacings give 1.1·10⁶ candidates, 2·10⁴ uniform points in a cube 4.8·10⁶.
-The grid buckets on at most the first three axes, which bounds nothing when
-those axes take few values (a 64-digit odometer has 8 cells), so points
-with more axes go to the tree.  A nearest-neighbour query is rounds of that
-same routed pair query at a doubling radius, so it makes no backend choice
-of its own: one self-query of the distinct points, then cross queries of
-the points left, until as many points are resolved as the caller needs.
-`distinct` finds the distinct points for it and for
-`topology.linkage_components`, so no query pairs copies of one point.
-A query hands its pairs over in chunks, one per neighbour offset on the
-grid and one from the tree: `nn_distance` and `linkage_components` fold
-each chunk in as it comes, and only `close_pairs` joins them.  A grid
-builds its cell tables one offset at a time.  A grid self-query builds and
-walks only the centre offset and the forward half of the others, each
-pair once, and takes its cell order from the query sort; `_candidates`
-still counts all ``3**k`` offsets, as `GRID_LIMIT` was measured, the
-backward half as the mirror image of the forward one.  A grid whose
-mixed-radix cell keys would reach `_KEY_LIMIT` goes to the tree instead.
+Two backends give bitwise-identical results.  Points with at most three
+axes are bucketed on a NumPy grid; points with more go to
+``scipy.spatial.cKDTree``, imported only there, as a candidate filter at a
+slightly larger radius.  That axis count is the one backend rule: the grid
+buckets on at most the first three axes, which bounds nothing when those
+axes take few values (a 64-digit odometer has 8 cells).  A
+nearest-neighbour query is rounds of that same pair query at a doubling
+radius, so it makes no backend choice of its own: one self-query of the
+distinct points, then cross queries of the points left, until as many
+points are resolved as the caller needs.  `distinct` finds the distinct
+points for it and for `topology.linkage_components`, so no query pairs
+copies of one point.  A query hands its pairs over in chunks, one per
+neighbour offset on the grid and one from the tree: `nn_distance` and
+`linkage_components` fold each chunk in as it comes, and only
+`close_pairs` joins them.  A grid builds its cell tables one offset at a
+time.  A grid self-query builds and walks only the centre offset and the
+forward half of the others, each pair once, and takes its cell order from
+the query sort.  A grid whose mixed-radix cell keys would reach
+`_KEY_LIMIT` buckets on fewer leading axes.
 The greedy merge of near-duplicate rows, `first_found`, makes no pair query
 at all: a sort on the first axis and a sweep over the rows it cannot rule
 out, with the same distance formula and tie rule.  `median`, which
@@ -40,20 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Candidate pairs a grid query may examine; above, a KD-tree, including the
-# 0.41-0.53 s it takes to import scipy.spatial (2-vCPU x86 VM), is faster.
-# Set just below where the slowest clouds measured, queried at four nearest-
-# neighbour spacings as `topology.sample_resolution` does, cost that import
-# more on the grid than on a KD-tree: uniform 2-D points at about 4e6
-# candidates (1.2e5 points), uniform 3-D points at 4.8e6-6.8e6 (2e4-2.75e4
-# points).
-GRID_LIMIT = 3_500_000
 # Candidates whose coordinate differences `_within` takes at once: 2**14
 # keeps their copies near 0.25 MB, under a grid chunk's own index arrays.
 _CHUNK = 1 << 14
 # Grid cell keys are mixed-radix numbers below this; an axis whose neighbour
 # cell is absent adds its negative, and three such still sum above int64's
-# minimum.  A grid whose keys would reach it goes to the tree.
+# minimum.  A grid whose keys would reach it buckets on fewer axes.
 _KEY_LIMIT = 2 ** 61
 _EMPTY = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
 
@@ -91,9 +78,9 @@ def _by_pair(i, j, dist):
     return i[order], j[order], dist[order]
 
 
-def _grid(a, b, r):
+def _grid(a, b, r, k=3):
     """The buckets of a grid query: ``b`` (``a`` itself when None) in cells
-    of side at least ``r`` on its first three axes, so every close pair lies
+    of side at least ``r`` on its first ``k`` axes, so every close pair lies
     in neighbouring cells.  Returns ``(qorder, border, qcount, first,
     n_in)``: the query points sorted by cell, ``b`` sorted by cell, the
     number of query points in each occupied query cell, and for each
@@ -101,9 +88,10 @@ def _grid(a, b, r):
     position in ``border`` of that neighbour cell's first point and its
     number of points.  The rows are the ``3**k`` offsets of a cross query,
     or the centre offset and those after it in a self-query, in
-    `np.ndindex` order.  None when b's cell keys would reach `_KEY_LIMIT`."""
+    `np.ndindex` order.  When b's cell keys would reach `_KEY_LIMIT`, the
+    buckets are those on one axis fewer."""
     pts = a if b is None else b
-    k = min(a.shape[1], 3)
+    k = min(a.shape[1], k)
     # The slack over r outweighs the rounding of coordinate / side, so a
     # close pair is never two cells apart, and keeps cell indices below 2**50;
     # the floor covers differences whose squares underflow to 0.
@@ -128,7 +116,7 @@ def _grid(a, b, r):
         radix *= len(vals)
     del ca, cb, vals, rank, q, pos
     if radix > _KEY_LIMIT:
-        return None
+        return _grid(a, b, r, k - 1)
     # The keys rise with the lexicographic cell order, so in a self-query
     # the query sort is already b's.
     border = qorder if b is None else np.argsort(key_b, kind="stable")
@@ -147,15 +135,6 @@ def _grid(a, b, r):
     return qorder, border, qcount, first, n_in
 
 
-def _candidates(grid) -> int:
-    """The number of candidate pairs a grid query examines over all
-    ``3**k`` offsets, counted from the cell occupancy before any is built.
-    A self-query (``border is qorder``) holds no backward rows; each
-    mirrors a forward one, so the forward rows count twice."""
-    per_row = grid[4] @ grid[2]
-    return int(per_row.sum() if grid[1] is not grid[0] else 2 * per_row.sum() - per_row[0])
-
-
 def _offset_pairs(grid, o, self_query):
     """The candidate pairs (i, j) of row ``o`` of a grid's tables.  A
     self-query's row 0 is the centre offset, whose pairs are taken once
@@ -172,10 +151,10 @@ def _offset_pairs(grid, o, self_query):
     return (np.minimum(i, j), np.maximum(i, j, out=j)) if self_query else (i, j)
 
 
-def _grid_within(a, b, r, grid=None):
+def _grid_within(a, b, r):
     """The unsorted pairs of `close_pairs` from the buckets of `_grid`, one
     chunk per neighbour offset, which bounds the candidates in memory."""
-    grid = _grid(a, b, r) if grid is None else grid
+    grid = _grid(a, b, r)
     pts = a if b is None else b
     return (_within(a, pts, *_offset_pairs(grid, o, b is None), r)
             for o in range(len(grid[3])))
@@ -199,19 +178,15 @@ def _pairs(a, b, r):
     """The pairs of `close_pairs`, unsorted, as an iterator of chunks: one
     per neighbour offset on the grid, one from the tree.  This is the one
     grid-or-tree choice: points with at most three axes go to the grid,
-    bucketing the larger cloud, unless it would examine more than
-    `GRID_LIMIT` candidates or its cell keys would not fit."""
+    bucketing the larger cloud, and points with more to the tree."""
     if len(a) == 0 or (b is not None and len(b) == 0):
         return []
-    if a.shape[1] <= 3:
-        swap = b is not None and len(a) > len(b)
-        q, p = (b, a) if swap else (a, b)
-        grid = _grid(q, p, r)
-        if grid is not None and _candidates(grid) <= GRID_LIMIT:
-            chunks = _grid_within(q, p, r, grid)
-            return ((j, i, dist) for i, j, dist in chunks) if swap else chunks
-    # Lazily, so the KD-tree query runs once a rejected grid is gone.
-    return map(_tree_pairs, [a], [b], [r])
+    if a.shape[1] > 3:
+        # An iterator, not a list, so a caller can let the chunk go once folded.
+        return map(_tree_pairs, [a], [b], [r])
+    swap = b is not None and len(a) > len(b)
+    chunks = _grid_within(b, a, r) if swap else _grid_within(a, b, r)
+    return ((j, i, dist) for i, j, dist in chunks) if swap else chunks
 
 
 def close_pairs(a, b=None, r: float = 0.0):

@@ -274,16 +274,18 @@ def covering_dimension_estimate(samples, scales) -> DimensionEstimate:
         raise ValueError("need at least two scales in descending order")
     if not scales[-1] > 0.0:
         raise ValueError("covering scales must be positive")
-    spacing, labels = sample_resolution(pts)
-    orders, used, notes = [], [], []
+    # Scales below the sampling resolution go before the linkage is paid for.
+    spacing = nn_spacing(pts)
+    used, notes = [], []
     for s in scales:
         if s < 8.0 * spacing:
             notes.append(f"scale {s:g} below sampling resolution; dropped")
-            continue
-        orders.append(refine_order(pts, s, labels)[1])
-        used.append(s)
-    if not orders:
+        else:
+            used.append(s)
+    if not used:
         raise ValueError("all scales below sampling resolution")
+    labels = linkage_components(pts, _resolution_gap(spacing))
+    orders = [refine_order(pts, s, labels)[1] for s in used]
     return DimensionEstimate(value=int(max(orders)), scales=used, counts=orders, residual=0.0,
                              method="covering-heuristic", heuristic=True, notes=notes)
 

@@ -437,9 +437,10 @@ class TestImports:
     ])
     def test_no_scipy_in_small_neighbour_queries(self, tmp_path, command, config,
                                                  artifact):
-        """Perturb and hypothesis runs make only small neighbour queries
-        (anchor supports, nearest-neighbour spacing), which the NumPy grid
-        of `delayrecon.neighbors` answers, so they load no scipy module.
+        """Perturb and hypothesis runs make neighbour queries (anchor
+        supports, nearest-neighbour spacing) on at most three axes, which
+        the NumPy grid of `delayrecon.neighbors` answers, so they load no
+        scipy module.
         Pair and target draws come from the standard library's `random`, so
         perturb and margin runs load no ``numpy.random`` either."""
         after_import, code, after_run = lazy_modules_after(tmp_path, command, config)
@@ -451,8 +452,10 @@ class TestImports:
     def test_no_scipy_in_a_dimension_run(self, tmp_path):
         """A dimension run on 2e4 Lorenz states keeps its covers as NumPy
         index pairs, labels linkage components in NumPy, and answers its
-        neighbour queries on the grid, which the attractor's shape keeps
-        small: it loads no scipy module, and no ``numpy.random``."""
+        neighbour queries on the grid: it loads no scipy module, and no
+        ``numpy.random``.  scipy is only the KD-tree for points on more than
+        three axes, that is, odometers of more than three digits, so no run
+        on a system of at most three axes loads it."""
         after_import, code, after_run = lazy_modules_after(tmp_path, "dimension", {
             "seed": 7,
             "system": {"kind": "flow", "field": "lorenz", "dt": 0.02, "substep": 0.01},

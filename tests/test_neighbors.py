@@ -165,29 +165,28 @@ def test_many_axes_bucket_on_three():
     assert np.array_equal(nn_distance(pts, len(pts)), brute_nn(pts))
 
 
-def test_backend_follows_grid_work(monkeypatch):
+def test_backend_follows_the_axis_count(monkeypatch):
     calls = []
     monkeypatch.setattr(neighbors, "_grid_within",
                         lambda *args: calls.append("grid") or _grid_within(*args))
     monkeypatch.setattr(neighbors, "_tree_pairs",
                         lambda *args: calls.append("tree") or _tree_pairs(*args))
-    # Work is the candidates the grid examines, not the points times 3**k:
-    # points far apart cost one candidate each, while points sharing one
-    # cell cost n**2; points with more than three axes always go to the tree.
+    # Points with at most three axes go to the grid and more to the tree,
+    # whatever the size: 2 000 copies of one point are 2e6 pairs in one cell.
     close_pairs(np.zeros((10, 2)), np.ones((10, 2)), 0.1)
-    close_pairs(np.arange(60_000.0).reshape(-1, 3), r=0.0)
-    n = math.isqrt(neighbors.GRID_LIMIT) + 1
-    close_pairs(np.zeros((n, 2)), r=0.0)
-    close_pairs(np.zeros((10, 4)), r=0.1)
+    close_pairs(np.zeros((2000, 3)), r=0.0)
+    close_pairs(np.zeros((1, 4)), np.ones((1, 4)), 0.1)
+    close_pairs(np.zeros((2000, 4)), r=0.0)
     assert calls == ["grid", "grid", "tree", "tree"]
 
 
-def test_cell_keys_past_the_limit_go_to_the_tree(monkeypatch):
+def test_cell_keys_past_the_limit_bucket_on_fewer_axes(monkeypatch):
     # Two points 0.1 apart every 0.6 along the diagonal: at r = 0.5 their
     # cell keys take (cells on x) x (cells on y) x (cells on z) values, 3.2e7
     # here.  Keys reaching `_KEY_LIMIT` would wrap in int64 and lose pairs,
     # as 2.2e6 such points past 2**61 did (1 623 of 2 200 found); that grid
-    # goes to the tree, and at the limit itself the grid finds every pair.
+    # buckets on the first two axes instead, and at the limit itself on all
+    # three.  Either way it finds every pair, and the tree is not asked.
     t = np.arange(300) * 0.6
     pts = np.concatenate([np.stack([t, t, t], axis=1), np.stack([t + 0.1, t, t], axis=1)])
     side = 0.5 * (1.0 + 1e-9) + np.abs(pts).max() * 2.0 ** -50 + 1e-150
@@ -195,42 +194,27 @@ def test_cell_keys_past_the_limit_go_to_the_tree(monkeypatch):
     i, j, dist = brute_pairs(pts, pts, 0.5)
     want = i[i < j], j[i < j], dist[i < j]
     calls = []
-    monkeypatch.setattr(neighbors, "_grid_within",
-                        lambda *args: calls.append("grid") or _grid_within(*args))
     monkeypatch.setattr(neighbors, "_tree_pairs",
                         lambda *args: calls.append("tree") or _tree_pairs(*args))
-    for limit in (radix, radix - 1):
+    # A self-query's rows: the centre and forward offsets of 3 or 2 axes.
+    for limit, rows in ((radix, 14), (radix - 1, 5)):
         monkeypatch.setattr(neighbors, "_KEY_LIMIT", limit)
         assert_same(close_pairs(pts, r=0.5), want)
-        assert neighbors._grid(pts, None, 0.5) is None or limit == radix
-    assert calls == ["grid", "tree"] and len(want[0]) == 300
+        assert len(neighbors._grid(pts, None, 0.5)[3]) == rows
+    assert calls == [] and len(want[0]) == 300
 
 
-def test_candidate_count_before_building():
-    rng = np.random.default_rng(4)
-    a, b = rng.uniform(0, 1, (300, 3)), rng.uniform(0, 1, (500, 3))
-    for q, p in ((a, b), (a, None)):
-        counted = neighbors._candidates(neighbors._grid(q, p, 0.1))
-        # Every candidate: each query point against all of b in the 27
-        # cells around its own.
-        p = q if p is None else p
-        big = max(np.abs(q).max(), np.abs(p).max())
-        side = 0.1 * (1.0 + 1e-9) + big * 2.0 ** -50 + 1e-150
-        cq, cp = np.floor(q / side), np.floor(p / side)
-        assert counted == np.count_nonzero(np.abs(cq[:, None] - cp[None]).max(axis=2) <= 1)
-
-
-def test_sample_resolution_on_a_large_uniform_cloud_uses_the_tree():
-    """A uniform 2e4 x 3 cloud is the kind whose pairs at four spacings are
-    too many for the grid, so its linkage query goes to the KD-tree and
-    scipy.spatial is loaded; a smaller one stays on the grid."""
+def test_sample_resolution_loads_scipy_past_three_axes_only():
+    """A uniform 2e4 x 3 cloud, whose pairs at four spacings once went to
+    the KD-tree, stays on the grid and loads no scipy.spatial; a cloud on
+    four axes goes to the tree and loads it."""
     script = (
         "import sys, numpy as np\n"
         "from delayrecon.topology import sample_resolution\n"
-        "sample_resolution(np.random.default_rng(0).uniform(0, 1, (2000, 3)))\n"
-        "small = 'scipy.spatial' in sys.modules\n"
         "sample_resolution(np.random.default_rng(0).uniform(0, 1, (20000, 3)))\n"
-        "print(small, 'scipy.spatial' in sys.modules)\n")
+        "three = 'scipy.spatial' in sys.modules\n"
+        "sample_resolution(np.random.default_rng(0).uniform(0, 1, (2000, 4)))\n"
+        "print(three, 'scipy.spatial' in sys.modules)\n")
     src = str(Path(neighbors.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -257,13 +241,12 @@ def test_duplicates_have_zero_nn_distance(k):
     assert dist[0] == dist[-1] == 0.0
 
 
-@pytest.mark.parametrize("limit", [0, math.inf])
-def test_nn_distance_is_exact_on_either_backend(monkeypatch, limit):
-    # Every round goes to the KD-tree (limit 0) or every round to the grid.
-    monkeypatch.setattr(neighbors, "GRID_LIMIT", limit)
+@pytest.mark.parametrize("k", [3, 4])
+def test_nn_distance_is_exact_on_either_backend(k):
+    # Every round goes to the grid (3 axes) or every round to the KD-tree.
     rng = np.random.default_rng(2)
-    pts = np.concatenate([rng.uniform(0, 1, (500, 3)),
-                          rng.normal(0.5, 1e-5, (50, 3))])
+    pts = np.concatenate([rng.uniform(0, 1, (500, k)),
+                          rng.normal(0.5, 1e-5, (50, k))])
     pts = np.concatenate([pts, pts[:7]])
     assert np.array_equal(nn_distance(pts, len(pts)), brute_nn(pts))
 
@@ -294,14 +277,12 @@ def clustered(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(clustered(), st.data(), st.sampled_from([0, math.inf]))
-def test_nn_distance_resolves_what_is_needed(pts, data, limit):
-    # GRID_LIMIT 0 sends every round to the KD-tree, inf to the grid.
+@given(clustered(), st.data())
+def test_nn_distance_resolves_what_is_needed(pts, data):
+    # 1-3 axes send every round to the grid, 4 to the KD-tree.
     need = data.draw(st.integers(1, len(pts)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors, "GRID_LIMIT", limit)
-        got = nn_distance(pts, need)
-        spacing = nn_spacing(pts)
+    got = nn_distance(pts, need)
+    spacing = nn_spacing(pts)
     want = brute_nn(pts)
     resolved = np.isfinite(got)
     assert np.count_nonzero(resolved) >= need
@@ -327,4 +308,3 @@ def test_self_query_grid_is_the_cross_query_grid(cloud):
     rows = 3 ** min(pts.shape[1], 3)
     for x, y in zip(own[3:], copy[3:]):
         assert len(y) == rows and np.array_equal(x, y[rows // 2:])
-    assert neighbors._candidates(own) == neighbors._candidates(copy)

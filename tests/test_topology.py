@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 import delayrecon as dr
-from delayrecon import neighbors
+from delayrecon import topology
 from delayrecon.systems import MAX_ODOMETER_DIGITS
 from delayrecon.topology import (
     MAX_GRID_SEEDS,
@@ -273,13 +273,12 @@ class TestResolutionHelpers:
         assert nn_spacing(pts) == pytest.approx(0.1)
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 3),
-           threshold=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
-           limit=st.sampled_from([0, math.inf]))
-    def test_linkage_labels_equal_csgraph(self, data, dim, threshold, limit):
+    @given(data=st.data(), dim=st.integers(1, 4),
+           threshold=st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    def test_linkage_labels_equal_csgraph(self, data, dim, threshold):
         # Lattice points, so pairs sit exactly at the threshold, with some
-        # rows repeated and some far away on their own; GRID_LIMIT 0 sends
-        # the pair query to the KD-tree, inf to the grid.
+        # rows repeated and some far away on their own; 1-3 axes send the
+        # pair query to the grid, 4 to the KD-tree.
         pts = np.array(data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
                                           min_size=1, max_size=50)), float) * 0.1
         repeats = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=6))
@@ -290,9 +289,7 @@ class TestResolutionHelpers:
                                   <= threshold, k=1))
         graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(len(pts),) * 2)
         _, ref = sparse.csgraph.connected_components(graph, directed=False)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(neighbors, "GRID_LIMIT", limit)
-            assert np.array_equal(linkage_components(pts, threshold), ref)
+        assert np.array_equal(linkage_components(pts, threshold), ref)
 
     def test_sample_resolution_peak_memory(self):
         # The dimension bench's 2e4 Lorenz states.  Pairing each distinct
@@ -469,10 +466,15 @@ class TestCoveringEstimate:
         assert est.scales == [0.5]
         assert est.notes
 
-    def test_all_scales_too_fine_rejected(self):
+    def test_all_scales_too_fine_rejected(self, monkeypatch):
+        # The scales are checked before the linkage, which is never built.
+        calls = []
+        monkeypatch.setattr(topology, "linkage_components",
+                            lambda *args: calls.append(args))
         pts = np.linspace(0, 1, 20)[:, None]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all scales below sampling resolution"):
             covering_dimension_estimate(pts, [1e-3, 1e-4])
+        assert calls == []
 
     @pytest.mark.parametrize("scales", [[16.0, -8.0], [1.0, 0.0], [-1.0, -2.0]])
     def test_nonpositive_scale_rejected(self, scales):
