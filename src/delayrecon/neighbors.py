@@ -17,14 +17,12 @@ radius, so it makes no backend choice of its own: one self-query of the
 distinct points, then cross queries of the points left, until as many
 points are resolved as the caller needs.  `distinct` finds the distinct
 points for it and for `topology.linkage_components`, so no query pairs
-copies of one point.  A query hands its pairs over in chunks, one per
-neighbour offset on the grid and one from the tree: `nn_distance` and
-`linkage_components` fold each chunk in as it comes, and only
-`close_pairs` joins them.  A grid builds its cell tables one offset at a
-time.  A grid self-query builds and walks only the centre offset and the
-forward half of the others, each pair once, and takes its cell order from
-the query sort.  A grid whose mixed-radix cell keys would reach
-`_KEY_LIMIT` buckets on fewer leading axes.
+copies of one point.  A query hands its pairs over in blocks, which
+`nn_distance` and `linkage_components` fold in as they come and only
+`close_pairs` joins: blocks of a grid offset's query points, at most
+max(`_CHUNK`, one point's) candidates, or of 128 rows for the tree.  A
+grid self-query walks only the centre offset and the forward half of the
+others, each pair once.
 The greedy merge of near-duplicate rows, `first_found`, makes no pair query
 at all: a sort on the first axis and a sweep over the rows it cannot rule
 out, with the same distance formula and tie rule.  `median`, which
@@ -35,8 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Candidates whose coordinate differences `_within` takes at once: 2**14
-# keeps their copies near 0.25 MB, under a grid chunk's own index arrays.
+# Candidates in a grid block, and those `_within` takes at once: 2**14
+# keeps their index arrays and copies near 0.25 MB, whatever the cloud.
 _CHUNK = 1 << 14
 # Grid cell keys are mixed-radix numbers below this; an axis whose neighbour
 # cell is absent adds its negative, and three such still sum above int64's
@@ -78,18 +76,34 @@ def _by_pair(i, j, dist):
     return i[order], j[order], dist[order]
 
 
+def _buckets(x, side, k):
+    """``x`` in cells of side ``side`` on its first ``k`` axes, one axis at a
+    time: ``(order, cells, start, count, vals, radix)``, the stable cell
+    sort, the occupied cells' rising keys with their first positions in
+    it and sizes, each axis's distinct cell indices, and the key count.  A
+    key is the mixed-radix number of a cell's ranks in ``vals``, so keys
+    rise with the lexicographic cell order."""
+    key, vals, radix = 0, [], 1
+    for ax in range(k - 1, -1, -1):
+        v, rank = np.unique(np.floor(x[:, ax] / side).astype(np.int64), return_inverse=True)
+        key = rank * radix + key
+        vals.insert(0, v)
+        radix *= len(v)
+    key = key[order := np.argsort(key, kind="stable")]
+    start = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    return order, key[start], start, np.diff(np.append(start, len(x))), vals, radix
+
+
 def _grid(a, b, r, k=3):
     """The buckets of a grid query: ``b`` (``a`` itself when None) in cells
     of side at least ``r`` on its first ``k`` axes, so every close pair lies
-    in neighbouring cells.  Returns ``(qorder, border, qcount, first,
-    n_in)``: the query points sorted by cell, ``b`` sorted by cell, the
-    number of query points in each occupied query cell, and for each
-    neighbour offset (rows) and each occupied query cell (columns) the
-    position in ``border`` of that neighbour cell's first point and its
-    number of points.  The rows are the ``3**k`` offsets of a cross query,
-    or the centre offset and those after it in a self-query, in
-    `np.ndindex` order.  When b's cell keys would reach `_KEY_LIMIT`, the
-    buckets are those on one axis fewer."""
+    in neighbouring cells.  Returns ``(qorder, border, rows)``: the query
+    points and ``b`` sorted by cell, and an iterator that builds each
+    neighbour offset's row in turn: per query point in ``qorder``, the
+    position in ``border`` of its neighbour cell's first point and that
+    cell's size.  The offsets are the ``3**k`` of a cross query, or the
+    centre and later ones in a self-query, in `np.ndindex` order.  Keys
+    that would reach `_KEY_LIMIT` make it bucket on one axis fewer."""
     pts = a if b is None else b
     k = min(a.shape[1], k)
     # The slack over r outweighs the rounding of coordinate / side, so a
@@ -97,93 +111,80 @@ def _grid(a, b, r, k=3):
     # the floor covers differences whose squares underflow to 0.
     big = max(np.abs(a[:, :k]).max(), np.abs(pts[:, :k]).max())
     side = r * (1.0 + 1e-9) + big * 2.0 ** -50 + 1e-150
-    ca = np.floor(a[:, :k] / side).astype(np.int64)
-    cb = ca if b is None else np.floor(pts[:, :k] / side).astype(np.int64)
-    qorder = np.lexsort(ca.T[::-1])
-    cq = ca[qorder]
-    head = np.concatenate([[True], np.any(cq[1:] != cq[:-1], axis=1)])
-    cq = cq[head]
-    qcount = np.diff(np.append(np.flatnonzero(head), len(a)))
-    # Cell key: the per-axis ranks of b's cell indices in mixed radix; a
-    # neighbour cell absent on some axis gets a negative key.
-    key_b, parts, radix = np.zeros(len(pts), dtype=np.int64), [], 1
-    for ax in range(k - 1, -1, -1):
-        vals, rank = np.unique(cb[:, ax], return_inverse=True)
-        key_b += rank.ravel() * radix
-        q = cq[:, ax] + np.arange(-1, 2)[:, None]
-        pos = np.minimum(np.searchsorted(vals, q), len(vals) - 1)
-        parts.insert(0, np.where(vals[pos] == q, pos * radix, -_KEY_LIMIT))
-        radix *= len(vals)
-    del ca, cb, vals, rank, q, pos
-    if radix > _KEY_LIMIT:
+    border, cells, start, count, vals, radix = bucket = _buckets(pts, side, k)
+    qorder, qcells, _, qcount, qvals, qradix = bucket if b is None else _buckets(a, side, k)
+    if max(radix, qradix) > _KEY_LIMIT:
         return _grid(a, b, r, k - 1)
-    # The keys rise with the lexicographic cell order, so in a self-query
-    # the query sort is already b's.
-    border = qorder if b is None else np.argsort(key_b, kind="stable")
-    keys = key_b[border]
-    start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-    cells, count = keys[start], np.diff(np.append(start, len(pts)))
-    # One offset's keys at a time, in the order of the axes' offsets
-    # (-1, 0, 1) with the first axis slowest.
-    shifts = list(np.ndindex((3,) * k))[3 ** k // 2 if b is None else 0:]
-    first, n_in = np.empty((2, len(shifts), len(cq)), dtype=np.int64)
-    for o, shift in enumerate(shifts):
+    # Each axis's part of a neighbour cell's key for the offsets (-1, 0, 1);
+    # a neighbour cell absent on some axis gets a negative key.
+    parts = []
+    for v, qv in zip(vals, qvals):
+        radix, qradix = radix // len(v), qradix // len(qv)
+        q = qv[qcells // qradix % len(qv)] + np.arange(-1, 2)[:, None]
+        pos = np.minimum(np.searchsorted(v, q), len(v) - 1)
+        parts.append(np.where(v[pos] == q, pos * radix, -_KEY_LIMIT))
+
+    def row(shift):
         key = sum(part[s] for part, s in zip(parts, shift))
         slot = np.minimum(np.searchsorted(cells, key), len(cells) - 1)
-        first[o] = start[slot]
-        n_in[o] = np.where(cells[slot] == key, count[slot], 0)
-    return qorder, border, qcount, first, n_in
+        n_in = np.where(cells[slot] == key, count[slot], 0)
+        return start[slot].repeat(qcount), n_in.repeat(qcount)
+
+    shifts = list(np.ndindex((3,) * k))[3 ** k // 2 if b is None else 0:]
+    return qorder, border, map(row, shifts)
 
 
-def _offset_pairs(grid, o, self_query):
-    """The candidate pairs (i, j) of row ``o`` of a grid's tables.  A
-    self-query's row 0 is the centre offset, whose pairs are taken once
-    (i < j); its later rows are the mirror images of the offsets before
-    the centre, taken as (min, max) pairs."""
-    qorder, border, qcount, first, hits = grid
-    start, n_in = np.repeat(first[o], qcount), np.repeat(hits[o], qcount)
-    i = np.repeat(qorder, n_in)
-    j = np.repeat(start - np.cumsum(n_in) + n_in, n_in)
-    j += np.arange(len(i))
-    j = border[j]
-    if self_query and o == 0:
-        return i[i < j], j[i < j]
-    return (np.minimum(i, j), np.maximum(i, j, out=j)) if self_query else (i, j)
+def _offset_pairs(qorder, border, first, n_in):
+    """The candidate pairs (i, j) of one offset's row, in blocks of query
+    points: a block ends before the point that would take it past `_CHUNK`
+    candidates, and holds at least one point."""
+    ends, lo = np.cumsum(n_in), 0
+    while lo < len(ends):
+        done = ends[lo] - n_in[lo]
+        hi = max(int(np.searchsorted(ends, done + _CHUNK, "right")), lo + 1)
+        j = np.repeat(first[lo:hi] - ends[lo:hi] + n_in[lo:hi], n_in[lo:hi])
+        j += np.arange(done, ends[hi - 1])
+        yield np.repeat(qorder[lo:hi], n_in[lo:hi]), border[j]
+        lo = hi
 
 
 def _grid_within(a, b, r):
-    """The unsorted pairs of `close_pairs` from the buckets of `_grid`, one
-    chunk per neighbour offset, which bounds the candidates in memory."""
-    grid = _grid(a, b, r)
+    """The unsorted pairs of `close_pairs` from `_grid`, one chunk per
+    block.  A self-query takes the centre offset's pairs once (i < j), and
+    the later offsets, mirrors of the earlier ones, as (min, max) pairs."""
+    qorder, border, rows = _grid(a, b, r)
     pts = a if b is None else b
-    return (_within(a, pts, *_offset_pairs(grid, o, b is None), r)
-            for o in range(len(grid[3])))
+    for o, row in enumerate(rows):
+        for i, j in _offset_pairs(qorder, border, *row):
+            if b is None:
+                i, j = (i[i < j], j[i < j]) if o == 0 else (np.minimum(i, j), np.maximum(i, j))
+            yield _within(a, pts, i, j, r)
 
 
 def _tree_pairs(a, b, r):
     """The unsorted pairs of `close_pairs` from cKDTree candidates at
-    ``r * (1 + 1e-9)``."""
+    ``r * (1 + 1e-9)``: one tree of ``b`` (or ``a``, keeping i < j), which
+    each block of 128 rows of ``a`` queries.  64-256 rows ran fastest on a
+    dense odometer."""
     from scipy.spatial import cKDTree
 
-    reach = r * (1.0 + 1e-9)
-    if b is None:
-        i, j = cKDTree(a).query_pairs(reach, output_type="ndarray").T
-        return _within(a, a, i, j, r)
-    near = cKDTree(a).sparse_distance_matrix(cKDTree(b), reach,
-                                             output_type="ndarray")
-    return _within(a, b, near["i"], near["j"], r)
+    pts = a if b is None else b
+    tree, reach = cKDTree(pts), r * (1.0 + 1e-9)
+    for lo in range(0, len(a), 128):
+        near = cKDTree(a[lo:lo + 128]).sparse_distance_matrix(tree, reach, output_type="ndarray")
+        i, j = near["i"] + lo, near["j"]
+        yield _within(a, pts, i[i < j], j[i < j], r) if b is None else _within(a, pts, i, j, r)
 
 
 def _pairs(a, b, r):
-    """The pairs of `close_pairs`, unsorted, as an iterator of chunks: one
-    per neighbour offset on the grid, one from the tree.  This is the one
-    grid-or-tree choice: points with at most three axes go to the grid,
-    bucketing the larger cloud, and points with more to the tree."""
+    """The pairs of `close_pairs`, unsorted, as an iterator of chunks.
+    This is the one grid-or-tree choice: points with at most three axes go
+    to the grid, bucketing the larger cloud, and points with more to the
+    tree."""
     if len(a) == 0 or (b is not None and len(b) == 0):
         return []
     if a.shape[1] > 3:
-        # An iterator, not a list, so a caller can let the chunk go once folded.
-        return map(_tree_pairs, [a], [b], [r])
+        return _tree_pairs(a, b, r)
     swap = b is not None and len(a) > len(b)
     chunks = _grid_within(b, a, r) if swap else _grid_within(a, b, r)
     return ((j, i, dist) for i, j, dist in chunks) if swap else chunks

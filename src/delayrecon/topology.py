@@ -59,21 +59,21 @@ def _grid_index(pts: np.ndarray, origin, scale: float) -> np.ndarray:
     two.  A scale that puts more than 2**52 cells between ``origin`` and a
     point, where float cell coordinates stop being exact, is an error."""
     cells = (pts - np.asarray(origin)) / scale
-    if np.abs(cells).max(initial=0.0) > 2 ** 52:
+    if max(cells.max(initial=0.0), -cells.min(initial=0.0)) > 2 ** 52:
         raise ValueError(f"scale {scale:g} puts more than 2**52 grid cells across the samples")
-    return np.floor(cells + 1e-9).astype(np.int64)
+    return np.floor(np.add(cells, 1e-9, out=cells), out=cells).astype(np.int64)
 
 
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """Ids 0..k-1 of the k distinct rows of an int array, in lexicographic
-    row order.  Columns are folded into one mixed-radix key, ranked once;
-    where the next column would take the key past 2**62, the key and that
-    column are ranked first, each below the number of rows."""
-    key, span = np.zeros(rows.shape[0], dtype=np.int64), 1
-    for col in rows.T:
+def _row_ids(cols) -> np.ndarray:
+    """Ids 0..k-1 of the k distinct rows, in lexicographic order, of an int
+    table given as its 1-D columns.  Columns are folded into one
+    mixed-radix key, ranked once; where the next column would take the key
+    past 2**62, the key and that column are ranked first."""
+    key, span = 0, 1
+    for col in cols:
         lo, width = int(col.min()), int(np.ptp(col)) + 1
         if span * width > 2 ** 62:
-            key, col, lo = _ranks(key), _ranks(col), 0
+            key, col, lo = _ranks(key), _ranks(col - lo), 0
             span, width = int(key.max()) + 1, int(col.max()) + 1
         key = key * width + (col - lo)
         span *= width
@@ -82,14 +82,18 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
 
 def _ranks(x: np.ndarray) -> np.ndarray:
     """Dense ranks 0..k-1 of the k distinct values of an int array, the
-    inverse of `np.unique`, through two temporaries of its size."""
+    inverse of `np.unique`, written over ``x``: by counting when the values
+    span under len(x) / 8 integers, else by one sort."""
+    if len(x) and np.ptp(x) < len(x) // 8:
+        x -= x.min()
+        x[:] = np.cumsum(np.bincount(x) > 0)[x] - 1
+        return x
     order = np.argsort(x)
-    x = x[order]
-    np.cumsum(x[1:] != x[:-1], out=x[1:])
-    x[:1] = 0
-    ranks = np.empty_like(x)
-    ranks[order] = x
-    return ranks
+    ranks = x[order]
+    ranks[1:] = ranks[1:] != ranks[:-1]
+    ranks[:1] = 0
+    x[order] = np.cumsum(ranks, out=ranks)
+    return x
 
 
 def cover_order(cover, n_samples: int) -> int:
@@ -121,24 +125,31 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
     """Single-linkage component labels at the given distance threshold,
     numbered in the order of each component's smallest sample index.
 
-    Hook and shortcut on the close pairs of the distinct samples, one chunk
-    of pairs at a time as the query hands them over: every root of an edge
-    whose ends have different roots points at the smaller root, then the
-    pointers are followed until each sample points at its root, until no
-    edge of the chunk joins two roots.  Later hooks only lower roots, so an
-    earlier chunk's edges still agree.  A root is the smallest index of its
-    component, whatever the order of the edges, and a repeated sample takes
-    the label of its first copy."""
+    Hook and shortcut on the close pairs of the distinct samples, one block
+    at a time as the query hands them over.  Pointers go to smaller indices
+    or, at a root, to themselves.  A block's ends follow them to their
+    roots, written back to the ends alone; the larger root of an edge then
+    points at the smaller, until each edge joins one root.  Hooks only
+    lower roots, so earlier blocks stay joined and a root is its
+    component's smallest index, whatever the edge order.  The whole array
+    is shortcut once, at the end.  A repeated sample takes the label of
+    its first copy."""
     pts = _pts(samples)
     reps, copy_of = distinct(pts)
     root = np.arange(pts.shape[0])
+
+    def find(x):
+        while not np.array_equal(up := root[x], top := root[up]):
+            root[x] = top
+        return top
+
     # A chunk's own arrays go as soon as its ends are mapped to samples.
     ends = map(lambda c: (reps[c[0]], reps[c[1]]), _pairs(pts[reps], None, threshold))
     for i, j in ends:
-        while not np.array_equal(root[i], root[j]):
-            np.minimum.at(root, np.maximum(root[i], root[j]), np.minimum(root[i], root[j]))
-            while not np.array_equal(root, root[root]):
-                root = root[root]
+        while not np.array_equal(ri := find(i), rj := find(j)):
+            np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+    while not np.array_equal(root, root[root]):
+        root = root[root]
     return np.unique(root[copy_of], return_inverse=True)[1]
 
 
@@ -159,36 +170,48 @@ def mesh_cover(samples, scale: float) -> tuple[np.ndarray, np.ndarray]:
     reproducibility.
     """
     pts = _pts(samples)
-    return np.arange(len(pts)), _row_ids(_grid_index(pts, pts.min(axis=0), scale))
+    return np.arange(len(pts)), _row_ids(_grid_index(pts, pts.min(axis=0), scale).T)
 
 
 # --- order-minimizing refinement -----------------------------------------
 
 def kuhn_vertex_keys(pts: np.ndarray, scale: float, origin: np.ndarray) -> np.ndarray:
-    """Vertices of the Kuhn simplex containing each point, as an
-    ``(n, dim+1, dim)`` int array.
+    """Ids of the vertices of the Kuhn simplex containing each point, as an
+    ``(n, dim+1)`` int array, numbered in lexicographic vertex order.
 
     The unit-cube grid at ``scale`` is triangulated by sorting fractional
     coordinates: vertex k is the cell corner plus one unit step along each
     of the k axes with the largest fractional parts.  Ties keep axis order
     (a stable sort), so membership is a pure function of the coordinates.
+    A vertex's key is its corner's mixed-radix key plus the radices of the
+    axes stepped along; keys past 2**62 go to `_row_ids` axis by axis.
     """
     u = (pts - origin) / scale
-    base = np.floor(u).astype(int)
-    axes = np.argsort(-(u - base), axis=1, kind="stable")
-    n, dim = base.shape
-    steps = np.zeros((n, dim + 1, dim), dtype=int)
-    steps[np.arange(n)[:, None], np.arange(1, dim + 1), axes] = 1
-    np.cumsum(steps, axis=1, out=steps)
-    steps += base[:, None, :]
-    return steps
+    base = np.floor(u).astype(np.int64)
+    axes = np.argsort(np.subtract(base, u, out=u), axis=1, kind="stable")
+    del u
+    base -= base.min(axis=0)
+    width = base.max(axis=0) + 2
+    if math.prod(width.tolist()) > 2 ** 62:
+        place, k = np.argsort(axes, axis=1), np.arange(pts.shape[1] + 1)
+        cols = ((c[:, None] + (at[:, None] < k)).ravel() for c, at in zip(base.T, place.T))
+        return _row_ids(cols).reshape(len(pts), -1)
+    radix = np.append(np.cumprod(width[:0:-1])[::-1], 1)
+    keys = np.empty((len(pts), pts.shape[1] + 1), dtype=np.int64)
+    keys[:, 0] = base @ radix
+    for k in range(pts.shape[1]):
+        keys[:, k + 1] = keys[:, k] + radix[axes[:, k]]
+    del base, axes
+    return _ranks(keys.ravel()).reshape(keys.shape)
 
 
-def _overlaps(ea, eb):
-    """The distinct pairs ``(ea[i], eb[i])`` of two element ids given per
-    entry, sorted, and the number of entries with each."""
-    radix = eb.max(initial=0) + 1
-    keys, counts = np.unique(ea * radix + eb, return_counts=True)
+def _overlaps(columns, radix):
+    """The distinct pairs ``(x[i], y[i])`` over the column pairs ``(x, y)``
+    of ``columns``, sorted, and their entry counts; each ``y`` < ``radix``.
+    Each column pair is joined alone, then the joins are merged."""
+    keys, counts = zip(*(np.unique(x * radix + y, return_counts=True) for x, y in columns))
+    keys, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    counts = np.bincount(inv, np.concatenate(counts)).astype(np.int64)
     return keys // radix, keys % radix, counts
 
 
@@ -196,24 +219,26 @@ def _kuhn_attempt(pts: np.ndarray, cell: np.ndarray, star_scale: float):
     """Kuhn-star refinement of the mesh partition ``cell`` (each sample's
     cell id): lattice-triangulation vertex stars meet at most dim+1 at a
     point, and each star is cut into one piece per cell it meets."""
-    n, dim = pts.shape
-    stars = _row_ids(kuhn_vertex_keys(pts, star_scale, pts.min(axis=0)).reshape(-1, dim))
-    stars = stars.reshape(n, dim + 1)
+    dim = pts.shape[1]
+    stars = kuhn_vertex_keys(pts, star_scale, pts.min(axis=0))
     # Drop stars whose samples lie in another star's (coverage is kept,
     # multiplicity can only drop); of equal stars the lowest id stays.  The
     # pairs of stars one sample lies in join the star cover with itself; a
     # sample's vertices, so its star ids, rise with the vertex index, so
     # each pair (a, b) comes once, with a < b.
     sizes = np.bincount(stars.ravel())
-    p, q = np.triu_indices(dim + 1, 1)
-    a, b, shared = _overlaps(stars[:, p], stars[:, q])
+    pairs = zip(*np.triu_indices(dim + 1, 1))
+    a, b, shared = _overlaps(((stars[:, p], stars[:, q]) for p, q in pairs), len(sizes))
     keep = np.ones(len(sizes), dtype=bool)
     keep[a[(shared == sizes[a]) & (sizes[b] > sizes[a])]] = False
     keep[b[shared == sizes[b]]] = False
-    sample, star = np.repeat(np.arange(n), dim + 1), stars.ravel()
-    sample, star = sample[keep[star]], star[keep[star]]
-    # An element is a (star, cell) pair, ranked in lexicographic order.
-    return sample, _ranks(star * (cell.max() + 1) + cell[sample])
+    kept = keep[stars.ravel()]
+    # An element is a (star, cell) pair, ranked; an entry's sample is its
+    # flat position // (dim+1).
+    stars = stars.ravel()[kept] * (cell.max() + 1)
+    stars += cell[np.flatnonzero(kept) // (dim + 1)]
+    elements = _ranks(stars)
+    return np.flatnonzero(kept) // (dim + 1), elements
 
 
 def refine_order(samples, scale: float,
@@ -241,7 +266,7 @@ def refine_order(samples, scale: float,
         raise ValueError("labels need one row per sample")
     labels = np.asarray(labels, dtype=np.int64)
     cell = mesh_cover(pts, scale)[1]
-    if len(_overlaps(labels, cell)[0]) == np.count_nonzero(np.bincount(labels)):
+    if len(_overlaps([(labels, cell)], cell.max() + 1)[0]) == np.count_nonzero(np.bincount(labels)):
         # Each component meets one cell, and components are more than four
         # spacings apart and padded by two: order 0.
         return (np.arange(n), labels), 0
@@ -300,7 +325,7 @@ def _box_counts(pts: np.ndarray, scales) -> list[int]:
         idx = _grid_index(pts, anchor, s)
         # Points on the outer bounding-box face fold into the last cell.
         ncells = np.maximum(1, np.ceil(extent / s - 1e-9)).astype(np.int64)
-        counts.append(int(_row_ids(np.clip(idx, 0, ncells - 1)).max()) + 1)
+        counts.append(int(_row_ids(np.clip(idx, 0, ncells - 1).T).max()) + 1)
     return counts
 
 

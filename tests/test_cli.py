@@ -266,10 +266,12 @@ class TestDimension:
 
     def test_lorenz_run_peak_memory(self, tmp_path):
         # The dimension bench's Lorenz config at seed 7; the first run loads
-        # what a process loads once.  Pair queries that hand over one
-        # neighbour offset's pairs at a time, self-query grids with forward
-        # rows only and a Kuhn star join on unordered pairs keep the second
-        # run's tracemalloc peak near 6.3 MB, where it read 10.4-11 MB.
+        # what a process loads once.  Pair queries in blocks of at most
+        # `_CHUNK` candidates, grids bucketed one axis at a time, a linkage
+        # fold that touches only each block's ends and Kuhn star ids without
+        # vertex coordinates keep the second run's tracemalloc peak near
+        # 4.2 MB.  With one chunk per neighbour offset it read 6.3 MB, and
+        # 10.4-11 MB before that.
         cfg = write_config(tmp_path, {
             "seed": 7, "system": {"kind": "flow", "field": "lorenz", "dt": 0.02,
                                   "substep": 0.01},
@@ -277,7 +279,7 @@ class TestDimension:
             "scales": [16.0, 8.0, 4.0, 2.0, 1.0, 0.5], "covering_scales": [16.0, 8.0]})
         assert run("dimension", cfg, tmp_path) == 0
         code, peak = peak_memory(run, "dimension", cfg, tmp_path)
-        assert code == 0 and peak < 7e6
+        assert code == 0 and peak < 4.7e6
         assert json.loads((tmp_path / "dimension.json").read_text())["covering"]["value"] == 3
 
     def test_degenerate_fit_writes_null_residual(self, tmp_path):

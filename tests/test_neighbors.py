@@ -75,7 +75,7 @@ def grid(a, b, r):
 
 
 def tree(a, b, r):
-    return _by_pair(*_tree_pairs(a, b, r))
+    return _by_pair(*(np.concatenate(c) for c in zip(*_tree_pairs(a, b, r))))
 
 
 def assert_same(x, y):
@@ -200,7 +200,7 @@ def test_cell_keys_past_the_limit_bucket_on_fewer_axes(monkeypatch):
     for limit, rows in ((radix, 14), (radix - 1, 5)):
         monkeypatch.setattr(neighbors, "_KEY_LIMIT", limit)
         assert_same(close_pairs(pts, r=0.5), want)
-        assert len(neighbors._grid(pts, None, 0.5)[3]) == rows
+        assert len(list(neighbors._grid(pts, None, 0.5)[2])) == rows
     assert calls == [] and len(want[0]) == 300
 
 
@@ -298,13 +298,51 @@ def test_nn_distance_resolves_what_is_needed(pts, data):
 def test_self_query_grid_is_the_cross_query_grid(cloud):
     # A self-query takes b's cell order from the query sort and builds the
     # centre and forward rows only; a copy of the points is bucketed anew,
-    # with all 3**k rows, and the self-query's tables are its last rows.
+    # with all 3**k rows, and the self-query's rows are its last rows.
     pts, r = cloud
     own = neighbors._grid(pts, None, r)
     copy = neighbors._grid(pts, pts.copy(), r)
     assert own[1] is own[0]
-    for x, y in zip(own[:3], copy[:3]):
+    for x, y in zip(own[:2], copy[:2]):
         assert np.array_equal(x, y)
-    rows = 3 ** min(pts.shape[1], 3)
-    for x, y in zip(own[3:], copy[3:]):
-        assert len(y) == rows and np.array_equal(x, y[rows // 2:])
+    rows, own_rows, copy_rows = 3 ** min(pts.shape[1], 3), list(own[2]), list(copy[2])
+    assert len(copy_rows) == rows and len(own_rows) == rows - rows // 2
+    for x, y in zip(own_rows, copy_rows[rows // 2:]):
+        assert all(np.array_equal(u, v) for u, v in zip(x, y))
+
+
+@settings(deadline=None, max_examples=80)
+@given(clustered(), st.integers(20, 80), st.data())
+def test_small_blocks_give_the_same_answers(pts, dense, data):
+    # With `_CHUNK` at 64, every offset of a grid query splits into many
+    # blocks; a dense cell of `dense` points near the first one gives single
+    # query points more candidates than a block holds.
+    from scipy import sparse
+
+    from delayrecon.topology import linkage_components
+
+    rng = np.random.default_rng(dense)
+    pts = np.concatenate([pts, pts[:1] + 1e-6 * rng.uniform(-1, 1, (dense, pts.shape[1]))])
+    r = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.3, 3.0]))
+    other = pts[::-3] + data.draw(st.sampled_from([0.0, 1e-7]))
+    sizes = []
+
+    def spy(a, b, i, j, r):
+        # A block holds at most `_CHUNK` candidates, or one query point's.
+        if len(i) > neighbors._CHUNK:
+            sizes.append(any(np.all((i == x) | (j == x)) for x in (i[0], j[0])))
+        return _within(a, b, i, j, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_CHUNK", 64)
+        mp.setattr(neighbors, "_within", spy)
+        got_self, got_cross = close_pairs(pts, r=r), close_pairs(pts, other, r)
+        got_nn, got_labels = nn_distance(pts, len(pts)), linkage_components(pts, r)
+    i, j, dist = brute_pairs(pts, pts, r)
+    assert_same(got_self, (i[i < j], j[i < j], dist[i < j]))
+    assert_same(got_cross, brute_pairs(pts, other, r))
+    assert np.array_equal(got_nn, brute_nn(pts))
+    graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(len(pts),) * 2)
+    assert np.array_equal(got_labels, sparse.csgraph.connected_components(graph)[1])
+    if pts.shape[1] <= 3:
+        assert all(sizes)

@@ -235,7 +235,7 @@ class TestMeshCover:
         rows = rng.integers(-width // 2, width // 2, (3000, 3))
         rows = np.concatenate([rows, rows[:500, :], rows[:7] + [0, 0, 1]])
         ref = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-        assert np.array_equal(_row_ids(rows), ref)
+        assert np.array_equal(_row_ids(rows.T), ref)
 
     def test_covers_and_partitions(self):
         rng = np.random.default_rng(5)
@@ -293,15 +293,25 @@ class TestResolutionHelpers:
 
     def test_sample_resolution_peak_memory(self):
         # The dimension bench's 2e4 Lorenz states.  Pairing each distinct
-        # point once, folding in one neighbour offset's pairs at a time and
+        # point once, folding in blocks of at most `_CHUNK` candidates and
         # building a self-query's forward rows only keeps the tracemalloc
-        # peak near 5.8 MB.  Joining each query's pairs before folding them,
-        # with all 27 rows of int64 tables, took it to 9.8 MB; a first round
-        # that paired all points with all points, with every offset's keys
-        # held at once, above 15 MB.
+        # peak near 3.7 MB; one neighbour offset's pairs at a time read
+        # 5.8 MB.  Joining each query's pairs before folding them, with all
+        # 27 rows of int64 tables, took it to 9.8 MB; a first round that
+        # paired all points with all points, with every offset's keys held
+        # at once, above 15 MB.
         sys_ = dr.SampledFlow(field="lorenz", dt=0.02, substep=0.01)
         pts = dr.iterate(sys_, np.array([1.0, 1.0, 20.0]), 20_500).states[500:]
-        assert peak_memory(sample_resolution, pts)[1] < 6.5e6
+        assert peak_memory(sample_resolution, pts)[1] < 4.1e6
+
+    def test_sample_resolution_peak_memory_in_blocks(self):
+        # 2e5 uniform points in the unit cube: at the linkage radius each
+        # self-query offset holds 1.9e6 to 2.3e6 candidates, 116 to 139
+        # blocks of `_CHUNK`.  Blocks of candidates and a linkage fold that
+        # touches only each block's ends keep the tracemalloc peak near
+        # 49.6 MB; with one chunk per offset it read 113 MB.
+        pts = np.random.default_rng(0).uniform(0, 1, (200_000, 3))
+        assert peak_memory(sample_resolution, pts)[1] < 55e6
 
     def test_linkage_components_split_at_gap(self):
         pts = np.concatenate([np.linspace(0, 1, 20),
@@ -426,12 +436,16 @@ class TestKuhnVertexKeys:
         np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 0.5], [1.5, 2.5], [0.25, 1.25]]),
         np.array([[0.3, 0.3, 0.3], [0.3, 0.7, 0.3], [2.0, 0.5, 0.5], [0.0, 0.0, 0.0]]),
         np.linspace(0, 2, 9)[:, None],
-    ], ids=["random", "faces-and-ties-2d", "ties-3d", "interval"])
+        np.random.default_rng(3).uniform(0, 2, (40, 64)),
+    ], ids=["random", "faces-and-ties-2d", "ties-3d", "interval", "keys-past-2**62"])
     def test_equal_to_row_loop(self, pts):
         for scale, origin in ((0.5, np.zeros(pts.shape[1])), (1.0, pts.min(axis=0))):
+            # The ids of each point's vertices: the ranks of the reference
+            # vertex coordinates among all of them, in lexicographic order.
             got = kuhn_vertex_keys(pts, scale, origin)
             ref = np.array(reference_kuhn_vertex_keys(pts, scale, origin))
-            assert got.shape == (len(pts), pts.shape[1] + 1, pts.shape[1])
+            ref = _row_ids(ref.reshape(-1, pts.shape[1]).T).reshape(len(pts), -1)
+            assert got.shape == (len(pts), pts.shape[1] + 1)
             assert np.array_equal(got, ref)
 
 
