@@ -119,11 +119,11 @@ def _budget(fields: str, product: str, work: int, name: str, budget: int) -> Non
                           f"above {name} = {budget}")
 
 
-def _named(key: str, call, *args):
-    """``call(*args)``, with a `ValueError` it raises named as an error of
-    the config field ``key``, in the form of `Registered.from_dict`."""
+def _named(key: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with a `ValueError` it raises named as an
+    error of the config field ``key``, in the form of `Registered.from_dict`."""
     try:
-        return call(*args)
+        return call(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config field {key!r} invalid: {exc}") from None
 
@@ -141,12 +141,11 @@ def load_config(path) -> dict:
     return config
 
 
-def _system(config: dict) -> systems.System:
-    return convert(_field(config, "system"), systems.System, "system")
-
-
-def _observable(config: dict) -> core.Observable:
-    return convert(_field(config, "observable"), core.Observable, "observable")
+def _observable(config: dict, sys_: systems.System) -> core.Observable:
+    h = convert(_field(config, "observable"), core.Observable, "observable")
+    # An empty batch checks that the system has every axis the observable reads.
+    _named("observable", h.evaluate, np.empty((0, sys_.ambient_dim)))
+    return h
 
 
 def _delay_count(config: dict) -> int:
@@ -179,9 +178,13 @@ MAX_TRAJECTORY_SUBSTEPS = 5 * MAX_STATES
 _FLOW_STEP = "'system.dt' and 'system.substep'"
 
 
-def _trajectory(config: dict, sys_: systems.System) -> systems.Trajectory:
+def _trajectory(config: dict, sys_: systems.System, need=1, name="1") -> systems.Trajectory:
+    """The run's trajectory; a ``trajectory.n`` below ``need``, the value of
+    the bound written ``name``, is an error."""
     x0 = np.asarray(_number(config, "trajectory.x0", tuple[float, ...]))
     n = _number(config, "trajectory.n", int)
+    if n < need:
+        raise ConfigError(f"config field 'trajectory.n' must be >= {name} = {need}, got {n}")
     transient = _number(config, "trajectory.transient", int, 0)
     if n + transient > MAX_STATES:
         raise ConfigError(f"config fields 'trajectory.n' + 'trajectory.transient' "
@@ -212,9 +215,9 @@ def _pairs(config: dict, sys_: systems.System,
     pair_seed = _number(config, "pairs.seed", int, seed)
     default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
     gap = _number(config, "pairs.min_index_gap", int, default_gap)
-    traj = _trajectory(config, sys_)
-    return traj, genericity.sample_pairs(traj.states, delta, count, sys=sys_,
-                                         seed=pair_seed, min_index_gap=gap)
+    traj = _trajectory(config, sys_, gap + 2, "'pairs.min_index_gap' + 2")
+    return traj, _named("pairs.delta", genericity.sample_pairs, traj.states, delta, count,
+                        sys=sys_, seed=pair_seed, min_index_gap=gap)
 
 
 def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:
@@ -224,52 +227,43 @@ def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:
 
 
 # --- subcommands ----------------------------------------------------------
+# Each takes the run's config, system, out directory and seed, and returns
+# its exit code and the summary `main` prints.
 
-def cmd_simulate(config, out: Path, seed, quiet, import_path=None) -> int:
-    sys_ = _system(config)
+def cmd_simulate(config, sys_, out: Path, seed, import_path) -> tuple[int, str]:
     if import_path is not None:
         try:
             states = delay.read_delay_csv(import_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot import trajectory CSV: {exc}")
         sys_.check_domain(states)  # NaN and infinities lie in no box
-        traj = systems.Trajectory(states=states, system_id=sys_.system_id)
     else:
-        traj = _trajectory(config, sys_)
-    write_states_csv(out / "trajectory.csv", traj.states)
-    if not quiet:
-        print(f"simulate: wrote {len(traj)} states of {traj.system_id}")
-    return EXIT_OK
+        states = _trajectory(config, sys_).states
+    write_states_csv(out / "trajectory.csv", states)
+    return EXIT_OK, f"simulate: wrote {len(states)} states of {sys_.system_id}"
 
 
-def cmd_embed(config, out: Path, seed, quiet) -> int:
-    sys_ = _system(config)
-    h = _observable(config)
+def cmd_embed(config, sys_, out: Path, seed) -> tuple[int, str]:
+    h = _observable(config, sys_)
     m = _delay_count(config)
-    traj = _trajectory(config, sys_)
+    traj = _trajectory(config, sys_, m, "m")
     mat = delay.delay_matrix(h, traj, m)
     delay.write_delay_csv(out / "delays.csv", mat)
-    if not quiet:
-        print(f"embed: wrote {mat.shape[0]} delay vectors with m={m}")
-    return EXIT_OK
+    return EXIT_OK, f"embed: wrote {mat.shape[0]} delay vectors with m={m}"
 
 
-def cmd_margin(config, out: Path, seed, quiet) -> int:
-    sys_ = _system(config)
-    h = _observable(config)
+def cmd_margin(config, sys_, out: Path, seed) -> tuple[int, str]:
+    h = _observable(config, sys_)
     m = _delay_count(config)
     _, K = _pairs(config, sys_, seed)
     K.write_csv(out / "pairs.csv")
     report = genericity.compatibility_margin(h, sys_, K, m)
     write_json(out / "margin.json", report.to_dict() | _pair_accounting(config, K))
-    if not quiet:
-        print(f"margin: {report.margin:.6g} over {len(K)} pairs (m={m})")
-    return EXIT_OK
+    return EXIT_OK, f"margin: {report.margin:.6g} over {len(K)} pairs (m={m})"
 
 
-def cmd_perturb(config, out: Path, seed, quiet) -> int:
-    sys_ = _system(config)
-    h = _observable(config)
+def cmd_perturb(config, sys_, out: Path, seed) -> tuple[int, str]:
+    h = _observable(config, sys_)
     d = _number(config, "d", int)
     eps = _number(config, "epsilon", float)
     traj, K = _pairs(config, sys_, seed)
@@ -279,26 +273,20 @@ def cmd_perturb(config, out: Path, seed, quiet) -> int:
     except genericity.PerturbationError as exc:
         write_json(out / "perturb_report.json", {"ok": False, "reason": str(exc),
                                                  **_pair_accounting(config, K)})
-        if not quiet:
-            print(f"perturb: failed: {exc}")
-        return EXIT_HYPOTHESIS
+        return EXIT_HYPOTHESIS, f"perturb: failed: {exc}"
     dist = core.sup_distance(f, h, traj.states)
-    write_json(out / "perturbed_observable.json", f.to_dict())
+    f_dict = f.to_dict()
+    write_json(out / "perturbed_observable.json", f_dict)
     write_json(out / "perturb_report.json", {
         "ok": True, "margin": report.margin, "sup_distance": dist,
         "sup_distance_bound": f.bump.max_deviation(),
         "epsilon": eps, "m": report.m, **_pair_accounting(config, K),
     })
-    out_config = dict(config)
-    out_config["observable"] = f.to_dict()
-    write_json(out / "config_out.json", out_config)
-    if not quiet:
-        print(f"perturb: margin {report.margin:.6g}, sup-distance {dist:.6g}")
-    return EXIT_OK
+    write_json(out / "config_out.json", config | {"observable": f_dict})
+    return EXIT_OK, f"perturb: margin {report.margin:.6g}, sup-distance {dist:.6g}"
 
 
-def cmd_dimension(config, out: Path, seed, quiet) -> int:
-    sys_ = _system(config)
+def cmd_dimension(config, sys_, out: Path, seed) -> tuple[int, str]:
     traj = _trajectory(config, sys_)
     scales = _number(config, "scales", tuple[float, ...])
     box = _named("scales", topology.box_counting, traj.states, scales)
@@ -306,13 +294,10 @@ def cmd_dimension(config, out: Path, seed, quiet) -> int:
     cov = _named("covering_scales", topology.covering_dimension_estimate, traj.states,
                  cov_scales)
     write_json(out / "dimension.json", {"box": asdict(box), "covering": asdict(cov)})
-    if not quiet:
-        print(f"dimension: box {box.value:.3f}, covering {cov.value}")
-    return EXIT_OK
+    return EXIT_OK, f"dimension: box {box.value:.3f}, covering {cov.value}"
 
 
-def cmd_hypothesis(config, out: Path, seed, quiet) -> int:
-    sys_ = _system(config)
+def cmd_hypothesis(config, sys_, out: Path, seed) -> tuple[int, str]:
     d = _number(config, "d", int)
     n_seeds = _number(config, "n_seeds", int, 400)
     tol = _number(config, "tol", float, 1e-9)
@@ -325,16 +310,12 @@ def cmd_hypothesis(config, out: Path, seed, quiet) -> int:
             "MAX_FLOW_HYPOTHESIS_WORK", MAX_FLOW_HYPOTHESIS_WORK)
     report = topology.hypothesis_check(sys_, d, n_seeds=n_seeds, tol=tol)
     write_json(out / "hypothesis.json", asdict(report))
-    if not quiet:
-        for entry in report.per_n:
-            mark = "ok" if entry["ok"] else "FAIL"
-            print(f"hypothesis n={entry['n']}: dim {entry['detected_dim']} "
-                  f"vs bound {entry['bound']} [{mark}]")
-    return EXIT_OK if report.ok else EXIT_HYPOTHESIS
+    return (EXIT_OK if report.ok else EXIT_HYPOTHESIS, "\n".join(
+        f"hypothesis n={e['n']}: dim {e['detected_dim']} vs bound {e['bound']} "
+        f"[{'ok' if e['ok'] else 'FAIL'}]" for e in report.per_n))
 
 
-def cmd_yorke(config, out: Path, seed, quiet) -> int:
-    sys_ = _system(config)
+def cmd_yorke(config, sys_, out: Path, seed) -> tuple[int, str]:
     if not isinstance(sys_, systems.SampledFlow):
         raise ConfigError("config field 'system' must be a sampled flow for yorke")
     d = _number(config, "d", int)
@@ -350,15 +331,13 @@ def cmd_yorke(config, out: Path, seed, quiet) -> int:
     hits = systems.periodic_return_scan(sys_, 2 * d, tol, grid)
     cert["scan_hits"] = [[list(map(float, x)), int(p)] for x, p in hits]
     write_json(out / "yorke.json", cert)
-    if not quiet:
-        print(f"yorke: threshold {cert['threshold']:.6g}, step {cert['step']}, "
-              f"certified={cert['certified']}, scan hits {len(hits)}")
-    return EXIT_OK if cert["certified"] and not hits else EXIT_HYPOTHESIS
+    return (EXIT_OK if cert["certified"] and not hits else EXIT_HYPOTHESIS,
+            f"yorke: threshold {cert['threshold']:.6g}, step {cert['step']}, "
+            f"certified={cert['certified']}, scan hits {len(hits)}")
 
 
-def cmd_genericity(config, out: Path, seed, quiet) -> int:
-    sys_ = _system(config)
-    h = _observable(config)
+def cmd_genericity(config, sys_, out: Path, seed) -> tuple[int, str]:
+    h = _observable(config, sys_)
     m = _delay_count(config)
     trials = _number(config, "trials", int)
     work = _number(config, "pairs.count", int) * m * trials
@@ -372,9 +351,7 @@ def cmd_genericity(config, out: Path, seed, quiet) -> int:
         "fraction": frac, "trials": trials, "bump_scale": bump_scale, "m": m,
         **_pair_accounting(config, K),
     })
-    if not quiet:
-        print(f"genericity: compatible fraction {frac:.3f} over {trials} trials")
-    return EXIT_OK
+    return EXIT_OK, f"genericity: compatible fraction {frac:.3f} over {trials} trials"
 
 
 COMMANDS = {
@@ -412,13 +389,15 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         seed = _seed(config, args.seed)
-        kwargs = {}
-        if args.command == "simulate":
-            kwargs["import_path"] = args.import_path
-        return COMMANDS[args.command](config, out, seed, args.quiet, **kwargs)
+        sys_ = convert(_field(config, "system"), systems.System, "system")
+        extra = [args.import_path] if args.command == "simulate" else []
+        code, summary = COMMANDS[args.command](config, sys_, out, seed, *extra)
     except ValueError as exc:  # ConfigError and DomainError among them
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
+    if summary and not args.quiet:
+        print(summary)
+    return code
 
 
 if __name__ == "__main__":

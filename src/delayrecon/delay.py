@@ -81,5 +81,12 @@ def write_delay_csv(path, mat: np.ndarray) -> None:
 
 
 def read_delay_csv(path) -> np.ndarray:
-    """The rows of a CSV with one header line, as a 2-D float array."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The rows of a CSV with one header line, as a 2-D float array; a file
+    of no rows is an error."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if rows.size == 0:
+        raise ValueError(f"{path} holds no states")
+    return rows

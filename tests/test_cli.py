@@ -117,6 +117,20 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: henon(a=1.4,b=0.3): {message}\n"
         assert not (out / "trajectory.csv").exists()
 
+    def test_import_of_no_states_is_one_error_line(self, tmp_path, base_config):
+        # In a child interpreter, which prints warnings instead of raising
+        # them: NumPy's warning on a file without rows is not printed.
+        empty = tmp_path / "empty.csv"
+        empty.write_text("s0,s1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "delayrecon.cli", "simulate",
+             "--config", write_config(tmp_path, base_config), "--out", str(tmp_path / "out"),
+             "--import", str(empty)],
+            capture_output=True, text=True, env=package_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: cannot import trajectory CSV: {empty} holds no states\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestEmbed:
     def test_delays_match_library(self, tmp_path, base_config):
@@ -375,6 +389,74 @@ class TestGenericity:
         assert run("genericity", cfg, tmp_path) == 0
         report = json.loads((tmp_path / "genericity.json").read_text())
         assert report["fraction"] >= 0.95
+
+
+def summary_lines(cmd, out):
+    """The summary lines ``cmd`` prints, rebuilt from its artifacts in ``out``."""
+    def read(name):
+        return json.loads((out / name).read_text())
+    if cmd == "simulate":
+        states = read_delay_csv(out / "trajectory.csv")
+        return [f"simulate: wrote {len(states)} states of henon(a=1.4,b=0.3)"]
+    if cmd == "embed":
+        mat = read_delay_csv(out / "delays.csv")
+        return [f"embed: wrote {mat.shape[0]} delay vectors with m={mat.shape[1]}"]
+    if cmd == "margin":
+        r = read("margin.json")
+        return [f"margin: {r['margin']:.6g} over {r['pairs_realised']} pairs (m={r['m']})"]
+    if cmd == "perturb":
+        r = read("perturb_report.json")
+        if not r["ok"]:
+            return [f"perturb: failed: {r['reason']}"]
+        return [f"perturb: margin {r['margin']:.6g}, sup-distance {r['sup_distance']:.6g}"]
+    if cmd == "dimension":
+        r = read("dimension.json")
+        return [f"dimension: box {r['box']['value']:.3f}, covering {r['covering']['value']}"]
+    if cmd == "hypothesis":
+        return [f"hypothesis n={e['n']}: dim {e['detected_dim']} vs bound {e['bound']} "
+                f"[{'ok' if e['ok'] else 'FAIL'}]" for e in read("hypothesis.json")["per_n"]]
+    if cmd == "yorke":
+        r = read("yorke.json")
+        return [f"yorke: threshold {r['threshold']:.6g}, step {r['step']}, "
+                f"certified={r['certified']}, scan hits {len(r['scan_hits'])}"]
+    r = read("genericity.json")
+    return [f"genericity: compatible fraction {r['fraction']:.3f} over {r['trials']} trials"]
+
+
+class TestSummary:
+    @pytest.mark.parametrize("cmd,update,code,lines", [
+        ("simulate", {}, 0, 1),
+        ("embed", {}, 0, 1),
+        ("margin", {}, 0, 1),
+        ("perturb", {}, 0, 1),
+        # Two distinct states half a turn apart share their orbits.
+        ("perturb", {"system": {"kind": "rotation", "alpha": 0.5},
+                     "trajectory": {"x0": [0.1], "n": 100},
+                     "pairs": {"delta": 0.1, "count": 2, "min_index_gap": 0}}, 2, 1),
+        ("dimension", {}, 0, 1),
+        ("hypothesis", {}, 0, 2),
+        ("hypothesis", {"system": {"kind": "rotation", "alpha": 0.0}}, 2, 2),
+        ("hypothesis", {"d": 0}, 0, 0),
+        ("yorke", {"system": {"kind": "flow", "field": "harmonic", "dt": 3.0}}, 0, 1),
+        ("genericity", {}, 0, 1),
+    ], ids=["simulate", "embed", "margin", "perturb", "perturb-failed", "dimension",
+            "hypothesis", "hypothesis-failed", "hypothesis-d0", "yorke", "genericity"])
+    def test_summary_printed_unless_quiet(self, tmp_path, base_config, capsys, cmd, update,
+                                          code, lines):
+        # Each run prints its summary, one line per n for hypothesis, to
+        # stdout; with --quiet it prints nothing.
+        base_config.update(pairs={"delta": 0.01, "count": 20}, epsilon=0.05, trials=20,
+                           bump_scale=0.1, n_seeds=64, scales=[0.4, 0.2, 0.1, 0.05, 0.025, 0.0125],
+                           covering_scales=[0.4, 0.2])
+        cfg = write_config(tmp_path, base_config | update)
+        loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+        assert cli.main([cmd, "--config", cfg, "--out", str(loud)]) == code
+        out, err = capsys.readouterr()
+        expected = summary_lines(cmd, loud)
+        assert len(expected) == lines
+        assert (out, err) == ("".join(line + "\n" for line in expected), "")
+        assert run(cmd, cfg, quiet) == code
+        assert capsys.readouterr() == ("", "")
 
 
 def package_env():
@@ -806,6 +888,38 @@ class TestErrors:
         cfg = write_config(tmp_path, base_config)
         assert run("embed", cfg, tmp_path) == 1
         assert "observable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd,update,message", [
+        ("embed", {"d": 3, "trajectory": {"x0": [0.1, 0.1], "n": 5}},
+         "config field 'trajectory.n' must be >= m = 7, got 5"),
+        *[(cmd, {"trajectory": {"x0": [0.1, 0.1], "n": 2}},
+           "config field 'trajectory.n' must be >= 'pairs.min_index_gap' + 2 = 5, got 2")
+          for cmd in ("margin", "perturb", "genericity")],
+        ("margin", {"trajectory": {"x0": [0.1, 0.1], "n": 5},
+                    "pairs": {"delta": 0.001, "count": 5, "min_index_gap": 4}},
+         "config field 'trajectory.n' must be >= 'pairs.min_index_gap' + 2 = 6, got 5"),
+        *[(cmd, {"pairs": {"delta": 100, "count": 5}},
+           "config field 'pairs.delta' invalid: no pair at separation 100.0 could be sampled")
+          for cmd in ("margin", "perturb", "genericity")],
+        ("embed", {"observable": {"variant": "coordinate", "index": 5}},
+         "config field 'observable' invalid: observable needs ambient dimension >= 6, got 2"),
+        ("margin", {"observable": {"variant": "trig", "terms": [[1.0, 1.0, 4, 0.0]]}},
+         "config field 'observable' invalid: observable needs ambient dimension >= 5, got 2"),
+        ("genericity", {"observable": {"variant": "anchors", "points": [[0.1, 0.1, 0.1]],
+                                       "values": [0.5], "radius": 0.1}},
+         "config field 'observable' invalid: anchor dimension 3 != state dimension 2"),
+    ], ids=["embed-short", "margin-gap", "perturb-gap", "genericity-gap", "margin-set-gap",
+            "margin-delta", "perturb-delta", "genericity-delta", "coordinate-axis",
+            "trig-axis", "anchor-dimension"])
+    def test_config_cause_named(self, tmp_path, base_config, capsys, cmd, update, message):
+        # A library error whose cause is a config field names that field,
+        # before any artifact is written.
+        base_config.update(epsilon=0.05, trials=20, bump_scale=0.1,
+                           pairs={"delta": 0.001, "count": 5})
+        out = tmp_path / "out"
+        assert run(cmd, write_config(tmp_path, base_config | update), out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
 
 
 class TestDeterminism:

@@ -146,6 +146,14 @@ class TestCsvRoundTrip:
         write_delay_csv(path, np.zeros((2, 3)))
         assert path.read_text().splitlines()[0] == "k0,k1,k2"
 
+    @pytest.mark.parametrize("text", ["k0,k1\n", ""], ids=["header-only", "empty"])
+    def test_file_of_no_rows_rejected(self, tmp_path, text):
+        # An error, not NumPy's warning, which pytest raises here.
+        path = tmp_path / "delays.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="holds no states"):
+            read_delay_csv(path)
+
 
 class TestOrbitParity:
     """`delay_vectors` and `compatibility_margin` read one batched orbit and
