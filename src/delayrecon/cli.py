@@ -216,8 +216,12 @@ def _pairs(config: dict, sys_: systems.System,
     default_gap = 2 * _number(config, "d", int) + 1 if "d" in config else 0
     gap = _number(config, "pairs.min_index_gap", int, default_gap)
     traj = _trajectory(config, sys_, gap + 2, "'pairs.min_index_gap' + 2")
-    return traj, _named("pairs.delta", genericity.sample_pairs, traj.states, delta, count,
-                        sys=sys_, seed=pair_seed, min_index_gap=gap)
+    try:
+        return traj, genericity.sample_pairs(traj.states, delta, count, sys=sys_,
+                                             seed=pair_seed, min_index_gap=gap)
+    except ValueError as exc:  # the gap or the separation left no pair
+        key = "pairs.min_index_gap" if isinstance(exc, genericity.IndexGapError) else "pairs.delta"
+        raise ConfigError(f"config field {key!r} invalid: {exc}") from None
 
 
 def _pair_accounting(config: dict, K: genericity.PairSet) -> dict:

@@ -34,6 +34,7 @@ __all__ = [
     "PairSet",
     "CompatibilityReport",
     "PerturbationError",
+    "IndexGapError",
     "sample_pairs",
     "compatibility_margin",
     "perturb_to_compatible",
@@ -47,6 +48,10 @@ BUMP_MAX_FREQ = 3  # highest term frequency of a `random_trig_bump`
 class PerturbationError(RuntimeError):
     """The perturbation construction could not be completed; the message
     says which step failed."""
+
+
+class IndexGapError(ValueError):
+    """No pair could be sampled because no draw passed the index tests."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,9 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
     ``random.Random(seed).random()`` values u, the one stream Python keeps
     the same across versions, so a seed gives the same pairs everywhere.
     If ``count`` pairs cannot be realized in 200 draws per pair, the result
-    is shorter and flagged incomplete.  ``sys`` is not used.
+    is shorter and flagged incomplete; with no pair at all it raises a
+    `ValueError`, an `IndexGapError` when no draw passed the index tests.
+    ``sys`` is not used.
 
     When the samples are consecutive trajectory states, members drawn at
     nearby indices share forward orbit points exactly; ``min_index_gap``
@@ -134,15 +141,17 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
         raise ValueError("need at least two samples to form pairs")
     draw = random.Random(seed).random
     gap = min_index_gap
-    xs, ys = [], []
+    xs, ys, spread = [], [], False
     blocked = bytearray(n)  # nonzero within gap of a used index
     for _ in range(200 * count):
         if len(xs) >= count:
             break
         i, j = int(draw() * n), int(draw() * n)
         # The index tests first: near saturation almost every draw fails one.
-        if (abs(i - j) <= gap or blocked[i] or blocked[j]
-                or math.dist(pts[i], pts[j]) < delta):
+        if abs(i - j) <= gap or blocked[i] or blocked[j]:
+            continue
+        spread = True
+        if math.dist(pts[i], pts[j]) < delta:
             continue
         if gap > 0:
             for u in (i, j):
@@ -151,7 +160,8 @@ def sample_pairs(samples, delta: float, count: int, sys: System | None = None,
         xs.append(i)
         ys.append(j)
     if not xs:
-        raise ValueError(f"no pair at separation {delta} could be sampled")
+        cause = f"at separation {delta}" if spread else f"of indices more than {gap} apart"
+        raise (ValueError if spread else IndexGapError)(f"no pair {cause} could be sampled")
     return PairSet(pts[xs], pts[ys], delta, complete=len(xs) >= count)
 
 

@@ -17,12 +17,17 @@ radius, so it makes no backend choice of its own: one self-query of the
 distinct points, then cross queries of the points left, until as many
 points are resolved as the caller needs.  `distinct` finds the distinct
 points for it and for `topology.linkage_components`, so no query pairs
-copies of one point.  A query hands its pairs over in blocks, which
-`nn_distance` and `linkage_components` fold in as they come and only
-`close_pairs` joins: blocks of a grid offset's query points, at most
-max(`_CHUNK`, one point's) candidates, or of 128 rows for the tree.  A
-grid self-query walks only the centre offset and the forward half of the
-others, each pair once.
+copies of one point.  Their self-queries read the points through the
+distinct rows' indices, with no copy of the distinct points (the tree
+takes one), and hand back pairs as indices of the points.  A query hands
+its pairs over in blocks, which `nn_distance` and `linkage_components`
+fold in as they come and only `close_pairs` joins: blocks of a grid
+offset's query points, at most max(`_CHUNK`, one point's) candidates, or
+of 128 rows for the tree.  A grid self-query walks only the centre offset
+and the forward half of the others, each pair once.  A grid's neighbour
+keys come from one small table per axis, over the distinct cell
+coordinates on that axis, so no table of a key part per query cell is
+held.
 The greedy merge of near-duplicate rows, `first_found`, makes no pair query
 at all: a sort on the first axis and a sweep over the rows it cannot rule
 out, with the same distance formula and tie rule.  `median`, which
@@ -76,34 +81,38 @@ def _by_pair(i, j, dist):
     return i[order], j[order], dist[order]
 
 
-def _buckets(x, side, k):
-    """``x`` in cells of side ``side`` on its first ``k`` axes, one axis at a
-    time: ``(order, cells, start, count, vals, radix)``, the stable cell
-    sort, the occupied cells' rising keys with their first positions in
-    it and sizes, each axis's distinct cell indices, and the key count.  A
-    key is the mixed-radix number of a cell's ranks in ``vals``, so keys
-    rise with the lexicographic cell order."""
+def _buckets(x, side, k, reps=None):
+    """The rows ``reps`` of ``x`` (all when None) in cells of side ``side``
+    on its first ``k`` axes, one axis at a time: ``(order, cells, start,
+    count, vals, radix)``, the stable cell sort as row indices of ``x``,
+    the occupied cells' rising keys with their first positions in it and
+    sizes, each axis's distinct cell indices, and the key count.  A key is
+    the mixed-radix number of a cell's ranks in ``vals``, so keys rise with
+    the lexicographic cell order."""
     key, vals, radix = 0, [], 1
     for ax in range(k - 1, -1, -1):
-        v, rank = np.unique(np.floor(x[:, ax] / side).astype(np.int64), return_inverse=True)
+        cell = np.floor((x[:, ax] if reps is None else x[:, ax][reps]) / side).astype(np.int64)
+        v, rank = np.unique(cell, return_inverse=True)
         key = rank * radix + key
         vals.insert(0, v)
         radix *= len(v)
     key = key[order := np.argsort(key, kind="stable")]
     start = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-    return order, key[start], start, np.diff(np.append(start, len(x))), vals, radix
+    order = order if reps is None else reps[order]
+    return order, key[start], start, np.diff(np.append(start, len(key))), vals, radix
 
 
-def _grid(a, b, r, k=3):
-    """The buckets of a grid query: ``b`` (``a`` itself when None) in cells
-    of side at least ``r`` on its first ``k`` axes, so every close pair lies
-    in neighbouring cells.  Returns ``(qorder, border, rows)``: the query
-    points and ``b`` sorted by cell, and an iterator that builds each
-    neighbour offset's row in turn: per query point in ``qorder``, the
-    position in ``border`` of its neighbour cell's first point and that
-    cell's size.  The offsets are the ``3**k`` of a cross query, or the
-    centre and later ones in a self-query, in `np.ndindex` order.  Keys
-    that would reach `_KEY_LIMIT` make it bucket on one axis fewer."""
+def _grid(a, b, r, k=3, reps=None):
+    """The buckets of a grid query: ``b``, or the rows ``reps`` of ``a``
+    (all when None) when ``b`` is None, in cells of side at least ``r`` on
+    its first ``k`` axes, so every close pair lies in neighbouring cells.
+    Returns ``(qorder, border, rows)``: the query points and ``b`` sorted by
+    cell, as row indices, and an iterator that builds each neighbour
+    offset's row in turn: per query point in ``qorder``, the position in
+    ``border`` of its neighbour cell's first point and that cell's size.
+    The offsets are the ``3**k`` of a cross query, or the centre and later
+    ones in a self-query, in `np.ndindex` order.  Keys that would reach
+    `_KEY_LIMIT` make it bucket on one axis fewer."""
     pts = a if b is None else b
     k = min(a.shape[1], k)
     # The slack over r outweighs the rounding of coordinate / side, so a
@@ -111,21 +120,23 @@ def _grid(a, b, r, k=3):
     # the floor covers differences whose squares underflow to 0.
     big = max(np.abs(a[:, :k]).max(), np.abs(pts[:, :k]).max())
     side = r * (1.0 + 1e-9) + big * 2.0 ** -50 + 1e-150
-    border, cells, start, count, vals, radix = bucket = _buckets(pts, side, k)
+    border, cells, start, count, vals, radix = bucket = _buckets(pts, side, k, reps)
     qorder, qcells, _, qcount, qvals, qradix = bucket if b is None else _buckets(a, side, k)
     if max(radix, qradix) > _KEY_LIMIT:
-        return _grid(a, b, r, k - 1)
-    # Each axis's part of a neighbour cell's key for the offsets (-1, 0, 1);
-    # a neighbour cell absent on some axis gets a negative key.
-    parts = []
+        return _grid(a, b, r, k - 1, reps)
+    # Per axis, a neighbour cell's key part for the offsets (-1, 0, 1), one
+    # column per distinct query cell coordinate there; a row reads it through
+    # each query cell's rank, a digit of its key, so no per-cell table is
+    # held.  A neighbour cell absent on some axis gets a negative key.
+    tables = []
     for v, qv in zip(vals, qvals):
         radix, qradix = radix // len(v), qradix // len(qv)
-        q = qv[qcells // qradix % len(qv)] + np.arange(-1, 2)[:, None]
+        q = qv + np.arange(-1, 2)[:, None]
         pos = np.minimum(np.searchsorted(v, q), len(v) - 1)
-        parts.append(np.where(v[pos] == q, pos * radix, -_KEY_LIMIT))
+        tables.append((np.where(v[pos] == q, pos * radix, -_KEY_LIMIT), qradix))
 
     def row(shift):
-        key = sum(part[s] for part, s in zip(parts, shift))
+        key = sum(table[s][qcells // qr % table.shape[1]] for (table, qr), s in zip(tables, shift))
         slot = np.minimum(np.searchsorted(cells, key), len(cells) - 1)
         n_in = np.where(cells[slot] == key, count[slot], 0)
         return start[slot].repeat(qcount), n_in.repeat(qcount)
@@ -148,11 +159,11 @@ def _offset_pairs(qorder, border, first, n_in):
         lo = hi
 
 
-def _grid_within(a, b, r):
+def _grid_within(a, b, r, reps=None):
     """The unsorted pairs of `close_pairs` from `_grid`, one chunk per
     block.  A self-query takes the centre offset's pairs once (i < j), and
     the later offsets, mirrors of the earlier ones, as (min, max) pairs."""
-    qorder, border, rows = _grid(a, b, r)
+    qorder, border, rows = _grid(a, b, r, reps=reps)
     pts = a if b is None else b
     for o, row in enumerate(rows):
         for i, j in _offset_pairs(qorder, border, *row):
@@ -176,17 +187,19 @@ def _tree_pairs(a, b, r):
         yield _within(a, pts, i[i < j], j[i < j], r) if b is None else _within(a, pts, i, j, r)
 
 
-def _pairs(a, b, r):
-    """The pairs of `close_pairs`, unsorted, as an iterator of chunks.
-    This is the one grid-or-tree choice: points with at most three axes go
-    to the grid, bucketing the larger cloud, and points with more to the
-    tree."""
+def _pairs(a, b, r, reps=None):
+    """The pairs of `close_pairs`, unsorted, as an iterator of chunks; with
+    ``reps``, those of the self-query of ``a[reps]``, as row indices of
+    ``a``.  This is the one grid-or-tree choice: points with at most three
+    axes go to the grid, bucketing the larger cloud, and points with more
+    to the tree."""
     if len(a) == 0 or (b is not None and len(b) == 0):
         return []
     if a.shape[1] > 3:
-        return _tree_pairs(a, b, r)
+        tree = _tree_pairs(a if reps is None else a[reps], b, r)
+        return tree if reps is None else ((reps[i], reps[j], d) for i, j, d in tree)
     swap = b is not None and len(a) > len(b)
-    chunks = _grid_within(b, a, r) if swap else _grid_within(a, b, r)
+    chunks = _grid_within(b, a, r) if swap else _grid_within(a, b, r, reps)
     return ((j, i, dist) for i, j, dist in chunks) if swap else chunks
 
 
@@ -253,8 +266,8 @@ def nn_distance(pts, need: int) -> np.ndarray:
     r = extent / (2.0 * len(reps) ** (1.0 / k)) or 1.0
     if r < np.inf:
         # Each chunk of pairs is folded in as it comes, unsorted and unjoined.
-        for i, j, dist in _pairs(pts[reps], None, r):
-            np.minimum.at(best, reps[np.append(i, j)], np.append(dist, dist))
+        for i, j, dist in _pairs(pts, None, r, reps):
+            np.minimum.at(best, np.append(i, j), np.append(dist, dist))
     todo = np.flatnonzero(best > r)
     while todo.size > len(pts) - need and 2.0 * r < np.inf:
         r *= 2.0

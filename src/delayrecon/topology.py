@@ -143,9 +143,7 @@ def linkage_components(samples, threshold: float) -> np.ndarray:
             root[x] = top
         return top
 
-    # A chunk's own arrays go as soon as its ends are mapped to samples.
-    ends = map(lambda c: (reps[c[0]], reps[c[1]]), _pairs(pts[reps], None, threshold))
-    for i, j in ends:
+    for i, j, _ in _pairs(pts, None, threshold, reps):
         while not np.array_equal(ri := find(i), rj := find(j)):
             np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
     while not np.array_equal(root, root[root]):

@@ -282,10 +282,12 @@ class TestDimension:
         # The dimension bench's Lorenz config at seed 7; the first run loads
         # what a process loads once.  Pair queries in blocks of at most
         # `_CHUNK` candidates, grids bucketed one axis at a time, a linkage
-        # fold that touches only each block's ends and Kuhn star ids without
-        # vertex coordinates keep the second run's tracemalloc peak near
-        # 4.2 MB.  With one chunk per neighbour offset it read 6.3 MB, and
-        # 10.4-11 MB before that.
+        # fold that touches only each block's ends, Kuhn star ids without
+        # vertex coordinates, self-queries without a copy of the distinct
+        # states and per-axis key tables keep the second run's tracemalloc
+        # peak near 3.2 MB.  With the copy and (3, cells) key tables it read
+        # 4.2 MB, with one chunk per neighbour offset 6.3 MB, and 10.4-11 MB
+        # before that.
         cfg = write_config(tmp_path, {
             "seed": 7, "system": {"kind": "flow", "field": "lorenz", "dt": 0.02,
                                   "substep": 0.01},
@@ -293,7 +295,7 @@ class TestDimension:
             "scales": [16.0, 8.0, 4.0, 2.0, 1.0, 0.5], "covering_scales": [16.0, 8.0]})
         assert run("dimension", cfg, tmp_path) == 0
         code, peak = peak_memory(run, "dimension", cfg, tmp_path)
-        assert code == 0 and peak < 4.7e6
+        assert code == 0 and peak < 3.5e6
         assert json.loads((tmp_path / "dimension.json").read_text())["covering"]["value"] == 3
 
     def test_degenerate_fit_writes_null_residual(self, tmp_path):
@@ -901,6 +903,13 @@ class TestErrors:
         *[(cmd, {"pairs": {"delta": 100, "count": 5}},
            "config field 'pairs.delta' invalid: no pair at separation 100.0 could be sampled")
           for cmd in ("margin", "perturb", "genericity")],
+        # Of the 1e4 ordered index pairs of 100 states, 6 clear a gap of 97,
+        # so no draw of 200 passes the index tests, though such pairs lie up
+        # to 2.38 apart.
+        ("margin", {"trajectory": {"x0": [0.1, 0.1], "n": 100, "transient": 100},
+                    "pairs": {"delta": 0.001, "count": 1, "min_index_gap": 97}},
+         "config field 'pairs.min_index_gap' invalid: "
+         "no pair of indices more than 97 apart could be sampled"),
         ("embed", {"observable": {"variant": "coordinate", "index": 5}},
          "config field 'observable' invalid: observable needs ambient dimension >= 6, got 2"),
         ("margin", {"observable": {"variant": "trig", "terms": [[1.0, 1.0, 4, 0.0]]}},
@@ -909,8 +918,8 @@ class TestErrors:
                                        "values": [0.5], "radius": 0.1}},
          "config field 'observable' invalid: anchor dimension 3 != state dimension 2"),
     ], ids=["embed-short", "margin-gap", "perturb-gap", "genericity-gap", "margin-set-gap",
-            "margin-delta", "perturb-delta", "genericity-delta", "coordinate-axis",
-            "trig-axis", "anchor-dimension"])
+            "margin-delta", "perturb-delta", "genericity-delta", "margin-index-gap",
+            "coordinate-axis", "trig-axis", "anchor-dimension"])
     def test_config_cause_named(self, tmp_path, base_config, capsys, cmd, update, message):
         # A library error whose cause is a config field names that field,
         # before any artifact is written.

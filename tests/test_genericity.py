@@ -181,6 +181,17 @@ class TestSamplePairs:
         assert not K.complete and not complete
         assert np.array_equal(K.xs, xs) and np.array_equal(K.ys, ys)
 
+    def test_empty_result_names_its_cause(self):
+        # 100 points on a line: a gap of 97 leaves 6 of the 1e4 ordered
+        # index pairs, which 200 draws miss; a separation of 2 leaves none,
+        # though many draws clear the gap of 3.
+        cloud = np.linspace(0.0, 1.0, 100)[:, None]
+        with pytest.raises(genericity.IndexGapError, match="more than 97 apart"):
+            sample_pairs(cloud, 1e-3, 1, seed=0, min_index_gap=97)
+        with pytest.raises(ValueError, match="at separation 2.0") as caught:
+            sample_pairs(cloud, 2.0, 1, seed=0, min_index_gap=3)
+        assert not isinstance(caught.value, genericity.IndexGapError)
+
     def test_incomplete_flagged(self):
         # six samples with an index-gap constraint cannot yield 50 pairs
         cloud = np.linspace(0.0, 1.0, 6)[:, None]

@@ -346,3 +346,42 @@ def test_small_blocks_give_the_same_answers(pts, dense, data):
     assert np.array_equal(got_labels, sparse.csgraph.connected_components(graph)[1])
     if pts.shape[1] <= 3:
         assert all(sizes)
+
+
+@st.composite
+def repeated_rows(draw):
+    """A cloud on 1, 2, 3 (grid) or 5 axes (tree) whose rows repeat: lattice
+    points of few values, some rows copied again, in a drawn order."""
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(2, 60))
+    ints = draw(hnp.arrays(np.int64, (n, k), elements=st.integers(-2, 2)))
+    pts = ints * draw(st.sampled_from([0.1, 1.0])) + draw(st.sampled_from([0.0, 0.03]))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    pts = np.concatenate([pts, pts[repeats]])
+    return pts[draw(st.permutations(range(len(pts))))]
+
+
+@settings(deadline=None, max_examples=150)
+@given(repeated_rows(), st.sampled_from([0.0, 0.1, 0.15, 1.0, 2.5]))
+def test_self_queries_through_the_distinct_rows(pts, r):
+    # The self-query of the distinct rows, read through their indices, finds
+    # the pairs of a query on their copy, each once; `nn_distance` and
+    # `linkage_components` that use it agree with brute force bit for bit.
+    from scipy import sparse
+
+    from delayrecon.topology import linkage_components
+
+    reps, _ = neighbors.distinct(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_CHUNK", 64)
+        got = [(min(a, b), max(a, b), d) for i, j, dist in neighbors._pairs(pts, None, r, reps)
+               for a, b, d in zip(i.tolist(), j.tolist(), dist.tolist())]
+        i, j, dist = close_pairs(pts[reps], r=r)
+        got_nn, got_labels = nn_distance(pts, len(pts)), linkage_components(pts, r)
+    want = {(min(a, b), max(a, b), d)
+            for a, b, d in zip(reps[i].tolist(), reps[j].tolist(), dist.tolist())}
+    assert len(got) == len(set(got)) and set(got) == want
+    assert np.array_equal(got_nn, brute_nn(pts))
+    i, j, _ = brute_pairs(pts, pts, r)
+    graph = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(len(pts),) * 2)
+    assert np.array_equal(got_labels, sparse.csgraph.connected_components(graph)[1])

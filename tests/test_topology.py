@@ -292,26 +292,27 @@ class TestResolutionHelpers:
         assert np.array_equal(linkage_components(pts, threshold), ref)
 
     def test_sample_resolution_peak_memory(self):
-        # The dimension bench's 2e4 Lorenz states.  Pairing each distinct
-        # point once, folding in blocks of at most `_CHUNK` candidates and
-        # building a self-query's forward rows only keeps the tracemalloc
-        # peak near 3.7 MB; one neighbour offset's pairs at a time read
-        # 5.8 MB.  Joining each query's pairs before folding them, with all
-        # 27 rows of int64 tables, took it to 9.8 MB; a first round that
-        # paired all points with all points, with every offset's keys held
-        # at once, above 15 MB.
+        # The dimension bench's 2e4 Lorenz states.  Self-queries that read
+        # the states through the distinct rows' indices, and neighbour keys
+        # from per-axis tables over distinct cell coordinates, keep the
+        # tracemalloc peak near 2.5 MB; a copy of the distinct states and
+        # (3, cells) key tables per axis read 3.7 MB, one neighbour offset's
+        # pairs at a time 5.8 MB, and joining each query's pairs before
+        # folding them, with all 27 rows of int64 tables, 9.8 MB.
         sys_ = dr.SampledFlow(field="lorenz", dt=0.02, substep=0.01)
         pts = dr.iterate(sys_, np.array([1.0, 1.0, 20.0]), 20_500).states[500:]
-        assert peak_memory(sample_resolution, pts)[1] < 4.1e6
+        assert peak_memory(sample_resolution, pts)[1] < 2.8e6
 
     def test_sample_resolution_peak_memory_in_blocks(self):
         # 2e5 uniform points in the unit cube: at the linkage radius each
         # self-query offset holds 1.9e6 to 2.3e6 candidates, 116 to 139
-        # blocks of `_CHUNK`.  Blocks of candidates and a linkage fold that
-        # touches only each block's ends keep the tracemalloc peak near
-        # 49.6 MB; with one chunk per offset it read 113 MB.
+        # blocks of `_CHUNK`.  Blocks of candidates, a linkage fold that
+        # touches only each block's ends, no copy of the distinct points and
+        # per-axis key tables keep the tracemalloc peak near 35.5 MB; with
+        # the copy and (3, cells) tables it read 49.6 MB, with one chunk per
+        # offset 113 MB.
         pts = np.random.default_rng(0).uniform(0, 1, (200_000, 3))
-        assert peak_memory(sample_resolution, pts)[1] < 55e6
+        assert peak_memory(sample_resolution, pts)[1] < 40e6
 
     def test_linkage_components_split_at_gap(self):
         pts = np.concatenate([np.linspace(0, 1, 20),
